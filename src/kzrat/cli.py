@@ -124,6 +124,11 @@ class SystemConfig:
         return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _point_value(text: str):
     if text == SYMBOLIC:
         return SYMBOLIC
@@ -198,15 +203,15 @@ def parse_config(text: str) -> SystemConfig:
         raise ConfigError(f"convention: must be one of {CONVENTIONS}")
 
     order = doc.get("order", 3)
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise ConfigError("order: must be a nonnegative integer")
 
     center = doc.get("center", 1)
-    if not isinstance(center, int) or not (1 <= center <= len(points)):
+    if not _is_int(center) or not (1 <= center <= len(points)):
         raise ConfigError("center: must be a 1-based index into points")
 
     num_degree = doc.get("numerator_degree")
-    if num_degree is not None and (not isinstance(num_degree, int) or num_degree < 0):
+    if num_degree is not None and (not _is_int(num_degree) or num_degree < 0):
         raise ConfigError("numerator_degree: must be a nonnegative integer")
 
     den_exps = doc.get("denominator_exponents")
@@ -214,7 +219,7 @@ def parse_config(text: str) -> SystemConfig:
         if (
             not isinstance(den_exps, list)
             or len(den_exps) != len(points)
-            or not all(isinstance(e, int) and e >= 0 for e in den_exps)
+            or not all(_is_int(e) and e >= 0 for e in den_exps)
         ):
             raise ConfigError(
                 "denominator_exponents: must list one nonnegative integer per point"
@@ -242,7 +247,7 @@ def _parse_matrix(obj, where: str) -> FMatrix:
     for row in obj:
         out = []
         for e in row:
-            if isinstance(e, int):
+            if _is_int(e):
                 out.append(Fraction(e))
             elif isinstance(e, str):
                 try:
@@ -475,7 +480,9 @@ def cmd_series(
         return EXIT_USAGE
 
     try:
-        series = compute_series(exp, cfg.coupling, cfg.order, policy=POLICY_AUTO)
+        series = compute_series(
+            exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO
+        )
     except ResonanceObstruction as exc:
         print(f"resonance obstruction at level {exc.level}", file=out)
         print(f"certificate y (y*step = 0, y*rhs != 0): {_vector_json(exc.certificate)}", file=out)
@@ -542,7 +549,9 @@ def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
         return EXIT_MISMATCH
 
     try:
-        series = compute_series(exp, cfg.coupling, cfg.order, policy=POLICY_AUTO)
+        series = compute_series(
+            exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO
+        )
     except ResonanceObstruction as exc:
         print(f"resonance obstruction at level {exc.level}", file=out)
         report["obstruction"] = {

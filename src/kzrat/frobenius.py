@@ -5,6 +5,12 @@ coupling * sum_{j + l = q, j >= 0, l >= leading} a_j b_l.  Steps whose
 matrix is singular are resonant: a consistent one contributes its kernel
 as a solvability record, an inconsistent one aborts with an exact
 certificate (the series would need logarithms, which is out of scope).
+
+The solver never forms that convolution.  With a_j = -sum_i R_i u_i^(j+1)
+over the other poles, the right side is -coupling * sum_i R_i S_i(q) where
+S_i(q) = u_i (S_i(q-1) + b_q): a recurrence of length m, so an order-N
+series costs O(m N) matrix products.  verify_recursion re-derives every
+level by the direct O(N^2) convolution, as an independent check.
 """
 
 from __future__ import annotations
@@ -114,8 +120,13 @@ def indicial_data(exp: LocalExpansion, coupling: Fraction) -> IndicialData:
 
 
 def _step_matrix(exp: LocalExpansion, coupling: Fraction, level: int) -> FMatrix:
-    ident = FMatrix.identity(exp.n)
-    return ident * Fraction(level) - exp.a_minus1 * Fraction(coupling)
+    """level * I - coupling * a_{-1}."""
+    return FMatrix(
+        [
+            [Fraction(level * (i == j)) - coupling * e for j, e in enumerate(row)]
+            for i, row in enumerate(exp.a_minus1.entries)
+        ]
+    )
 
 
 def _lift(exp: LocalExpansion, m: FMatrix) -> FMatrix:
@@ -174,7 +185,6 @@ def convolution_rhs(exp: LocalExpansion, coeffs: dict[int, FMatrix], level: int)
     q = level - 1
     n = exp.n
     acc = FMatrix.zeros(n, n)
-    touched = False
     for j in range(0, q - min(coeffs) + 1):
         l = q - j
         if l not in coeffs:
@@ -184,9 +194,6 @@ def convolution_rhs(exp: LocalExpansion, coeffs: dict[int, FMatrix], level: int)
                 f"the local expansion holds a_0..a_{exp.order} but a_{j} is needed"
             )
         acc = acc + exp.regular(j) * coeffs[l]
-        touched = True
-    if not touched:
-        return _lift(exp, acc) if exp.symbolic else acc
     return acc
 
 
@@ -221,13 +228,17 @@ def compute_series(
             f"but the local expansion stops at a_{exp.order}"
         )
 
-    coeffs: dict[int, FMatrix] = {
-        leading_exponent: leading_coefficient(exp, coupling, leading_exponent, policy)
-    }
+    coeffs = [leading_coefficient(exp, coupling, leading_exponent, policy)]
+    zero = _lift(exp, FMatrix.zeros(exp.n, exp.n))
+    # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q)
+    weights = [res * -coupling for _, res in exp.poles]
+    sums = [zero] * len(exp.poles)
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
         level = leading_exponent + step
-        rhs = convolution_rhs(exp, coeffs, level) * coupling
+        sums = [(s + coeffs[-1]) * u for s, (u, _) in zip(sums, exp.poles)]
+        terms = [w * s for w, s in zip(weights, sums)]
+        rhs = sum(terms[1:], terms[0]) if terms else zero
         res = solve_linear(_lift(exp, _step_matrix(exp, coupling, level)), rhs)
         if res.kind is SolveKind.INCONSISTENT:
             raise ResonanceObstruction(level, res.certificate, rhs)
@@ -235,12 +246,11 @@ def compute_series(
             records.append(
                 ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis)
             )
-        coeffs[level] = _lift(exp, res.particular)
+        coeffs.append(_lift(exp, res.particular))
 
-    ordered = tuple(coeffs[p] for p in range(leading_exponent, leading_exponent + order + 1))
     return SeriesSolution(
         leading_exponent=leading_exponent,
-        coeffs=ordered,
+        coeffs=tuple(coeffs),
         resonances=tuple(records),
         convention=exp.convention,
         center_point=exp.center_point,

@@ -98,8 +98,10 @@ def system_matrix_at(sys: KZSystem, z) -> FMatrix:
 class LocalExpansion:
     """A(z) = a_minus1/(z - z_c) + a_0 + a_1 (z - z_c) + ... at the center.
 
-    In symbolic mode the coefficients are matrices of rational functions
-    in d; a_r is then homogeneous of d-degree -(r + 1).
+    ``poles`` holds one pair (u_i, R_i) per other singular point, with
+    a_r = -sum_i R_i * u_i^(r+1); numerically u_i = 1/(z_i - z_c).  In
+    symbolic mode u is +-1/d and the coefficients are matrices of rational
+    functions in d; a_r is then homogeneous of d-degree -(r + 1).
     """
 
     center_index: int
@@ -108,6 +110,7 @@ class LocalExpansion:
     regular_coeffs: tuple[FMatrix, ...]
     convention: str
     symbolic: bool
+    poles: tuple[tuple[object, FMatrix], ...]
 
     @property
     def n(self) -> int:
@@ -144,45 +147,36 @@ def local_expansion(
     c = center - 1
 
     if sys.is_symbolic:
-        other = 1 - c
-        residue_other = sys.residues[other]
         # delta = points[other] - points[center]; with d = point2 - point1
         # this is d when expanding at the first point and -d at the second.
-        delta_sign = 1 if c == 0 else -1
+        # literal-paper is derived-taylor under d -> -d, so u = -1/delta.
+        sign = (1 if c == 0 else -1) * (1 if convention == DERIVED_TAYLOR else -1)
+        poles = ((RatFunc.monomial(-1, sign), sys.residues[1 - c]),)
+        center_point = SYMBOLIC
         a_minus1 = sys.residues[c] * RatFunc.one()
-        coeffs = []
-        for r in range(order + 1):
-            inv_delta_pow = RatFunc.monomial(-(r + 1), Fraction(delta_sign) ** (r + 1))
-            if convention == DERIVED_TAYLOR:
-                coeffs.append(residue_other * (-inv_delta_pow))
-            else:
-                coeffs.append(residue_other * (Fraction(-1) ** r * inv_delta_pow))
-        return LocalExpansion(
-            center_index=center,
-            center_point=SYMBOLIC,
-            a_minus1=a_minus1,
-            regular_coeffs=tuple(coeffs),
-            convention=convention,
-            symbolic=True,
-        )
-
-    if convention == LITERAL_PAPER:
+    elif convention == LITERAL_PAPER:
         raise ValueError("the literal-paper convention is defined only in two-point symbolic mode")
-    zc = sys.points[c]
-    n = sys.n
+    else:
+        center_point = sys.points[c]
+        poles = tuple(
+            (Fraction(1) / (p - center_point), res)
+            for i, (p, res) in enumerate(zip(sys.points, sys.residues))
+            if i != c
+        )
+        a_minus1 = sys.residues[c]
+
     coeffs = []
-    for r in range(order + 1):
-        acc = FMatrix.zeros(n, n)
-        for i, (p, res) in enumerate(zip(sys.points, sys.residues)):
-            if i == c:
-                continue
-            acc = acc + res * (Fraction(-1) / (p - zc) ** (r + 1))
-        coeffs.append(acc)
+    powers = [u for u, _ in poles]
+    for _ in range(order + 1):
+        terms = [res * -u_pow for (_, res), u_pow in zip(poles, powers)]
+        coeffs.append(sum(terms[1:], terms[0]) if terms else FMatrix.zeros(sys.n, sys.n))
+        powers = [u_pow * u for (u, _), u_pow in zip(poles, powers)]
     return LocalExpansion(
         center_index=center,
-        center_point=zc,
-        a_minus1=sys.residues[c],
+        center_point=center_point,
+        a_minus1=a_minus1,
         regular_coeffs=tuple(coeffs),
         convention=convention,
-        symbolic=False,
+        symbolic=sys.is_symbolic,
+        poles=poles,
     )

@@ -9,7 +9,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from kzrat import FMatrix, Poly, RatFunc, transposition_matrix
+from kzrat import (
+    FMatrix,
+    Poly,
+    RatFunc,
+    ResonanceObstruction,
+    SolveKind,
+    convolution_rhs,
+    leading_coefficient,
+    solve_linear,
+    transposition_matrix,
+)
 
 P1 = transposition_matrix(3, 1, 2)
 P2 = transposition_matrix(3, 1, 3)
@@ -65,6 +75,33 @@ def level2_convolution_oracle() -> tuple[list[list[Fraction]], int]:
             for c in range(3):
                 total[i][c] += term[i][c]
     return total, power
+
+
+def direct_series(exp, coupling, order: int, leading_exponent: int):
+    """Reference solver: every level recomputes coupling * sum_j a_j b_{q-j}
+    by direct convolution over all earlier coefficients, O(N^2) products.
+
+    Returns the coefficients b_leading .. b_{leading+order} and the
+    (level, kind, kernel) of each consistent resonant step; raises
+    ResonanceObstruction at an inconsistent one, as compute_series does.
+    """
+    coupling = Fraction(coupling)
+
+    def lift(m: FMatrix) -> FMatrix:
+        return m * RatFunc.one() if exp.symbolic else m
+
+    coeffs = {leading_exponent: leading_coefficient(exp, coupling, leading_exponent)}
+    records = []
+    for level in range(leading_exponent + 1, leading_exponent + order + 1):
+        rhs = convolution_rhs(exp, coeffs, level) * coupling
+        step = FMatrix.identity(exp.n) * Fraction(level) - exp.a_minus1 * coupling
+        res = solve_linear(lift(step), rhs)
+        if res.kind is SolveKind.INCONSISTENT:
+            raise ResonanceObstruction(level, res.certificate, rhs)
+        if res.kind is SolveKind.AFFINE:
+            records.append((level, res.kind, res.kernel_basis))
+        coeffs[level] = lift(res.particular)
+    return [coeffs[p] for p in sorted(coeffs)], records
 
 
 def pole_series_coeffs(center, pole, count: int) -> list[Fraction]:

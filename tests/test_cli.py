@@ -105,6 +105,26 @@ def test_parse_config_explicit_residues():
         parse_config(json.dumps(dict(SINGLE_POLE, points=["0", "1"])))
 
 
+# JSON true/false are Python bools, which are ints; each field must refuse them.
+BOOLEAN_CONFIGS = {
+    "order": dict(S3_NUMERIC, order=True),
+    "center": dict(S3_NUMERIC, center=True),
+    "numerator_degree": dict(S3_NUMERIC, numerator_degree=True),
+    "denominator_exponents": dict(S3_NUMERIC, denominator_exponents=[True, 2]),
+    "residues": dict(SINGLE_POLE, residues=[[[False, True, 0], [1, 0, 0], [0, 0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOLEAN_CONFIGS))
+def test_parse_config_rejects_json_booleans(tmp_path, capsys, field):
+    doc = BOOLEAN_CONFIGS[field]
+    with pytest.raises(ConfigError, match=field):
+        parse_config(json.dumps(doc))
+    rc = main(["series", "--config", write_config(tmp_path, doc)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+
+
 def test_series_golden_matches(tmp_path, capsys):
     path = write_config(tmp_path, S3_SYMBOLIC)
     rc = main(["series", "--config", path, "--golden"])

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kzrat import (
     DERIVED_TAYLOR,
@@ -16,6 +18,7 @@ from kzrat import (
     SolveKind,
     build_kz_s3,
     compute_series,
+    transposition_matrix,
     indicial_data,
     kz_system,
     leading_coefficient,
@@ -28,6 +31,7 @@ from support import (
     OBSTRUCTED_RESIDUE2,
     P1,
     P2,
+    direct_series,
     level2_convolution_oracle,
     table_matrix,
 )
@@ -269,3 +273,98 @@ def test_no_integer_exponent_rejected():
     exp = local_expansion(sysn, 1, DERIVED_TAYLOR, order=3)
     with pytest.raises(ValueError):
         compute_series(exp, Fraction(2, 3), order=3)
+
+
+def same_matrix(a: FMatrix, b: FMatrix) -> bool:
+    """Equal values and equal entry types (reports encode each type differently)."""
+    return a == b and [list(map(type, r)) for r in a.entries] == [
+        list(map(type, r)) for r in b.entries
+    ]
+
+
+def assert_matches_direct_convolution(exp, coupling, order):
+    """compute_series agrees with the O(N^2) reference solver exactly:
+    coefficients, resonance records with kernels, or the obstruction."""
+    ind = indicial_data(exp, coupling)
+    lead = min(ind.resonant_levels)
+    try:
+        want_coeffs, want_records = direct_series(exp, coupling, order, lead)
+    except ResonanceObstruction as want:
+        with pytest.raises(ResonanceObstruction) as got:
+            compute_series(exp, coupling, order)
+        assert got.value.level == want.level
+        assert got.value.certificate == want.certificate
+        assert same_matrix(got.value.rhs, want.rhs)
+        return
+    series = compute_series(exp, coupling, order)
+    assert series.leading_exponent == lead
+    assert len(series.coeffs) == len(want_coeffs)
+    for got_b, want_b in zip(series.coeffs, want_coeffs):
+        assert same_matrix(got_b, want_b)
+    assert [(r.level, r.kind, r.kernel) for r in series.resonances] == want_records
+
+
+TRANSPOSITIONS = [transposition_matrix(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))]
+
+
+@st.composite
+def numeric_systems(draw):
+    points = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    residues = [draw(st.sampled_from(TRANSPOSITIONS)) for _ in points]
+    center = draw(st.integers(1, len(points)))
+    coupling = Fraction(draw(st.sampled_from((1, 2, 3, 6))))
+    return kz_system(points, residues, coupling), center, coupling
+
+
+@given(case=numeric_systems(), order=st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_recurrence_matches_direct_convolution_numeric(case, order):
+    sys_, center, coupling = case
+    exp = local_expansion(sys_, center, DERIVED_TAYLOR, order)
+    assume(indicial_data(exp, coupling).resonant_levels)
+    assert_matches_direct_convolution(exp, coupling, order)
+
+
+@pytest.mark.parametrize("center", (1, 2))
+@pytest.mark.parametrize("convention", (LITERAL_PAPER, DERIVED_TAYLOR))
+def test_recurrence_matches_direct_convolution_symbolic(convention, center):
+    sys_ = build_kz_s3(SYMBOLIC, SYMBOLIC, TWO)
+    assert_matches_direct_convolution(local_expansion(sys_, center, convention, 10), TWO, 10)
+
+
+def test_recurrence_matches_direct_convolution_obstructed():
+    sys_ = kz_system([0, 1], [P1, OBSTRUCTED_RESIDUE2], TWO)
+    assert_matches_direct_convolution(local_expansion(sys_, 1, DERIVED_TAYLOR, 8), TWO, 8)
+
+
+@pytest.mark.parametrize(
+    "points, residues, coupling",
+    [
+        ((0, 1), (P1, P2), TWO),
+        ((0, Fraction(2, 3), Fraction(-5, 7)), tuple(TRANSPOSITIONS), Fraction(6)),
+    ],
+    ids=("kz-s3", "three-point"),
+)
+def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, residues, coupling):
+    order = 160
+    exp = local_expansion(kz_system(points, residues, coupling), 1, DERIVED_TAYLOR, order)
+    calls = 0
+    original = FMatrix.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return original(self, other)
+
+    monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
+    compute_series(exp, coupling, order)
+    # m singular points leave a recurrence of length m; the direct
+    # convolution would need order^2 / 2 products here
+    assert calls <= (len(points) + 3) * order
