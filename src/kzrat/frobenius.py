@@ -11,6 +11,12 @@ over the other poles, the right side is -coupling * sum_i R_i S_i(q) where
 S_i(q) = u_i (S_i(q-1) + b_q): a recurrence of length m, so an order-N
 series costs O(m N) matrix products.  verify_recursion re-derives every
 level by the direct O(N^2) convolution, as an independent check.
+
+The engine runs over Fraction in both modes.  In two-point symbolic mode
+every quantity is a monomial in d: the engine solves at d = 1 (u = +-1)
+for B_p, and the series it returns is graded, b_p = B_p * d^(-(p - rho))
+with rho the leading exponent; verify_recursion and the golden tables
+check those graded values.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from fractions import Fraction
 from .kzmodel import LocalExpansion
 from .matrix import FMatrix, SolveKind, charpoly, det, solve_linear
 from .poly import Poly, rational_roots
-from .ratfunc import RatFunc
 
 POLICY_PROJECTOR = "paper-projector"
 POLICY_KERNEL = "kernel-columns"
@@ -93,23 +98,9 @@ class SeriesSolution:
         return None
 
 
-def _constant_matrix(m: FMatrix) -> FMatrix:
-    """Strip a matrix of constant rational functions down to Fractions."""
-    def to_scalar(e):
-        if isinstance(e, Fraction):
-            return e
-        if isinstance(e, RatFunc):
-            c = e.constant_value()
-            if c is not None:
-                return c
-        raise ValueError("expected a matrix of constant entries")
-
-    return m.map(to_scalar)
-
-
 def indicial_data(exp: LocalExpansion, coupling: Fraction) -> IndicialData:
     """Exact eigenvalues of coupling * a_{-1} via rational root extraction."""
-    m = _constant_matrix(exp.a_minus1) * Fraction(coupling)
+    m = exp.residue * Fraction(coupling)
     roots, remainder = rational_roots(charpoly(m))
     resonant = frozenset(int(r) for r, _ in roots if r.denominator == 1)
     return IndicialData(
@@ -124,15 +115,9 @@ def _step_matrix(exp: LocalExpansion, coupling: Fraction, level: int) -> FMatrix
     return FMatrix(
         [
             [Fraction(level * (i == j)) - coupling * e for j, e in enumerate(row)]
-            for i, row in enumerate(exp.a_minus1.entries)
+            for i, row in enumerate(exp.residue.entries)
         ]
     )
-
-
-def _lift(exp: LocalExpansion, m: FMatrix) -> FMatrix:
-    if exp.symbolic:
-        return m * RatFunc.one()
-    return m
 
 
 def leading_coefficient(
@@ -148,11 +133,16 @@ def leading_coefficient(
     canonical kernel basis of the step matrix into leading columns, padded
     with zero columns.
     """
+    return exp.grade(_seed(exp, coupling, exponent, policy), 0)
+
+
+def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int, policy: str) -> FMatrix:
+    """leading_coefficient over Fraction, before grading."""
     if policy not in LEADING_POLICIES:
         raise ValueError(f"unknown leading-coefficient policy {policy!r}")
     n = exp.n
     ident = FMatrix.identity(n)
-    a0 = _constant_matrix(exp.a_minus1)
+    a0 = exp.residue
 
     projector_ok = (
         a0 * a0 == ident
@@ -168,7 +158,7 @@ def leading_coefficient(
         policy = POLICY_PROJECTOR if projector_ok else POLICY_KERNEL
 
     if policy == POLICY_PROJECTOR:
-        return _lift(exp, ident - a0)
+        return ident - a0
 
     step = ident * Fraction(exponent) - a0 * Fraction(coupling)
     res = solve_linear(step, FMatrix.zeros(n, n))
@@ -177,7 +167,7 @@ def leading_coefficient(
             f"{exponent} is not an eigenvalue of coupling * a_{{-1}}; the kernel is trivial"
         )
     columns = list(res.kernel_basis) + [(Fraction(0),) * n] * (n - len(res.kernel_basis))
-    return _lift(exp, FMatrix.from_columns(columns, n))
+    return FMatrix.from_columns(columns, n)
 
 
 def convolution_rhs(exp: LocalExpansion, coeffs: dict[int, FMatrix], level: int) -> FMatrix:
@@ -228,8 +218,8 @@ def compute_series(
             f"but the local expansion stops at a_{exp.order}"
         )
 
-    coeffs = [leading_coefficient(exp, coupling, leading_exponent, policy)]
-    zero = _lift(exp, FMatrix.zeros(exp.n, exp.n))
+    zero = FMatrix.zeros(exp.n, exp.n)
+    coeffs = [_seed(exp, coupling, leading_exponent, policy)]
     # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q)
     weights = [res * -coupling for _, res in exp.poles]
     sums = [zero] * len(exp.poles)
@@ -239,18 +229,24 @@ def compute_series(
         sums = [(s + coeffs[-1]) * u for s, (u, _) in zip(sums, exp.poles)]
         terms = [w * s for w, s in zip(weights, sums)]
         rhs = sum(terms[1:], terms[0]) if terms else zero
-        res = solve_linear(_lift(exp, _step_matrix(exp, coupling, level)), rhs)
-        if res.kind is SolveKind.INCONSISTENT:
-            raise ResonanceObstruction(level, res.certificate, rhs)
-        if res.kind is SolveKind.AFFINE:
+        a = _step_matrix(exp, coupling, level)
+        res = solve_linear(a, rhs)
+        if res.kind is not SolveKind.UNIQUE:
+            # A symbolic kernel or certificate keeps the entry types that
+            # elimination over RatFunc gives it (entries the elimination
+            # never touches stay Fraction), so classify the graded step again.
+            rhs = exp.grade(rhs, -step)
+            graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
+            if res.kind is SolveKind.INCONSISTENT:
+                raise ResonanceObstruction(level, graded.certificate, rhs)
             records.append(
-                ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis)
+                ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis)
             )
-        coeffs.append(_lift(exp, res.particular))
+        coeffs.append(res.particular)
 
     return SeriesSolution(
         leading_exponent=leading_exponent,
-        coeffs=tuple(coeffs),
+        coeffs=tuple(exp.grade(b, -p) for p, b in enumerate(coeffs)),
         resonances=tuple(records),
         convention=exp.convention,
         center_point=exp.center_point,
@@ -294,9 +290,9 @@ def verify_recursion(
     table = {p: series.coefficient(p) for p in series.levels()}
     checks = []
     for level in series.levels():
-        step = _lift(exp, _step_matrix(exp, coupling, level))
+        step = _step_matrix(exp, coupling, level)
         if level == series.leading_exponent:
-            rhs = _lift(exp, FMatrix.zeros(exp.n, exp.n))
+            rhs = exp.grade(FMatrix.zeros(exp.n, exp.n), 0)
         else:
             known = {p: table[p] for p in table if p < level}
             rhs = convolution_rhs(exp, known, level) * coupling

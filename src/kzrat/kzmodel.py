@@ -4,6 +4,12 @@ A system is dW/dz = coupling * A(z) * W with A(z) a sum of residue
 matrices over simple poles.  Points are exact rationals, or the formal
 marker "symbolic" (exactly two points), in which case the expansion
 coefficients live in the rational-function field in d = point2 - point1.
+
+Symbolic mode is a grading of the numeric engine, not a second
+arithmetic: with two points every a_r is a monomial of d-degree -(r + 1),
+so the expansion is held at d = 1 (u = +-1) over Fraction, and
+``LocalExpansion.grade`` multiplies a value by its power of d only where
+it leaves the engine.
 """
 
 from __future__ import annotations
@@ -98,30 +104,41 @@ def system_matrix_at(sys: KZSystem, z) -> FMatrix:
 class LocalExpansion:
     """A(z) = a_minus1/(z - z_c) + a_0 + a_1 (z - z_c) + ... at the center.
 
-    ``poles`` holds one pair (u_i, R_i) per other singular point, with
-    a_r = -sum_i R_i * u_i^(r+1); numerically u_i = 1/(z_i - z_c).  In
-    symbolic mode u is +-1/d and the coefficients are matrices of rational
-    functions in d; a_r is then homogeneous of d-degree -(r + 1).
+    ``residue`` (the residue at the center) and ``poles``, one pair
+    (u_i, R_i) per other singular point with a_r = -sum_i R_i * u_i^(r+1),
+    are Fraction data; numerically u_i = 1/(z_i - z_c).  In symbolic mode
+    they are taken at d = 1, u = +-1, and the public coefficients are
+    graded: a_r is a matrix of rational functions in d, homogeneous of
+    d-degree -(r + 1).
     """
 
     center_index: int
     center_point: object
-    a_minus1: FMatrix
-    regular_coeffs: tuple[FMatrix, ...]
+    residue: FMatrix
+    order: int
     convention: str
     symbolic: bool
-    poles: tuple[tuple[object, FMatrix], ...]
+    poles: tuple[tuple[Fraction, FMatrix], ...]
 
     @property
     def n(self) -> int:
-        return self.a_minus1.rows
+        return self.residue.rows
 
-    def regular(self, r: int) -> FMatrix:
-        return self.regular_coeffs[r]
+    def grade(self, m: FMatrix, power: int) -> FMatrix:
+        """An engine value as it leaves the engine: m * d^power in symbolic
+        mode, where the engine ran at d = 1; m itself numerically."""
+        return m * RatFunc.monomial(power) if self.symbolic else m
 
     @property
-    def order(self) -> int:
-        return len(self.regular_coeffs) - 1
+    def a_minus1(self) -> FMatrix:
+        return self.grade(self.residue, 0)
+
+    def regular(self, r: int) -> FMatrix:
+        if not 0 <= r <= self.order:
+            raise IndexError(f"the local expansion holds a_0..a_{self.order}, not a_{r}")
+        terms = [res * -(u ** (r + 1)) for u, res in self.poles]
+        a_r = sum(terms[1:], terms[0]) if terms else FMatrix.zeros(self.n, self.n)
+        return self.grade(a_r, -(r + 1))
 
 
 def local_expansion(
@@ -130,7 +147,7 @@ def local_expansion(
     convention: str = DERIVED_TAYLOR,
     order: int = 0,
 ) -> LocalExpansion:
-    """Expansion coefficients a_{-1}, a_0 .. a_order at the chosen point.
+    """Expansion data for a_{-1}, a_0 .. a_order at the chosen point.
 
     derived-taylor gives the true geometric-series expansion
     a_r = -sum_{i != c} residues[i] / (points[i] - points[c])^(r+1).
@@ -151,31 +168,20 @@ def local_expansion(
         # this is d when expanding at the first point and -d at the second.
         # literal-paper is derived-taylor under d -> -d, so u = -1/delta.
         sign = (1 if c == 0 else -1) * (1 if convention == DERIVED_TAYLOR else -1)
-        poles = ((RatFunc.monomial(-1, sign), sys.residues[1 - c]),)
-        center_point = SYMBOLIC
-        a_minus1 = sys.residues[c] * RatFunc.one()
+        poles = ((Fraction(sign), sys.residues[1 - c]),)
     elif convention == LITERAL_PAPER:
         raise ValueError("the literal-paper convention is defined only in two-point symbolic mode")
     else:
-        center_point = sys.points[c]
         poles = tuple(
-            (Fraction(1) / (p - center_point), res)
+            (Fraction(1) / (p - sys.points[c]), res)
             for i, (p, res) in enumerate(zip(sys.points, sys.residues))
             if i != c
         )
-        a_minus1 = sys.residues[c]
-
-    coeffs = []
-    powers = [u for u, _ in poles]
-    for _ in range(order + 1):
-        terms = [res * -u_pow for (_, res), u_pow in zip(poles, powers)]
-        coeffs.append(sum(terms[1:], terms[0]) if terms else FMatrix.zeros(sys.n, sys.n))
-        powers = [u_pow * u for (u, _), u_pow in zip(poles, powers)]
     return LocalExpansion(
         center_index=center,
-        center_point=center_point,
-        a_minus1=a_minus1,
-        regular_coeffs=tuple(coeffs),
+        center_point=sys.points[c],
+        residue=sys.residues[c],
+        order=order,
         convention=convention,
         symbolic=sys.is_symbolic,
         poles=poles,

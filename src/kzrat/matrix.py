@@ -3,7 +3,8 @@
 The entry type is duck-typed: anything supporting +, -, *, / and == with
 itself and with int/Fraction works (Fraction and RatFunc in practice), so
 one elimination routine serves both the plain-rational and the
-rational-function instantiations.
+rational-function instantiations.  ``charpoly`` is the exception: it takes
+Fraction entries only.
 """
 
 from __future__ import annotations
@@ -335,10 +336,10 @@ def det(a: FMatrix):
 
 
 def charpoly(a: FMatrix) -> Poly:
-    """Monic characteristic polynomial via the Faddeev-LeVerrier recurrence.
+    """Monic characteristic polynomial of a Fraction matrix via the
+    Faddeev-LeVerrier recurrence.
 
-    Only divisions by integers occur, so the computation stays exact over
-    any field of characteristic zero.
+    Only divisions by integers occur, so the computation stays exact.
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -350,13 +351,4 @@ def charpoly(a: FMatrix) -> Poly:
         m = a if m is None else a * (m + coeffs_desc[-1] * ident)
         ck = -(m.trace()) * Fraction(1, k)
         coeffs_desc.append(ck)
-    values = []
-    for c in coeffs_desc:
-        if isinstance(c, Fraction):
-            values.append(c)
-        else:
-            const = c.constant_value() if hasattr(c, "constant_value") else None
-            if const is None:
-                raise ValueError("characteristic polynomial requires scalar trace values")
-            values.append(const)
-    return Poly(list(reversed(values)))
+    return Poly(list(reversed(coeffs_desc)))

@@ -73,14 +73,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def constant_value(self) -> Fraction | None:
-        """The value as a Fraction when the function is constant, else None."""
-        if self.den.degree == 0 and self.num.degree <= 0:
-            if self.num.is_zero():
-                return Fraction(0)
-            return self.num.coeffs[0]
-        return None
-
     def monomial_parts(self) -> tuple[Fraction, int] | None:
         """(coeff, power) when the value is coeff * var**power, else None.
 
@@ -95,12 +87,6 @@ class RatFunc:
         if dv != self.den.degree:
             return None
         return self.num.coeffs[nv], nv - dv
-
-    def evaluate(self, x) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
 
     def _coerce(self, other) -> RatFunc | None:
         if isinstance(other, RatFunc):

@@ -14,9 +14,8 @@ from fractions import Fraction
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import FMatrix, charpoly, det
+from .matrix import FMatrix, charpoly
 from .poly import Poly, poly_gcd, rational_roots
-from .ratfunc import RatFunc
 
 
 class NotRepresentable(Exception):
@@ -263,12 +262,31 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     residual = rational_matrix(residual_num, den * den * pi)
     satisfied = residual.is_zero()
 
-    det_num = det(num.map(RatFunc))
     return OdeVerdict(
         satisfied=satisfied,
         residual=residual,
-        det_identically_zero=not det_num,
+        det_identically_zero=_det_is_zero(num),
     )
+
+
+def _det_is_zero(m: FMatrix) -> bool:
+    """Whether det(m) of a square Poly matrix vanishes identically, by
+    fraction-free (Bareiss) elimination: each step divides exactly by the
+    previous pivot, so entries stay polynomials."""
+    work = [list(row) for row in m.entries]
+    n = len(work)
+    prev = Poly.one()
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot is None:
+            return True
+        work[k], work[pivot] = work[pivot], work[k]
+        p = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * p - work[i][k] * work[k][j]) // prev
+        prev = p
+    return False
 
 
 def evaluate(w: RationalMatrixFunction, z) -> FMatrix:

@@ -47,19 +47,6 @@ def test_monomial_parts():
     assert (RatFunc.var() + 1).monomial_parts() is None
 
 
-def test_constant_value():
-    assert RatFunc(Poly((3,)), Poly((6,))).constant_value() == Fraction(1, 2)
-    assert RatFunc.var().constant_value() is None
-    assert RatFunc.zero().constant_value() == 0
-
-
-def test_evaluate_and_pole():
-    f = RatFunc(Poly.one(), Poly((0, 1)))  # 1/d
-    assert f.evaluate(Fraction(1, 2)) == 2
-    with pytest.raises(ZeroDivisionError):
-        f.evaluate(0)
-
-
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )

@@ -113,6 +113,33 @@ def test_verify_ode_single_pole():
     assert verdict.det_identically_zero
 
 
+def _poly_rows(*rows):
+    return FMatrix([[e if isinstance(e, Poly) else Poly((e,)) for e in row] for row in rows])
+
+
+def _rank_deficient():
+    # the first row is (z^2 - 1) times the last; no row or column is zero
+    r = [Z, Z + 1, 1]
+    return _poly_rows([(Z**2 - 1) * e for e in r], [1, Z**2, Z - 3], r)
+
+
+def _integer_rooted():
+    # unit lower times upper triangular: det = z (z - 1) (z + 2)
+    lower = _poly_rows([1, 0, 0], [Z, 1, 0], [1, Z**2, 1])
+    upper = _poly_rows([Z, 1, 2], [0, Z - 1, Z], [0, 0, Z + 2])
+    return lower * upper
+
+
+@pytest.mark.parametrize(
+    "build, singular",
+    [(_rank_deficient, True), (_integer_rooted, False)],
+    ids=("rank-deficient", "integer-roots"),
+)
+def test_verify_ode_det_flag_on_polynomial_entries(build, singular):
+    w = rational_matrix(build(), Poly.one())
+    assert verify_ode(w, build_kz_s3(0, 1, TWO)).det_identically_zero is singular
+
+
 def test_verify_ode_identity_with_zero_coupling():
     sys0 = build_kz_s3(0, 1, Fraction(0))
     w = rational_matrix(I3.map(lambda e: Poly((e,))), Poly.one())
