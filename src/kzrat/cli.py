@@ -20,7 +20,6 @@ from .frobenius import (
     SeriesSolution,
     compute_series,
     indicial_data,
-    verify_recursion,
 )
 from .golden import GoldenOutcome, compare_series, compare_series_dual
 from .kzmodel import (
@@ -40,9 +39,11 @@ from .reconstruct import (
     InsufficientSeriesError,
     NoPolynomialDenominator,
     NotRepresentable,
-    propose_denominator,
+    check_series_length,
+    denominator_exponents,
+    denominator_from_exponents,
+    numerator_growth,
     reconstruct,
-    suggest_numerator_degree,
     verify_ode,
 )
 from .scalars import format_scalar, parse_scalar
@@ -563,14 +564,13 @@ def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
         return EXIT_OBSTRUCTION
     report["series"] = _series_json(series)
 
+    # Exponents and the series length come first: a large exponent makes
+    # the expanded denominator huge, and a short series cannot use it.
     if cfg.denominator_exponents is not None:
-        den = Poly.one()
-        for p_text, m in zip(cfg.points, cfg.denominator_exponents):
-            point = parse_scalar(p_text)
-            den = den * Poly((-point, Fraction(1))) ** m
+        exponents = cfg.denominator_exponents
     else:
         try:
-            den = propose_denominator(sys_, cfg.coupling)
+            exponents = denominator_exponents(sys_, cfg.coupling)
         except NoPolynomialDenominator as exc:
             print(f"reconstruction impossible: {exc}", file=out)
             report["reconstruction"] = {
@@ -579,13 +579,16 @@ def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
             }
             _write_json(json_path, report)
             return EXIT_MISMATCH
+    den_degree = sum(exponents)
     degree = (
         cfg.numerator_degree
         if cfg.numerator_degree is not None
-        else suggest_numerator_degree(sys_, den, cfg.coupling)
+        else den_degree + numerator_growth(sys_, cfg.coupling)
     )
 
     try:
+        check_series_length(series, degree, den_degree)
+        den = denominator_from_exponents(sys_.points, exponents)
         w = reconstruct(series, den, degree)
     except InsufficientSeriesError as exc:
         print(f"insufficient series length: {exc}", file=sys.stderr)

@@ -10,7 +10,8 @@ The solver never forms that convolution.  With a_j = -sum_i R_i u_i^(j+1)
 over the other poles, the right side is -coupling * sum_i R_i S_i(q) where
 S_i(q) = u_i (S_i(q-1) + b_q): a recurrence of length m, so an order-N
 series costs O(m N) matrix products.  verify_recursion re-derives every
-level by the direct O(N^2) convolution, as an independent check.
+level by the direct O(N^2) convolution, as an independent check, reading
+a_0 .. a_(N-1) from a table it builds once.
 
 The engine runs over Fraction in both modes.  In two-point symbolic mode
 every quantity is a monomial in d: the engine solves at d = 1 (u = +-1)
@@ -172,18 +173,25 @@ def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int, policy: str) -
 
 def convolution_rhs(exp: LocalExpansion, coeffs: dict[int, FMatrix], level: int) -> FMatrix:
     """sum_{j + l = level - 1, j >= 0, l in coeffs} a_j b_l (without coupling)."""
+    return _convolve(_regular_table(exp, level - min(coeffs)), coeffs, level, exp.n)
+
+
+def _regular_table(exp: LocalExpansion, count: int) -> list[FMatrix]:
+    """a_0 .. a_(count - 1), each derived once."""
+    if count - 1 > exp.order:
+        raise ValueError(
+            f"the local expansion holds a_0..a_{exp.order} but a_{count - 1} is needed"
+        )
+    return [exp.regular(j) for j in range(count)]
+
+
+def _convolve(a: list[FMatrix], coeffs: dict[int, FMatrix], level: int, n: int) -> FMatrix:
+    """sum_{j + l = level - 1, l in coeffs} a[j] b_l, with n x n entries."""
     q = level - 1
-    n = exp.n
     acc = FMatrix.zeros(n, n)
     for j in range(0, q - min(coeffs) + 1):
-        l = q - j
-        if l not in coeffs:
-            continue
-        if j > exp.order:
-            raise ValueError(
-                f"the local expansion holds a_0..a_{exp.order} but a_{j} is needed"
-            )
-        acc = acc + exp.regular(j) * coeffs[l]
+        if q - j in coeffs:
+            acc = acc + a[j] * coeffs[q - j]
     return acc
 
 
@@ -283,11 +291,13 @@ def verify_recursion(
     """Re-evaluate every order's identity from scratch.
 
     Nothing is reused from the solver: each level recomputes its right side
-    by direct convolution and its residual by direct multiplication.  The
-    stored right side is the recursion's own, coupling * convolution.
+    by direct convolution with a_0 .. a_(N-1), derived once per call, and
+    its residual by direct multiplication.  The stored right side is the
+    recursion's own, coupling * convolution.
     """
     coupling = Fraction(coupling)
     table = {p: series.coefficient(p) for p in series.levels()}
+    a = _regular_table(exp, series.order)
     checks = []
     for level in series.levels():
         step = _step_matrix(exp, coupling, level)
@@ -295,7 +305,7 @@ def verify_recursion(
             rhs = exp.grade(FMatrix.zeros(exp.n, exp.n), 0)
         else:
             known = {p: table[p] for p in table if p < level}
-            rhs = convolution_rhs(exp, known, level) * coupling
+            rhs = _convolve(a, known, level, exp.n) * coupling
         residual = step * table[level] - rhs
         checks.append(
             LevelCheck(

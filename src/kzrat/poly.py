@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Union
 
 ScalarLike = Union[int, Fraction]
@@ -254,19 +255,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return x.monic()
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _synthetic_divide(p: Poly, root: Fraction) -> Poly:
     """Divide p by (x - root); the caller guarantees root is a root."""
     quo = [Fraction(0)] * p.degree
@@ -283,6 +271,19 @@ def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
     Returns (roots, remainder) with roots sorted ascending and remainder
     monic, so that p / lc(p) = prod (x - r)^m * remainder and remainder has
     no rational roots.
+
+    The roots come from p-adic lifting (Loos 1983), in integer arithmetic
+    and in time polynomial in the bit size of the coefficients.  The
+    square-free part s of p, cleared to integer coefficients c_0..c_n,
+    becomes the monic integer polynomial g(y) = c_n^(n-1) s(y / c_n): the
+    rational roots of s are y / c_n for the integer roots y of g, and each
+    such y divides g(0) != 0 (the root 0 is split off first).  At the
+    smallest prime p where every root of g mod p is simple (only primes
+    dividing disc(g) fail), each of them lifts uniquely by Newton steps
+    mod p^(2^k) until the modulus exceeds 2 |g(0)|; its symmetric residue
+    is then the one integer candidate, and an exact evaluation decides it.
+    Multiplicities and the remainder come from dividing p by each root in
+    turn.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every value as a root")
@@ -295,28 +296,52 @@ def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
         work = Poly(work.coeffs[v:])
 
     if work.degree >= 1:
-        # Clear to integer coefficients for the rational-root candidates.
-        den_lcm = 1
-        for c in work.coeffs:
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in work.coeffs]
-        a0, an = ints[0], ints[-1]
-        candidates: set[Fraction] = set()
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                f = Fraction(pnum, qden)
-                candidates.add(f)
-                candidates.add(-f)
-        for cand in sorted(candidates):
-            while work.degree >= 1 and work(cand) == 0:
-                roots[cand] = roots.get(cand, 0) + 1
-                work = _synthetic_divide(work, cand)
+        square_free = work // poly_gcd(work, work.derivative())
+        for root in _simple_roots(square_free):
+            while work.degree >= 1 and work(root) == 0:
+                roots[root] = roots.get(root, 0) + 1
+                work = _synthetic_divide(work, root)
 
     ordered = tuple(sorted(roots.items()))
     return ordered, work.monic()
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _simple_roots(s: Poly) -> list[Fraction]:
+    """Rational roots, ascending, of a monic square-free s of degree >= 1
+    with s(0) != 0, by the lifting that rational_roots describes."""
+    lead = lcm(*(c.denominator for c in s.coeffs))
+    c = [int(ci * lead) for ci in s.coeffs]
+    n = len(c) - 1
+    g = [ci * lead ** (n - 1 - i) for i, ci in enumerate(c[:n])] + [1]
+    dg = [i * gi for i, gi in enumerate(g) if i]
+    bound = 2 * abs(g[0])
+
+    prime = 2
+    while True:
+        if all(prime % d for d in range(2, isqrt(prime) + 1)):
+            residues = [r for r in range(prime) if _eval_int(g, r, prime) == 0]
+            if all(_eval_int(dg, r, prime) for r in residues):
+                break
+        prime += 1
+
+    roots = []
+    for r in residues:
+        modulus = prime
+        while modulus <= bound:
+            modulus *= modulus
+            step = _eval_int(g, r, modulus) * pow(_eval_int(dg, r, modulus), -1, modulus)
+            r = (r - step) % modulus
+        y = r if 2 * r <= modulus else r - modulus
+        if _eval_int(g, y) == 0:
+            roots.append(Fraction(y, lead))
+    return sorted(roots)
+
+
+def _eval_int(coeffs: list[int], x: int, modulus: int | None = None) -> int:
+    """Horner evaluation of an integer polynomial, reduced mod modulus if given."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if modulus is not None:
+            acc %= modulus
+    return acc

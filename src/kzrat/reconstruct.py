@@ -139,13 +139,13 @@ def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunc
     return RationalMatrixFunction(numerator=num, denominator=den)
 
 
-def propose_denominator(sys: KZSystem, coupling=None) -> Poly:
-    """prod (z - z_i)^{m_i} with m_i = max(0, -rho_i) and rho_i the minimal
+def denominator_exponents(sys: KZSystem, coupling=None) -> tuple[int, ...]:
+    """m_i = max(0, -rho_i) per singular point, with rho_i the minimal
     integer eigenvalue of coupling * residue_i."""
     if sys.is_symbolic:
-        raise ValueError("propose_denominator needs a numeric-mode system")
+        raise ValueError("a denominator proposal needs a numeric-mode system")
     kappa = Fraction(coupling) if coupling is not None else sys.coupling
-    den = Poly.one()
+    exponents = []
     for point, residue in zip(sys.points, sys.residues):
         roots, _ = rational_roots(charpoly(residue * kappa))
         integer_eigs = [r for r, _ in roots if r.denominator == 1]
@@ -154,28 +154,54 @@ def propose_denominator(sys: KZSystem, coupling=None) -> Poly:
                 f"coupling * residue at z = {point} has no integer eigenvalue; "
                 "no polynomial denominator exists for the Laurent ansatz"
             )
-        m = max(0, -int(min(integer_eigs)))
+        exponents.append(max(0, -int(min(integer_eigs))))
+    return tuple(exponents)
+
+
+def denominator_from_exponents(points, exponents) -> Poly:
+    """prod (z - z_i)^{m_i}."""
+    den = Poly.one()
+    for point, m in zip(points, exponents):
         if m:
-            den = den * Poly((-point, Fraction(1))) ** m
+            den = den * Poly((-Fraction(point), Fraction(1))) ** m
     return den
 
 
-def suggest_numerator_degree(sys: KZSystem, denominator: Poly, coupling=None) -> int:
-    """Degree bound implied by the growth allowance at infinity.
+def propose_denominator(sys: KZSystem, coupling=None) -> Poly:
+    """prod (z - z_i)^{m_i} with the exponents of denominator_exponents."""
+    return denominator_from_exponents(sys.points, denominator_exponents(sys, coupling))
+
+
+def numerator_growth(sys: KZSystem, coupling=None) -> int:
+    """The largest nonnegative integer eigenvalue of coupling * (sum of
+    residues).
 
     A solution column behaves like z**m at infinity with m an eigenvalue of
-    coupling * (sum of residues), so the numerator may exceed the
-    denominator degree by the largest nonnegative integer eigenvalue.
+    that matrix, so the numerator may exceed the denominator degree by
+    this much.
     """
     kappa = Fraction(coupling) if coupling is not None else sys.coupling
     total = sys.residues[0]
     for r in sys.residues[1:]:
         total = total + r
     roots, _ = rational_roots(charpoly(total * kappa))
-    growth = max(
-        (int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0
-    )
-    return denominator.degree + growth
+    return max((int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0)
+
+
+def suggest_numerator_degree(sys: KZSystem, denominator: Poly, coupling=None) -> int:
+    """Degree bound implied by the growth allowance at infinity: the
+    denominator degree plus numerator_growth."""
+    return denominator.degree + numerator_growth(sys, coupling)
+
+
+def check_series_length(series: SeriesSolution, max_num_degree: int, den_degree: int) -> None:
+    """Raise InsufficientSeriesError unless the series can determine and
+    over-check a numerator of degree max_num_degree over a denominator of
+    degree den_degree."""
+    have = series.order + 1
+    need = max_num_degree + den_degree + 2
+    if have < need:
+        raise InsufficientSeriesError(have, need)
 
 
 def reconstruct(
@@ -193,10 +219,8 @@ def reconstruct(
         raise ValueError("max_num_degree must be >= 0")
     if denominator.is_zero():
         raise ZeroDivisionError("zero denominator")
+    check_series_length(series, max_num_degree, denominator.degree)
     have = series.order + 1
-    need = max_num_degree + denominator.degree + 2
-    if have < need:
-        raise InsufficientSeriesError(have, need)
 
     center = Fraction(series.center_point)
     rho = series.leading_exponent

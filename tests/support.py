@@ -8,6 +8,7 @@ divisions for series matching, and convolutions by raw nested loops.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from kzrat import (
     FMatrix,
@@ -180,3 +181,41 @@ def dual_twist(m: FMatrix) -> FMatrix:
 # A two-point system whose level-2 resonant step is inconsistent (found by
 # exact search; frozen here so the obstruction path stays covered).
 OBSTRUCTED_RESIDUE2 = FMatrix([[1, 0, 1], [-1, 0, 0], [-1, 0, 1]])
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def trial_division_rational_roots(p: Poly):
+    """Oracle for rational_roots on small inputs, exponential in bit size.
+
+    Clears p to primitive integer coefficients, removes the root 0, tries
+    every +-a/b with a dividing the constant term and b the leading
+    coefficient, and divides each root out by long division as often as
+    it goes.
+    """
+    roots = {}
+    work = p.monic()
+    v = work.valuation()
+    if v > 0:
+        roots[Fraction(0)] = v
+        work = Poly(work.coeffs[v:])
+    if work.degree >= 1:
+        den = lcm(*(c.denominator for c in work.coeffs))
+        ints = [int(c * den) for c in work.coeffs]
+        content = gcd(*ints)
+        ints = [c // content for c in ints]
+        candidates = {
+            sign * Fraction(a, b)
+            for a in _divisors(ints[0])
+            for b in _divisors(ints[-1])
+            for sign in (1, -1)
+        }
+        for cand in sorted(candidates):
+            while work.degree >= 1 and work(cand) == 0:
+                roots[cand] = roots.get(cand, 0) + 1
+                work = work // Poly((-cand, Fraction(1)))
+    return tuple(sorted(roots.items())), work.monic()

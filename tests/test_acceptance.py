@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from kzrat import (
     DERIVED_TAYLOR,
     LITERAL_PAPER,
@@ -21,12 +23,15 @@ from kzrat import (
     SolveKind,
     build_kz_s3,
     compute_series,
+    denominator_exponents,
+    indicial_data,
     inverse,
     kz_system,
     local_expansion,
     propose_denominator,
     reconstruct,
     solve_linear,
+    suggest_numerator_degree,
     verify_ode,
     verify_recursion,
 )
@@ -227,3 +232,35 @@ def test_criterion_7_property_suites(tmp_path):
         assert rc == 0
         text = Path(report_path).read_text()
         assert report_to_json(json.loads(text)) == text
+
+
+@pytest.mark.parametrize("coupling", (100003, 10000019, 2**61 - 1))
+def test_criterion_8_large_coupling(tmp_path, coupling):
+    kappa = Fraction(coupling)
+    sys_ = build_kz_s3(0, 1, kappa)
+    with criterion(8, f"indicial data at coupling {coupling}", 2.0):
+        ind = indicial_data(local_expansion(sys_, 1), kappa)
+        assert ind.eigenvalues == ((-kappa, 1), (kappa, 2))
+        assert ind.unresolved_factor == Poly.one()
+    # propose_denominator itself expands z^k (z - 1)^k, of degree 2k; its
+    # bit-size-dependent part is the exponent computation
+    with criterion(8, f"denominator exponents at coupling {coupling}", 2.0):
+        assert denominator_exponents(sys_) == (coupling, coupling)
+    with criterion(8, f"numerator degree bound at coupling {coupling}", 2.0):
+        assert suggest_numerator_degree(sys_, Poly.monomial(2)) == 2 + 2 * coupling
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(
+        json.dumps(
+            {"mode": "numeric", "points": ["0", "1"], "coupling": str(coupling)}
+        ),
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "report.json"
+    with criterion(8, f"kzrat series --order 40 at coupling {coupling}", 2.0):
+        rc = main(
+            ["series", "--config", str(cfg_path), "--order", "40", "--json", str(report_path)]
+        )
+        assert rc == 0
+        series = json.loads(report_path.read_text())["series"]
+        assert series["leading_exponent"] == -coupling
+        assert len(series["coefficients"]) == 41

@@ -1,8 +1,14 @@
+import io
 import json
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kzrat import RatFunc
 from kzrat.cli import (
@@ -191,6 +197,32 @@ def test_verify_insufficient_order(tmp_path, capsys):
     assert "order >=" in err
 
 
+@pytest.mark.parametrize(
+    "overrides, need",
+    [({}, 60044), ({"denominator_exponents": [10007, 10007], "numerator_degree": 0}, 20016)],
+    ids=("proposed", "configured"),
+)
+def test_verify_huge_denominator_reports_insufficient_series(tmp_path, capsys, overrides, need):
+    # the denominator z^10007 (z - 1)^10007 must not be expanded for a
+    # series of 41 coefficients
+    doc = dict(S3_NUMERIC, coupling="10007", order=40, **overrides)
+    path = write_config(tmp_path, doc)
+    report = tmp_path / "report.json"
+    start = time.perf_counter()
+    rc = main(["verify", "--config", path, "--json", str(report)])
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2
+    detail = (
+        f"reconstruction needs at least {need} series coefficients, got 41; "
+        f"recompute the series with order >= {need - 1}"
+    )
+    assert f"insufficient series length: {detail}" in capsys.readouterr().err
+    assert json.loads(report.read_text())["reconstruction"] == {
+        "status": "insufficient-series",
+        "detail": detail,
+    }
+
+
 def test_verify_rejects_symbolic_mode(tmp_path, capsys):
     path = write_config(tmp_path, S3_SYMBOLIC)
     rc = main(["verify", "--config", path])
@@ -285,3 +317,111 @@ def test_malformed_config_reports_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "order" in err
+
+
+# Property: for any JSON document in the config file, main exits 0-3 and
+# never raises.  Orders stay in 0..8 to keep each run short; couplings and
+# exponents range up to 2^61 - 1.
+_junk = (
+    st.none()
+    | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4)
+    | st.lists(st.integers(-2, 2), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(-2, 2), max_size=2)
+)
+_rational_text = st.fractions(max_denominator=5).map(
+    lambda f: str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+)
+_scalar_text = (
+    _rational_text
+    | st.sampled_from(["symbolic", "10007", "2305843009213693951", "-3", "0", "1/0", "0.5", "2e3", "x"])
+    | st.text(max_size=4)
+)
+_matrices = st.lists(
+    st.lists(st.integers(-2, 2) | _scalar_text | _junk, min_size=1, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+_config_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "mode": st.sampled_from(["numeric", "symbolic"]) | _junk,
+        "points": st.lists(_scalar_text, max_size=4) | _junk,
+        "residues": st.just("kz-s3") | st.lists(_matrices, max_size=4) | _junk,
+        "coupling": _scalar_text | _junk,
+        "convention": st.sampled_from(["derived-taylor", "literal-paper"]) | _junk,
+        "order": st.integers(0, 8) | _junk,
+        "center": st.integers(-1, 5) | _junk,
+        "numerator_degree": st.integers(-1, 2**61) | _junk,
+        "denominator_exponents": st.lists(st.integers(-1, 2**61), max_size=4) | _junk,
+        "extra": _junk,
+    },
+)
+
+
+@st.composite
+def _valid_configs(draw):
+    """A config that parses, with one field replaced by junk a quarter of
+    the time."""
+    mode = draw(st.sampled_from(["numeric", "symbolic"]))
+    if mode == "symbolic":
+        points = ["symbolic", "symbolic"]
+    else:
+        points = draw(st.lists(_rational_text, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 3))
+    entries = st.integers(-2, 2) | _rational_text
+    matrix = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    size = len(points)
+    residues = st.lists(matrix, min_size=size, max_size=size)
+    conventions = ["derived-taylor", "literal-paper"][: 2 if mode == "symbolic" else 1]
+    doc = {
+        "mode": mode,
+        "points": points,
+        "residues": draw(st.just("kz-s3") | residues if size == 2 else residues),
+        "coupling": draw(
+            st.integers(-4, 4).map(str)
+            | _rational_text
+            | st.sampled_from(["10007", "-10007", "2305843009213693951"])
+        ),
+        "convention": draw(st.sampled_from(conventions)),
+        "order": draw(st.integers(0, 8)),
+        "center": draw(st.integers(1, size)),
+    }
+    if draw(st.booleans()):
+        doc["numerator_degree"] = draw(st.integers(0, 12) | st.just(2**61))
+    if draw(st.booleans()):
+        exponent = st.integers(0, 4) | st.just(2**61 - 1)
+        doc["denominator_exponents"] = draw(st.lists(exponent, min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_junk | _scalar_text)
+    return doc
+
+
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# valid configs are listed twice so that about half the runs reach the solver
+@given(
+    doc=st.one_of(_valid_configs(), _valid_configs(), _config_docs, _json_documents),
+    argv=st.sampled_from(
+        [["expand"], ["series"], ["series", "--golden"], ["series", "--golden-dual"], ["verify"]]
+    ),
+)
+@example(
+    doc={"mode": "numeric", "points": ["0", "1"], "coupling": "10007", "order": 40},
+    argv=["verify"],
+)
+@settings(max_examples=200, deadline=None)
+def test_main_exits_zero_to_three_on_any_json(doc, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        report = str(Path(tmp) / "report.json")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main([*argv, "--config", str(cfg), "--json", report])
+    assert rc in (0, 1, 2, 3)

@@ -386,3 +386,23 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
     # m singular points leave a recurrence of length m; the direct
     # convolution would need order^2 / 2 products here
     assert calls <= (len(points) + 3) * order
+
+
+def test_verify_recursion_derives_each_regular_coefficient_once(monkeypatch):
+    order = 40
+    exp = local_expansion(
+        kz_system((0, Fraction(2, 3), Fraction(-5, 7)), tuple(TRANSPOSITIONS), Fraction(6)),
+        1,
+        DERIVED_TAYLOR,
+        order,
+    )
+    series = compute_series(exp, Fraction(6), order)
+    calls = []
+    original = type(exp).regular
+    monkeypatch.setattr(
+        type(exp), "regular", lambda self, r: calls.append(r) or original(self, r)
+    )
+    assert verify_recursion(series, exp, Fraction(6)).all_ok
+    # the convolution reads a_0 .. a_(order-1); re-deriving them per term
+    # would take order^2 / 2 calls
+    assert sorted(calls) == list(range(order))

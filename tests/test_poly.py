@@ -1,8 +1,12 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzrat import Poly, poly_gcd, rational_roots
+from support import trial_division_rational_roots
 
 
 def P(*coeffs):
@@ -97,6 +101,52 @@ def test_rational_roots_irrational_remainder():
     roots, rem = rational_roots(P(-2, 0, 1) * P(-3, 1))
     assert roots == ((Fraction(3), 1),)
     assert rem == P(-2, 0, 1)
+
+
+linear_factors = st.tuples(
+    st.integers(-12, 12), st.integers(-12, 12).filter(bool), st.integers(1, 3)
+)
+# a x^2 + b x + c with a discriminant that is not a square: no rational root
+irreducible_quadratics = st.tuples(
+    st.integers(1, 6), st.integers(-9, 9), st.integers(-9, 9)
+).filter(lambda t: not _is_square(t[1] ** 2 - 4 * t[0] * t[2]))
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+@given(
+    factors=st.lists(linear_factors, max_size=3),
+    quadratic=st.none() | irreducible_quadratics,
+    scale=st.fractions(max_denominator=7).filter(bool),
+)
+@settings(max_examples=80, deadline=None)
+def test_rational_roots_match_trial_division(factors, quadratic, scale):
+    p = Poly((scale,))
+    expected = {}
+    for num, den, k in factors:
+        p = p * P(-num, den) ** k
+        root = Fraction(num, den)
+        expected[root] = expected.get(root, 0) + k
+    if quadratic is not None:
+        a, b, c = quadratic
+        p = p * P(c, b, a)
+    roots, rem = rational_roots(p)
+    assert (roots, rem) == trial_division_rational_roots(p)
+    assert roots == tuple(sorted(expected.items()))
+    assert rem == (P(c, b, a).monic() if quadratic is not None else Poly.one())
+
+
+def test_rational_roots_large_coefficients():
+    big = 2**61 - 1
+    p = P(-big, 3) ** 2 * P(7, 5) * P(-2, 0, 1)
+    roots, rem = rational_roots(p)
+    assert roots == ((Fraction(-7, 5), 1), (Fraction(big, 3), 2))
+    assert rem == P(-2, 0, 1)
+    # two roots congruent mod 2, 3, 5 and 7: the lifting must start at 11
+    roots, _ = rational_roots(P(-big, 1) * P(-(big + 2 * 3 * 5 * 7), 1))
+    assert roots == ((Fraction(big), 1), (Fraction(big + 210), 1))
 
 
 def test_rational_roots_rejects_zero_polynomial():
