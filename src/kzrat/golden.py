@@ -69,53 +69,44 @@ def _require_comparable(series: SeriesSolution, exp: LocalExpansion) -> str | No
 
 def compare_series(series: SeriesSolution, exp: LocalExpansion) -> GoldenOutcome:
     """Exact comparison against the reference tables (literal-paper series)."""
-    problem = _require_comparable(series, exp)
-    if problem is None and series.convention != LITERAL_PAPER:
-        problem = (
-            f"golden comparison is stated for the literal-paper convention, "
-            f"got {series.convention}; pass --golden-dual for the derived-taylor twin"
-        )
-    if problem is not None:
-        return GoldenOutcome(matched=False, lines=(problem,))
-    lines = []
-    ok = True
-    for level in GOLDEN_LEVELS:
-        match = series.coefficient(level) == GOLDEN_COEFFS[level]
-        ok = ok and match
-        lines.append(f"b[{level}]: {'match' if match else 'MISMATCH'}")
-    rhs_match = _level2_normalized_rhs(series, exp) == GOLDEN_LEVEL2_RHS
-    ok = ok and rhs_match
-    lines.append(f"level-2 rhs: {'match' if rhs_match else 'MISMATCH'}")
-    if ok:
-        lines.append("golden: match (4 coefficients + resonant RHS)")
-    else:
-        lines.append("golden: MISMATCH")
-    return GoldenOutcome(matched=ok, lines=tuple(lines))
+    return _compare(series, exp, dual=False)
 
 
 def compare_series_dual(series: SeriesSolution, exp: LocalExpansion) -> GoldenOutcome:
     """Comparison for a derived-taylor series via the exact d -> -d duality:
     b_p (derived) must equal (-1)^p times the literal-paper table."""
+    return _compare(series, exp, dual=True)
+
+
+def _compare(series: SeriesSolution, exp: LocalExpansion, dual: bool) -> GoldenOutcome:
     problem = _require_comparable(series, exp)
-    if problem is None and series.convention != DERIVED_TAYLOR:
+    if problem is None and series.convention != (DERIVED_TAYLOR if dual else LITERAL_PAPER):
         problem = (
             f"dual golden comparison needs the derived-taylor convention, "
             f"got {series.convention}"
+            if dual
+            else f"golden comparison is stated for the literal-paper convention, "
+            f"got {series.convention}; pass --golden-dual for the derived-taylor twin"
         )
     if problem is not None:
         return GoldenOutcome(matched=False, lines=(problem,))
+    label = " (dual)" if dual else ""
     lines = []
     ok = True
     for level in GOLDEN_LEVELS:
-        expected = GOLDEN_COEFFS[level] * (Fraction(-1) ** level)
+        expected = GOLDEN_COEFFS[level]
+        if dual:
+            expected = expected * (Fraction(-1) ** level)
         match = series.coefficient(level) == expected
         ok = ok and match
-        lines.append(f"b[{level}] (dual): {'match' if match else 'MISMATCH'}")
+        lines.append(f"b[{level}]{label}: {'match' if match else 'MISMATCH'}")
     rhs_match = _level2_normalized_rhs(series, exp) == GOLDEN_LEVEL2_RHS
     ok = ok and rhs_match
     lines.append(f"level-2 rhs: {'match' if rhs_match else 'MISMATCH'}")
-    if ok:
+    if not ok:
+        lines.append("golden: MISMATCH")
+    elif dual:
         lines.append("golden: match up to d->-d duality")
     else:
-        lines.append("golden: MISMATCH")
+        lines.append("golden: match (4 coefficients + resonant RHS)")
     return GoldenOutcome(matched=ok, lines=tuple(lines))

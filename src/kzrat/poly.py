@@ -1,4 +1,11 @@
-"""Dense univariate polynomials over exact rationals."""
+"""Dense univariate polynomials over exact rationals.
+
+Coefficients are Fractions, but products and Taylor shifts run on integer
+vectors: the operands are cleared to integer numerators over their least
+common denominator (`cleared`), the work is done in plain int, and one
+Fraction is normalised per output coefficient at the end.  Division,
+gcd and evaluation stay in Fraction arithmetic.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +15,8 @@ from typing import Iterable, Union
 
 ScalarLike = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _as_fraction(value) -> Fraction | None:
     if isinstance(value, Fraction):
@@ -15,6 +24,15 @@ def _as_fraction(value) -> Fraction | None:
     if isinstance(value, int):
         return Fraction(value)
     return None
+
+
+def cleared(coeffs) -> tuple[list[int], int]:
+    """(ints, den) with coeffs[k] == ints[k] / den and den the least common
+    denominator of the Fraction coefficients."""
+    den = 1
+    for c in coeffs:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 class Poly:
@@ -130,16 +148,24 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
             return Poly()
-        res = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    res[i + j] += a * b
-        return Poly(res)
+        if len(b) == 1:
+            scale = b[0]
+            return Poly([c * scale if c else c for c in a])
+        ia, da = cleared(a)
+        ib, db = cleared(b)
+        terms = [(i, x) for i, x in enumerate(ia) if x]
+        res = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(ib):
+            if y:
+                for i, x in terms:
+                    res[i + j] += x * y
+        den = da * db
+        return Poly([Fraction(c, den) if c else _ZERO for c in res])
 
     __rmul__ = __mul__
 
@@ -156,12 +182,13 @@ class Poly:
             raise ValueError("polynomial powers must be nonnegative integers")
         result = Poly.one()
         base = self
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if not isinstance(other, Poly):
@@ -212,12 +239,27 @@ class Poly:
         return self / self.leading
 
     def shifted(self, c: ScalarLike) -> Poly:
-        """Return p(x + c) as a polynomial in x."""
-        base = Poly((Fraction(c), Fraction(1)))
-        acc = Poly()
-        for coeff in reversed(self.coeffs):
-            acc = acc * base + coeff
-        return acc
+        """Return p(x + c) as a polynomial in x.
+
+        With c = r/s and p = ints/den, P(y) = den s^n p(y/s) has integer
+        coefficients, and p(x + c) = P(s x + r) / (den s^n): an integer
+        Taylor shift of P by r (Horner's rule, in place), then the k-th
+        coefficient over den s^(n-k).
+        """
+        c = Fraction(c)
+        if not c:
+            return self
+        r, s = c.numerator, c.denominator
+        ints, den = cleared(self.coeffs)
+        n = len(ints) - 1
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * s)
+        a = [x * powers[n - k] for k, x in enumerate(ints)]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += r * a[j + 1]
+        return Poly([Fraction(x, den * powers[n - k]) for k, x in enumerate(a)])
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
 from .matrix import FMatrix, charpoly
-from .poly import Poly, poly_gcd, rational_roots
+from .poly import Poly, cleared, poly_gcd, rational_roots
 
 
 class NotRepresentable(Exception):
@@ -49,25 +49,42 @@ class PoleError(ZeroDivisionError):
 
 
 def _series_of_ratio(num: Poly, den: Poly, lo: int, count: int) -> list[Fraction]:
-    """Laurent coefficients of num/den at u = 0 for levels lo .. lo+count-1."""
+    """Laurent coefficients of num/den at u = 0 for levels lo .. lo+count-1.
+
+    With den = u^v g / dg and num = f / df for integer vectors g, f, the
+    quotient is u^(-v) (dg / df) h with h = f / g, and h_t = H_t / g_0^(t+1)
+    where H_t = g_0^t f_t - sum_(d>=1) g_d g_0^(d-1) H_(t-d) is an integer
+    recurrence; only the wanted h_t become Fractions.
+    """
     if den.is_zero():
         raise ZeroDivisionError("series expansion with zero denominator")
     if num.is_zero():
         return [Fraction(0)] * count
     v = den.valuation()
-    g = Poly(den.coeffs[v:])
-    g0 = g.coeff(0)
-    t_max = lo + count - 1 + v
-    h: list[Fraction] = []
+    g, dg = cleared(den.coeffs[v:])
+    f, df = cleared(num.coeffs)
+    g0 = g[0]
+    steps = []
+    g0_power = 1
+    for d in range(1, len(g)):
+        if g[d]:
+            steps.append((d, g[d] * g0_power))
+        g0_power *= g0
+    first = lo + v
+    t_max = first + count - 1
+    out = [Fraction(0)] * count
+    h_int: list[int] = []
+    g0_power = 1  # g_0^t
     for t in range(t_max + 1):
-        c = num.coeff(t)
-        for s in range(max(0, t - g.degree), t):
-            c -= h[s] * g.coeff(t - s)
-        h.append(c / g0)
-    out = []
-    for p in range(lo, lo + count):
-        idx = p + v
-        out.append(h[idx] if 0 <= idx <= t_max else Fraction(0))
+        acc = g0_power * f[t] if t < len(f) else 0
+        for d, step in steps:
+            if d > t:
+                break
+            acc -= step * h_int[t - d]
+        h_int.append(acc)
+        g0_power *= g0
+        if t >= first:
+            out[t - first] = Fraction(acc * dg, g0_power * df)
     return out
 
 

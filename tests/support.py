@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from hypothesis import strategies as st
+
 from kzrat import (
     FMatrix,
     Poly,
@@ -219,3 +221,61 @@ def trial_division_rational_roots(p: Poly):
                 roots[cand] = roots.get(cand, 0) + 1
                 work = work // Poly((-cand, Fraction(1)))
     return tuple(sorted(roots.items())), work.monic()
+
+
+def fraction_product(a: Poly, b: Poly) -> Poly:
+    """Oracle for Poly.__mul__: schoolbook product, one Fraction at a time."""
+    if not a.coeffs or not b.coeffs:
+        return Poly()
+    res = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in enumerate(b.coeffs):
+            if y:
+                res[i + j] += x * y
+    return Poly(res)
+
+
+def fraction_shifted(p: Poly, c) -> Poly:
+    """Oracle for Poly.shifted: Horner's rule in Fraction arithmetic,
+    acc = acc * (x + c) + coeff, with the product written out."""
+    c = Fraction(c)
+    acc: list[Fraction] = []
+    for coeff in reversed(p.coeffs):
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for k, a in enumerate(acc):
+            nxt[k] += a * c
+            nxt[k + 1] += a
+        nxt[0] += coeff
+        acc = nxt
+    return Poly(acc)
+
+
+def fraction_series_of_ratio(num: Poly, den: Poly, lo: int, count: int) -> list[Fraction]:
+    """Oracle for reconstruct._series_of_ratio: power-series division one
+    Fraction at a time, h_t = (num_t - sum_s h_s g_(t-s)) / g_0 with g the
+    denominator divided by its lowest power of u."""
+    if num.is_zero():
+        return [Fraction(0)] * count
+    v = den.valuation()
+    g = Poly(den.coeffs[v:])
+    t_max = lo + count - 1 + v
+    h: list[Fraction] = []
+    for t in range(t_max + 1):
+        c = num.coeff(t)
+        for s in range(max(0, t - g.degree), t):
+            c -= h[s] * g.coeff(t - s)
+        h.append(c / g.coeff(0))
+    return [h[p + v] if 0 <= p + v <= t_max else Fraction(0) for p in range(lo, lo + count)]
+
+
+# Polynomial coefficients from zero up to about 600 bits, with denominators
+# that are small primes and their powers or as large as the numerators.
+BIG = 2**600
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-100, 100), st.sampled_from((1, 2, 3, 7, 9, 343, 3**40))),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)

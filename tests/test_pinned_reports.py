@@ -26,6 +26,31 @@ S3_SYMBOLIC = {
     "center": 1,
 }
 
+# Verify at large bit heights: the three-point transposition system shifted
+# by 1234 (centers 2 and 3 are fractional, so the Taylor shifts are too)
+# and kz-s3 far from the origin.
+T12 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+T13 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+T23 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+THREE_POINT_FAR = {
+    "mode": "numeric",
+    "points": ["1234", "3704/3", "8633/7"],
+    "residues": [T12, T13, T23],
+    "coupling": "6",
+    "convention": "derived-taylor",
+    "order": 55,
+    "center": 1,
+}
+S3_FAR = {
+    "mode": "numeric",
+    "points": ["1000", "1001"],
+    "residues": "kz-s3",
+    "coupling": "2",
+    "convention": "derived-taylor",
+    "order": 40,
+    "center": 2,
+}
+
 SYMBOLIC_OBSTRUCTED = dict(
     S3_SYMBOLIC,
     residues=[[[str(e) for e in row] for row in m.entries] for m in (P1, OBSTRUCTED_RESIDUE2)],
@@ -46,6 +71,11 @@ def _cases():
             yield f"obstructed-{convention}-{center}", ["series"], dict(
                 SYMBOLIC_OBSTRUCTED, convention=convention, center=center
             )
+    for center in (1, 2, 3):
+        yield f"verify-three-point-far-{center}", ["verify"], dict(
+            THREE_POINT_FAR, center=center
+        )
+    yield "verify-kz-s3-far", ["verify"], S3_FAR
     for path in sorted(CONFIGS.glob("*.json")):
         for command in ("expand", "series", "verify"):
             yield f"{command}-{path.stem}", [command], json.loads(path.read_text())
@@ -75,9 +105,13 @@ PINNED = {
     "series-literal-paper-1": (0, "136a2444b30885b1ee08e617fa235040357344c447aec6125e343e39f3f802c0"),
     "series-literal-paper-2": (0, "abf1718c84df5b4f8d96bd0bb8b62fb22891e015737b1a2a6d194b765bf78dd1"),
     "series-single-pole": (0, "53ec442104992805576b0d47fd32b96794a6161c4ea50eaccf5c78993e5bacb3"),
+    "verify-kz-s3-far": (0, "84a2a13ffd9421f343a81a077fca2fc9563e6cfa5f71f8cc434c3406593ad269"),
     "verify-kz-s3-numeric": (0, "2555277b9473cfff2e555875142c37d27067e21ef691382c82ec8340823003d9"),
     "verify-kz-s3-symbolic-literal": (2, None),
     "verify-single-pole": (0, "5a2e9b39d9938f736b4ae26275ff0eb53018cbd39f9d9f53c1e6527f136c5c16"),
+    "verify-three-point-far-1": (0, "2542cbd14f50ad9fa990213199b90b264cc5f30d5f3e6ff6609a1af2445e0542"),
+    "verify-three-point-far-2": (0, "d8ce06a881b7ee2a77b1ef044662fb88d688ce5b0919dd29564283ab1c48dcea"),
+    "verify-three-point-far-3": (0, "31ed0345e007066aa9c5cd470ca5bca8490cd707cd44e3584193c5b1d7dc58ef"),
 }
 
 

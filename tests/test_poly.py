@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kzrat import Poly, poly_gcd, rational_roots
-from support import trial_division_rational_roots
+from support import (
+    BIG,
+    coefficients,
+    fraction_product,
+    fraction_shifted,
+    trial_division_rational_roots,
+)
 
 
 def P(*coeffs):
@@ -38,6 +44,24 @@ def test_pow_and_monomial():
     assert P(2) ** 0 == Poly.one()
 
 
+def test_pow_squares_no_further_than_the_top_bit(monkeypatch):
+    calls = 0
+    product = Poly.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    base = P(Fraction(-2, 3), 1)
+    for n in (1, 2, 6, 1009):
+        calls = 0
+        p = base**n
+        assert calls <= (n.bit_length() - 1) + bin(n).count("1")
+        assert p.degree == n and p.coeff(0) == Fraction(-2, 3) ** n
+
+
 def test_divmod_exact():
     num = P(-1, 0, 1)  # x^2 - 1
     q, r = divmod(num, P(-1, 1))
@@ -55,6 +79,59 @@ def test_shifted():
     for x in (Fraction(0), Fraction(2, 3), Fraction(-5)):
         for c in (Fraction(1), Fraction(-1, 2)):
             assert p.shifted(c)(x) == p(x + c)
+
+
+def test_product_edge_operands():
+    sparse = Poly.monomial(4, Fraction(-7, 9))  # like d^4 in symbolic mode
+    dense = P(Fraction(1, 3), -2, Fraction(5, 7))
+    for a, b in (
+        (Poly(), dense),
+        (dense, Poly()),
+        (P(Fraction(-3, 4)), dense),
+        (dense, P(5)),
+        (sparse, dense),
+        (sparse, sparse),
+        (P(0, 3, 0, 0, Fraction(1, 2)), P(Fraction(2, 5), 0, 0, 6)),
+    ):
+        assert a * b == fraction_product(a, b)
+    assert dense * 0 == Poly() and 0 * dense == Poly()
+    assert dense * -3 == fraction_product(dense, P(-3))
+    assert Fraction(2, 3) * dense == fraction_product(dense, P(Fraction(2, 3)))
+
+
+def test_shift_edge_cases():
+    assert Poly().shifted(Fraction(5, 3)) == Poly()
+    assert P(Fraction(4, 9)).shifted(-12) == P(Fraction(4, 9))
+    p = P(0, 0, 0, 0, Fraction(1, 6))
+    assert p.shifted(0) == p
+    for c in (1, -1, Fraction(2, 3), Fraction(-5, 7), 1234, Fraction(8633, 7)):
+        assert p.shifted(c) == fraction_shifted(p, c)
+        assert p.shifted(c).shifted(-Fraction(c)) == p
+
+
+polys = st.lists(coefficients, max_size=9).map(Poly)
+shifts = st.one_of(
+    st.integers(-2000, 2000),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2**80)),
+)
+
+
+@given(a=polys, b=polys, k=st.integers(-(2**70), 2**70))
+@settings(max_examples=200, deadline=None)
+def test_product_matches_fraction_oracle(a, b, k):
+    assert a * b == fraction_product(a, b)
+    assert b * a == fraction_product(a, b)
+    assert a * k == fraction_product(a, P(k))
+    assert k * a == fraction_product(a, P(k))
+
+
+@given(p=polys, c=shifts)
+@settings(max_examples=200, deadline=None)
+def test_shift_matches_fraction_oracle(p, c):
+    q = p.shifted(c)
+    assert q == fraction_shifted(p, c)
+    assert all(isinstance(x, Fraction) for x in q.coeffs)
 
 
 def test_derivative_and_valuation():

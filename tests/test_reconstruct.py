@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzrat import (
     DERIVED_TAYLOR,
@@ -21,7 +23,15 @@ from kzrat import (
     reconstruct,
     verify_ode,
 )
-from support import I3, P1, P2, matrix_expansion_matches
+from kzrat.reconstruct import _series_of_ratio
+from support import (
+    I3,
+    P1,
+    P2,
+    coefficients,
+    fraction_series_of_ratio,
+    matrix_expansion_matches,
+)
 
 TWO = Fraction(2)
 
@@ -192,3 +202,31 @@ def test_verify_ode_rejects_symbolic_system():
     w = reconstruct(series, Z**2, max_num_degree=0)
     with pytest.raises(ValueError):
         verify_ode(w, build_kz_s3(SYMBOLIC, SYMBOLIC, TWO))
+
+
+def test_series_of_ratio_at_a_pole_with_large_coefficients():
+    big = Fraction(2**599 + 1, 3**200)
+    # den = u^2 (big - u)^3 over 7: the center is a double pole
+    den = Poly.monomial(2) * Poly((big, Fraction(-1))) ** 3 / 7
+    num = Poly((Fraction(-(2**500), 11), 0, 0, big))
+    for lo, count in ((-2, 12), (-5, 4), (3, 6), (0, 0)):
+        got = _series_of_ratio(num, den, lo, count)
+        assert got == fraction_series_of_ratio(num, den, lo, count)
+    assert _series_of_ratio(Poly(), den, -2, 3) == [Fraction(0)] * 3
+    with pytest.raises(ZeroDivisionError):
+        _series_of_ratio(num, Poly(), 0, 3)
+
+
+@given(
+    num=st.lists(coefficients, max_size=8).map(Poly),
+    den=st.lists(coefficients, min_size=1, max_size=6).map(Poly).filter(bool),
+    pole=st.integers(0, 3),
+    lo=st.integers(-5, 4),
+    count=st.integers(0, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_series_of_ratio_matches_fraction_oracle(num, den, pole, lo, count):
+    den = Poly.monomial(pole) * den  # u-valuation > 0 makes the center a pole
+    got = _series_of_ratio(num, den, lo, count)
+    assert got == fraction_series_of_ratio(num, den, lo, count)
+    assert all(isinstance(x, Fraction) for x in got)
