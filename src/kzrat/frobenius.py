@@ -10,23 +10,45 @@ The solver never forms that convolution.  With a_j = -sum_i R_i u_i^(j+1)
 over the other poles, the right side is -coupling * sum_i R_i S_i(q) where
 S_i(q) = u_i (S_i(q-1) + b_q): a recurrence of length m, so an order-N
 series costs O(m N) matrix products.  verify_recursion re-derives every
-level by the direct O(N^2) convolution, as an independent check, reading
-a_0 .. a_(N-1) from a table it builds once.
+level by the direct O(N^2) convolution over Fraction, as an independent
+check, reading a_0 .. a_(N-1) from a table it builds once.
 
-The engine runs over Fraction in both modes.  In two-point symbolic mode
-every quantity is a monomial in d: the engine solves at d = 1 (u = +-1)
-for B_p, and the series it returns is graded, b_p = B_p * d^(-(p - rho))
-with rho the leading exponent; verify_recursion and the golden tables
-check those graded values.
+The recursion state runs on integers: each S_i, the last coefficient b_q
+and the right side is an int matrix over one positive common denominator;
+S_i and b_q have their content gcd stripped once per level, and one
+Fraction is built per output entry.  Steps are solved with the resolvent of M = coupling * a_{-1}:
+Faddeev-LeVerrier on the cleared integer matrix gives chi(x) = det(xI - M)
+and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each level takes one Horner
+evaluation of the adjugate, one integer product with the right side and a
+division by chi(level).  A level is resonant exactly when chi(level) == 0;
+only there does solve_linear classify the step and give the kernel or the
+certificate.
+
+In two-point symbolic mode every quantity is a monomial in d: the engine
+solves at d = 1 (u = +-1) for B_p, and the series it returns is graded,
+b_p = B_p * d^(-(p - rho)) with rho the leading exponent; verify_recursion
+and the golden tables check those graded values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .kzmodel import LocalExpansion
-from .matrix import FMatrix, SolveKind, charpoly, det, solve_linear
+from .matrix import (
+    FMatrix,
+    SolveKind,
+    charpoly,
+    cleared_matrix,
+    det,
+    faddeev_leverrier,
+    int_product,
+    int_sum,
+    reduced,
+    solve_linear,
+)
 from .poly import Poly, rational_roots
 
 POLICY_PROJECTOR = "paper-projector"
@@ -195,6 +217,12 @@ def _convolve(a: list[FMatrix], coeffs: dict[int, FMatrix], level: int, n: int) 
     return acc
 
 
+def _scaled(ints: list[list[int]], den: int, c: Fraction) -> tuple[list[list[int]], int]:
+    """c * ints / den, reduced."""
+    p = c.numerator
+    return reduced([[e * p for e in row] for row in ints], den * c.denominator)
+
+
 def compute_series(
     exp: LocalExpansion,
     coupling: Fraction,
@@ -226,31 +254,53 @@ def compute_series(
             f"but the local expansion stops at a_{exp.order}"
         )
 
-    zero = FMatrix.zeros(exp.n, exp.n)
+    n = exp.n
+    # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
+    # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
+    m_ints, m_den = cleared_matrix(exp.residue * coupling)
+    chi, adj = faddeev_leverrier(m_ints)
     coeffs = [_seed(exp, coupling, leading_exponent, policy)]
-    # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q)
-    weights = [res * -coupling for _, res in exp.poles]
-    sums = [zero] * len(exp.poles)
+    b, b_den = cleared_matrix(coeffs[0])
+    # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q);
+    # every matrix is held as (ints, den) with den > 0.
+    weights = [cleared_matrix(res * -coupling) for _, res in exp.poles]
+    sums = [([[0] * n for _ in range(n)], 1)] * len(exp.poles)
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
         level = leading_exponent + step
-        sums = [(s + coeffs[-1]) * u for s, (u, _) in zip(sums, exp.poles)]
-        terms = [w * s for w, s in zip(weights, sums)]
-        rhs = sum(terms[1:], terms[0]) if terms else zero
+        sums = [
+            _scaled(*int_sum(s, s_den, b, b_den), u) for (s, s_den), (u, _) in zip(sums, exp.poles)
+        ]
+        rhs, rhs_den = [[0] * n for _ in range(n)], 1
+        for (w, w_den), (s, s_den) in zip(weights, sums):
+            rhs, rhs_den = int_sum(rhs, rhs_den, int_product(w, s), w_den * s_den)
+        x = level * m_den
+        det_x = 0
+        for c in chi:
+            det_x = det_x * x + c
+        if det_x:
+            resolvent = adj[0]
+            for nk in adj[1:]:
+                resolvent = [[e * x + f for e, f in zip(r, rk)] for r, rk in zip(resolvent, nk)]
+            scale = m_den if det_x > 0 else -m_den
+            resolvent = [[scale * e for e in row] for row in resolvent]
+            b, b_den = reduced(int_product(resolvent, rhs), rhs_den * abs(det_x))
+            coeffs.append(FMatrix.from_cleared(b, b_den))
+            continue
+        # chi(level) == 0: a resonant step, classified by elimination.
         a = _step_matrix(exp, coupling, level)
+        rhs = FMatrix.from_cleared(rhs, rhs_den)
         res = solve_linear(a, rhs)
-        if res.kind is not SolveKind.UNIQUE:
-            # A symbolic kernel or certificate keeps the entry types that
-            # elimination over RatFunc gives it (entries the elimination
-            # never touches stay Fraction), so classify the graded step again.
-            rhs = exp.grade(rhs, -step)
-            graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
-            if res.kind is SolveKind.INCONSISTENT:
-                raise ResonanceObstruction(level, graded.certificate, rhs)
-            records.append(
-                ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis)
-            )
+        # A symbolic kernel or certificate keeps the entry types that
+        # elimination over RatFunc gives it (entries the elimination never
+        # touches stay Fraction), so classify the graded step again.
+        rhs = exp.grade(rhs, -step)
+        graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
+        if res.kind is SolveKind.INCONSISTENT:
+            raise ResonanceObstruction(level, graded.certificate, rhs)
+        records.append(ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis))
         coeffs.append(res.particular)
+        b, b_den = cleared_matrix(res.particular)
 
     return SeriesSolution(
         leading_exponent=leading_exponent,

@@ -1,10 +1,13 @@
 """Dense matrices over an exact field, with possibly-singular linear solving.
 
-The entry type is duck-typed: anything supporting +, -, *, / and == with
-itself and with int/Fraction works (Fraction and RatFunc in practice), so
-one elimination routine serves both the plain-rational and the
-rational-function instantiations.  ``charpoly`` is the exception: it takes
-Fraction entries only.
+``FMatrix`` arithmetic, ``solve_linear``, ``inverse`` and ``det`` accept
+entries of any exact field type that supports +, -, *, / and == with
+itself and with int/Fraction: Fraction, and RatFunc where symbolic values
+leave the Frobenius engine.  ``charpoly`` takes Fraction entries only.
+It and the Frobenius engine clear a matrix to integers over the least
+common denominator of its entries (``cleared_matrix``), work in plain int
+with the kernels below, and normalise one Fraction per output entry
+(``FMatrix.from_cleared``).
 """
 
 from __future__ import annotations
@@ -12,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from .poly import Poly
+from .poly import Poly, cleared
 
 
 class SingularMatrixError(ValueError):
@@ -48,6 +52,11 @@ class FMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> FMatrix:
         return cls([[col[i] for col in columns] for i in range(rows)])
+
+    @classmethod
+    def from_cleared(cls, ints: list[list[int]], den: int) -> FMatrix:
+        """The Fraction matrix ints / den."""
+        return cls([[Fraction(e, den) for e in row] for row in ints])
 
     @property
     def rows(self) -> int:
@@ -335,20 +344,73 @@ def det(a: FMatrix):
     return result if sign > 0 else -result
 
 
-def charpoly(a: FMatrix) -> Poly:
-    """Monic characteristic polynomial of a Fraction matrix via the
-    Faddeev-LeVerrier recurrence.
+def cleared_matrix(a: FMatrix) -> tuple[list[list[int]], int]:
+    """(ints, den) with a[i, j] == ints[i][j] / den and den the least common
+    denominator of the Fraction entries."""
+    flat, den = cleared([e for row in a.entries for e in row])
+    return [flat[i : i + a.cols] for i in range(0, len(flat), a.cols)], den
 
-    Only divisions by integers occur, so the computation stays exact.
+
+def int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """a * b for int matrices given as lists of rows.  Zero entries of the
+    left factor are skipped: KZ residues are permutation matrices, with one
+    nonzero per row."""
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def int_sum(
+    a: list[list[int]], a_den: int, b: list[list[int]], b_den: int
+) -> tuple[list[list[int]], int]:
+    """a / a_den + b / b_den as (ints, den) over den = lcm(a_den, b_den)."""
+    g = gcd(a_den, b_den)
+    fa, fb = b_den // g, a_den // g
+    return [[x * fa + y * fb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], a_den * fa
+
+
+def reduced(ints: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """ints / den with the content gcd(den, ints...) divided out; den > 0."""
+    g = gcd(den, *(e for row in ints for e in row))
+    if g == 1:
+        return ints, den
+    return [[e // g for e in row] for row in ints], den // g
+
+
+def faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
+    """Characteristic data of a square int matrix A, all in int.
+
+    Returns c_0 .. c_n with det(xI - A) = sum_k c_k x^(n-k), and
+    N_0 .. N_(n-1) with adj(xI - A) = sum_k x^(n-1-k) N_k: N_0 = I,
+    c_k = -tr(A N_(k-1)) / k and N_k = A N_(k-1) + c_k I.  Every c_k is an
+    integer, so each division by k is exact.
+    """
+    n = len(a)
+    coeffs = [1]
+    adj = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for k in range(1, n + 1):
+        prod = int_product(a, adj[-1])
+        coeffs.append(-sum(prod[i][i] for i in range(n)) // k)
+        if k < n:
+            for i in range(n):
+                prod[i][i] += coeffs[-1]
+            adj.append(prod)
+    return coeffs, adj
+
+
+def charpoly(a: FMatrix) -> Poly:
+    """Monic characteristic polynomial of a Fraction matrix.
+
+    Faddeev-LeVerrier runs on the cleared integer matrix A = den * a; then
+    det(xI - a) = sum_k c_k x^(n-k) / den^k, the only non-integer step.
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = a.rows
-    coeffs_desc = [Fraction(1)]
-    m = None
-    ident = FMatrix.identity(n)
-    for k in range(1, n + 1):
-        m = a if m is None else a * (m + coeffs_desc[-1] * ident)
-        ck = -(m.trace()) * Fraction(1, k)
-        coeffs_desc.append(ck)
-    return Poly(list(reversed(coeffs_desc)))
+    ints, den = cleared_matrix(a)
+    coeffs, _ = faddeev_leverrier(ints)
+    return Poly([Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])

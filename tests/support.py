@@ -13,16 +13,21 @@ from math import gcd, isqrt, lcm
 from hypothesis import strategies as st
 
 from kzrat import (
+    POLICY_AUTO,
     FMatrix,
     Poly,
     RatFunc,
     ResonanceObstruction,
+    ResonanceRecord,
+    SeriesSolution,
     SolveKind,
     convolution_rhs,
     leading_coefficient,
+    rational_roots,
     solve_linear,
     transposition_matrix,
 )
+from kzrat.frobenius import _seed
 
 P1 = transposition_matrix(3, 1, 2)
 P2 = transposition_matrix(3, 1, 3)
@@ -105,6 +110,56 @@ def direct_series(exp, coupling, order: int, leading_exponent: int):
             records.append((level, res.kind, res.kernel_basis))
         coeffs[level] = lift(res.particular)
     return [coeffs[p] for p in sorted(coeffs)], records
+
+
+def fraction_charpoly(a: FMatrix) -> Poly:
+    """Oracle for charpoly: Faddeev-LeVerrier over FMatrix products of
+    Fractions, dividing by k at every step."""
+    n = a.rows
+    coeffs_desc = [Fraction(1)]
+    m = None
+    ident = FMatrix.identity(n)
+    for k in range(1, n + 1):
+        m = a if m is None else a * (m + coeffs_desc[-1] * ident)
+        coeffs_desc.append(-(m.trace()) * Fraction(1, k))
+    return Poly(list(reversed(coeffs_desc)))
+
+
+def fraction_compute_series(exp, coupling, order: int) -> SeriesSolution:
+    """Oracle for compute_series: the same partial-sum recurrence, run on
+    FMatrix products and sums of Fractions, with every level solved by
+    elimination (solve_linear) and classified by its SolveKind."""
+    coupling = Fraction(coupling)
+    roots, _ = rational_roots(fraction_charpoly(exp.residue * coupling))
+    leading_exponent = min(int(r) for r, _ in roots if r.denominator == 1)
+    n = exp.n
+    zero = FMatrix.zeros(n, n)
+    coeffs = [_seed(exp, coupling, leading_exponent, POLICY_AUTO)]
+    weights = [res * -coupling for _, res in exp.poles]
+    sums = [zero] * len(exp.poles)
+    records = []
+    for step in range(1, order + 1):
+        level = leading_exponent + step
+        sums = [(s + coeffs[-1]) * u for s, (u, _) in zip(sums, exp.poles)]
+        terms = [w * s for w, s in zip(weights, sums)]
+        rhs = sum(terms[1:], terms[0]) if terms else zero
+        a = FMatrix.identity(n) * Fraction(level) - exp.residue * coupling
+        res = solve_linear(a, rhs)
+        if res.kind is not SolveKind.UNIQUE:
+            rhs = exp.grade(rhs, -step)
+            graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
+            if res.kind is SolveKind.INCONSISTENT:
+                raise ResonanceObstruction(level, graded.certificate, rhs)
+            records.append(ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis))
+        coeffs.append(res.particular)
+    return SeriesSolution(
+        leading_exponent=leading_exponent,
+        coeffs=tuple(exp.grade(b, -p) for p, b in enumerate(coeffs)),
+        resonances=tuple(records),
+        convention=exp.convention,
+        center_point=exp.center_point,
+        symbolic=exp.symbolic,
+    )
 
 
 def pole_series_coeffs(center, pole, count: int) -> list[Fraction]:
@@ -279,3 +334,52 @@ coefficients = st.one_of(
     st.builds(Fraction, st.integers(-100, 100), st.sampled_from((1, 2, 3, 7, 9, 343, 3**40))),
     st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
 )
+
+
+# Points of height up to 10^18, and couplings that may be negative, zero or
+# fractional.
+HEIGHT = 10**18
+points = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)),
+)
+couplings = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def integer_residues(draw, n: int, coupling: Fraction) -> FMatrix:
+    """An integer residue R such that coupling * R has an integer eigenvalue.
+
+    R = U T U^-1 with U unimodular and T upper triangular, its first
+    diagonal entry a multiple of the coupling's denominator; equal diagonal
+    entries joined by a nonzero entry above them give a Jordan block, so
+    the step matrices are not all diagonalisable.  For n = 3 and an integer
+    coupling R may instead be the transposition P1, which with
+    OBSTRUCTED_RESIDUE2 at a second point gives an inconsistent step.
+    """
+    if n == 3 and coupling.denominator == 1 and draw(st.booleans()):
+        return P1
+    diag = [coupling.denominator * draw(st.integers(-3, 3))]
+    diag += [draw(st.sampled_from((diag[0], 0, 1, -2, 4))) for _ in range(n - 1)]
+    upper = st.sampled_from((0, 1, 1, -2))
+    t = FMatrix(
+        [[diag[i] if i == j else draw(upper) if j > i else 0 for j in range(n)] for i in range(n)]
+    )
+    u = u_inv = FMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        e = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(n)] for r in range(n)]
+        e_inv = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(n)] for r in range(n)]
+        u, u_inv = u * FMatrix(e), FMatrix(e_inv) * u_inv
+    return u * t * u_inv
+
+
+@st.composite
+def pole_residues(draw, n: int) -> FMatrix:
+    """A sparse small-integer residue, or for n = 3 one of P1, P2 and
+    OBSTRUCTED_RESIDUE2."""
+    if n == 3 and draw(st.booleans()):
+        return draw(st.sampled_from((P1, P2, OBSTRUCTED_RESIDUE2)))
+    entries = st.sampled_from((0, 0, 0, 1, -1, 2))
+    return FMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])

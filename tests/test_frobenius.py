@@ -2,10 +2,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
+    CONVENTIONS,
     DERIVED_TAYLOR,
     LITERAL_PAPER,
     POLICY_KERNEL,
@@ -26,13 +27,19 @@ from kzrat import (
     solve_linear,
     verify_recursion,
 )
+from kzrat import frobenius, matrix
 from support import (
     I3,
     OBSTRUCTED_RESIDUE2,
     P1,
     P2,
+    couplings,
     direct_series,
+    fraction_compute_series,
+    integer_residues,
     level2_convolution_oracle,
+    points,
+    pole_residues,
     table_matrix,
 )
 
@@ -374,18 +381,39 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
     order = 160
     exp = local_expansion(kz_system(points, residues, coupling), 1, DERIVED_TAYLOR, order)
     calls = 0
+    int_calls = 0
+    solve_levels = []
     original = FMatrix.__mul__
+    original_int = matrix.int_product
+    original_solve = frobenius.solve_linear
 
     def counting_mul(self, other):
         nonlocal calls
         calls += 1
         return original(self, other)
 
+    def counting_int_product(a, b):
+        nonlocal int_calls
+        int_calls += 1
+        return original_int(a, b)
+
+    def recording_solve(a, b):
+        # a = level * I - coupling * a_{-1}
+        solve_levels.append((a.trace() + coupling * exp.residue.trace()) / exp.n)
+        return original_solve(a, b)
+
     monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(matrix, "int_product", counting_int_product)
+    monkeypatch.setattr(frobenius, "int_product", counting_int_product)
+    monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
     compute_series(exp, coupling, order)
     # m singular points leave a recurrence of length m; the direct
     # convolution would need order^2 / 2 products here
     assert calls <= (len(points) + 3) * order
+    assert int_calls <= (len(points) + 3) * order
+    # elimination runs only where chi(level) = 0, at the resonant levels
+    ind = indicial_data(exp, coupling)
+    assert solve_levels == sorted(p for p in ind.resonant_levels if p > min(ind.resonant_levels))
 
 
 def test_verify_recursion_derives_each_regular_coefficient_once(monkeypatch):
@@ -406,3 +434,63 @@ def test_verify_recursion_derives_each_regular_coefficient_once(monkeypatch):
     # the convolution reads a_0 .. a_(order-1); re-deriving them per term
     # would take order^2 / 2 calls
     assert sorted(calls) == list(range(order))
+
+
+def outcome(solve):
+    """What a solver produced, with entry types: the leading exponent,
+    coefficients and resonance records, or the obstruction's level,
+    certificate and right side."""
+    try:
+        series = solve()
+    except ResonanceObstruction as e:
+        return ("obstruction", e.level, typed([e.certificate]), typed(e.rhs.entries))
+    return (
+        series.leading_exponent,
+        [typed(b.entries) for b in series.coeffs],
+        [(r.level, r.kind, typed(r.kernel), r.certificate) for r in series.resonances],
+    )
+
+
+def assert_matches_fraction_engine(exp, coupling, order):
+    assert outcome(lambda: compute_series(exp, coupling, order)) == outcome(
+        lambda: fraction_compute_series(exp, coupling, order)
+    )
+
+
+@st.composite
+def kz_cases(draw, symbolic: bool):
+    """(expansion, coupling, order) for an integer-residue system with n <= 4."""
+    n = draw(st.integers(1, 4))
+    coupling = draw(couplings)
+    if symbolic:
+        pts = [SYMBOLIC, SYMBOLIC]
+        convention = draw(st.sampled_from(CONVENTIONS))
+    else:
+        pts = draw(st.lists(points, min_size=1, max_size=4, unique=True))
+        convention = DERIVED_TAYLOR
+    center = draw(st.integers(1, len(pts)))
+    residues = [draw(pole_residues(n)) for _ in pts]
+    residues[center - 1] = draw(integer_residues(n, coupling))
+    order = draw(st.integers(0, 10))
+    exp = local_expansion(kz_system(pts, residues, coupling), center, convention, order)
+    return exp, coupling, order
+
+
+def obstructed_case(pts, convention):
+    exp = local_expansion(kz_system(pts, [P1, OBSTRUCTED_RESIDUE2], TWO), 1, convention, 8)
+    return exp, TWO, 8
+
+
+@given(case=kz_cases(symbolic=False))
+@example(case=obstructed_case((10**18, Fraction(3 * 10**18 + 1, 3)), DERIVED_TAYLOR))
+@settings(max_examples=150, deadline=None)
+def test_integer_engine_matches_fraction_oracle_numeric(case):
+    assert_matches_fraction_engine(*case)
+
+
+@given(case=kz_cases(symbolic=True))
+@example(case=obstructed_case((SYMBOLIC, SYMBOLIC), LITERAL_PAPER))
+@example(case=obstructed_case((SYMBOLIC, SYMBOLIC), DERIVED_TAYLOR))
+@settings(max_examples=60, deadline=None)
+def test_integer_engine_matches_fraction_oracle_symbolic(case):
+    assert_matches_fraction_engine(*case)

@@ -16,7 +16,8 @@ from kzrat import (
     inverse,
     solve_linear,
 )
-from support import I3, P1, P2
+from kzrat.matrix import faddeev_leverrier, int_product
+from support import I3, P1, P2, coefficients, fraction_charpoly
 
 
 def columns_of(vectors, n):
@@ -145,6 +146,44 @@ def test_charpoly_of_doubled_transposition():
     # spectrum {2, 2, -2}: (x - 2)^2 (x + 2) = x^3 - 2x^2 - 4x + 8
     assert charpoly(2 * P1) == Poly((8, -4, -2, 1))
     assert charpoly(I3) == Poly((-1, 3, -3, 1))
+
+
+@given(
+    a=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_charpoly_matches_fraction_oracle(a):
+    a = FMatrix(a)
+    assert charpoly(a) == fraction_charpoly(a)
+
+
+small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))
+
+
+@given(
+    a=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    x=st.integers(-10**12, 10**12),
+)
+@settings(max_examples=150, deadline=None)
+def test_faddeev_leverrier_gives_determinant_and_adjugate(a, x):
+    n = len(a)
+    coeffs, adj = faddeev_leverrier(a)
+    step = FMatrix.identity(n) * x - FMatrix(a)
+    chi = sum(c * x ** (n - k) for k, c in enumerate(coeffs))
+    assert chi == det(step)
+    adj_x = FMatrix(
+        [
+            [sum(nk[i][j] * x ** (n - 1 - k) for k, nk in enumerate(adj)) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+    assert step * adj_x == FMatrix.identity(n) * chi
+    assert adj_x * step == FMatrix.identity(n) * chi
+    assert FMatrix(int_product(a, adj[-1])) == FMatrix(a) * FMatrix(adj[-1])
 
 
 def test_solver_over_rational_function_field():
