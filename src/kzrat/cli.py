@@ -1,5 +1,13 @@
 """Command-line front end: exact expansion, series, and verification runs.
 
+Every command goes through one pipeline, `run`: build the system, local
+expansion, indicial data, then the expansion printout (`expand`) or the
+Frobenius series, then the golden comparison (`series`) or reconstruction
+and the exact ODE check (`verify`).  `run` prints as each stage finishes,
+stops at the command's last stage or the first stage that fails, and
+returns the exit code with the report; `main` parses the arguments and is
+the one place that writes the `--json` report.
+
 Configs are single JSON documents whose numbers are exact strings ("p/q");
 reports echo every value exactly, so serialize -> parse -> serialize is
 byte-identical.  Exit codes: 0 success/verified, 1 golden mismatch or
@@ -13,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .frobenius import (
     POLICY_AUTO,
@@ -21,7 +30,7 @@ from .frobenius import (
     compute_series,
     indicial_data,
 )
-from .golden import GoldenOutcome, compare_series, compare_series_dual
+from .golden import compare_series, compare_series_dual
 from .kzmodel import (
     CONVENTIONS,
     DERIVED_TAYLOR,
@@ -334,12 +343,6 @@ def _matrix_lines(m: FMatrix, indent: str = "  ") -> list[str]:
     ]
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
     """Print a matrix of equal-power monomials as  1/L * d^k * [integers]."""
     power = None
@@ -365,7 +368,7 @@ def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
     lcm_den = 1
     for row in coeffs:
         for c in row:
-            lcm_den = _lcm(lcm_den, c.denominator)
+            lcm_den = lcm(lcm_den, c.denominator)
     ints = [[c * lcm_den for c in row] for row in coeffs]
     head = f"d^{power}" if lcm_den == 1 else f"1/{lcm_den} * d^{power}"
     body = FMatrix([[Fraction(e) for e in row] for row in ints])
@@ -423,35 +426,7 @@ def _expansion_json(exp: LocalExpansion) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
-
-
-def _write_json(path: str | None, report: dict) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
-
-
-def _prepare(cfg: SystemConfig):
-    sys_ = cfg.build_system()
-    exp = local_expansion(sys_, cfg.center, cfg.convention, max(cfg.order, 0))
-    ind = indicial_data(exp, cfg.coupling)
-    return sys_, exp, ind
-
-
-def cmd_expand(cfg: SystemConfig, json_path: str | None, out) -> int:
-    sys_, exp, ind = _prepare(cfg)
-    print(f"local expansion at point {cfg.center} ({cfg.convention})", file=out)
-    _print_coefficient("a[-1]", exp.a_minus1, out)
-    for r in range(exp.order + 1):
-        _print_coefficient(f"a[{r}]", exp.regular(r), out)
-    report = {
-        "config": cfg.echo(),
-        "indicial": _indicial_json(ind),
-        "expansion": _expansion_json(exp),
-    }
-    _write_json(json_path, report)
-    return EXIT_OK
+# the pipeline
 
 
 def _indicial_summary(ind) -> str:
@@ -460,151 +435,100 @@ def _indicial_summary(ind) -> str:
     return f"indicial: eigenvalues {eigs}; resonant levels {levels}"
 
 
-def cmd_series(
-    cfg: SystemConfig,
-    golden: bool,
-    golden_dual: bool,
-    json_path: str | None,
-    out,
-) -> int:
-    sys_, exp, ind = _prepare(cfg)
+def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[int, dict | None]:
+    """Run `command` ("expand", "series" or "verify") through the pipeline.
+
+    `golden` is None, "golden" or "golden-dual".  Text goes to `out`, and
+    usage diagnostics to `err`.  Returns the exit code and the report, or
+    None for a usage error that writes no report.
+    """
+    if command == "verify" and cfg.mode != "numeric":
+        print("verify needs a numeric-mode config", file=err)
+        return EXIT_USAGE, None
+    system = cfg.build_system()
+    exp = local_expansion(system, cfg.center, cfg.convention, cfg.order)
+    ind = indicial_data(exp, cfg.coupling)
+    report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
+    if command == "expand":
+        print(f"local expansion at point {cfg.center} ({cfg.convention})", file=out)
+        _print_coefficient("a[-1]", exp.a_minus1, out)
+        for r in range(exp.order + 1):
+            _print_coefficient(f"a[{r}]", exp.regular(r), out)
+        report["expansion"] = _expansion_json(exp)
+        return EXIT_OK, report
+
     print(_indicial_summary(ind), file=out)
     if not ind.resonant_levels:
-        print(
-            "no integer eigenvalue: the Laurent ansatz has no integer leading exponent",
-            file=out,
-        )
-        _write_json(json_path, {"config": cfg.echo(), "indicial": _indicial_json(ind)})
-        return EXIT_MISMATCH
+        print("no integer eigenvalue: the Laurent ansatz has no integer leading exponent", file=out)
+        return EXIT_MISMATCH, report
     if golden and cfg.order < 3:
         print("golden comparison needs --order >= 3", file=out)
-        return EXIT_USAGE
-
+        return EXIT_USAGE, None
     try:
-        series = compute_series(
-            exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO
-        )
+        series = compute_series(exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO)
     except ResonanceObstruction as exc:
+        certificate = _vector_json(exc.certificate)
         print(f"resonance obstruction at level {exc.level}", file=out)
-        print(f"certificate y (y*step = 0, y*rhs != 0): {_vector_json(exc.certificate)}", file=out)
-        report = {
-            "config": cfg.echo(),
-            "indicial": _indicial_json(ind),
-            "obstruction": {
-                "level": exc.level,
-                "certificate": _vector_json(exc.certificate),
-                "rhs": _matrix_json(exc.rhs),
-            },
+        print(f"certificate y (y*step = 0, y*rhs != 0): {certificate}", file=out)
+        report["obstruction"] = {
+            "level": exc.level,
+            "certificate": certificate,
+            "rhs": _matrix_json(exc.rhs),
         }
-        _write_json(json_path, report)
-        return EXIT_OBSTRUCTION
-
-    print(f"leading exponent: {series.leading_exponent} ({series.convention})", file=out)
-    for p in series.levels():
-        _print_coefficient(f"b[{p}]", series.coefficient(p), out)
-    for rec in series.resonances:
-        print(
-            f"resonant level {rec.level}: {rec.kind.value}, kernel dimension {len(rec.kernel)}",
-            file=out,
-        )
-
-    report = {
-        "config": cfg.echo(),
-        "indicial": _indicial_json(ind),
-        "series": _series_json(series),
-    }
-
-    code = EXIT_OK
-    if golden:
+        return EXIT_OBSTRUCTION, report
+    report["series"] = _series_json(series)
+    if command == "series":
+        print(f"leading exponent: {series.leading_exponent} ({series.convention})", file=out)
+        for p in series.levels():
+            _print_coefficient(f"b[{p}]", series.coefficient(p), out)
+        for rec in series.resonances:
+            print(
+                f"resonant level {rec.level}: {rec.kind.value}, kernel dimension {len(rec.kernel)}",
+                file=out,
+            )
+        if not golden:
+            return EXIT_OK, report
         if not series.symbolic or cfg.preset != PRESET_KZ_S3:
             print("golden comparison needs the kz-s3 preset in symbolic mode", file=out)
-            return EXIT_USAGE
-        outcome: GoldenOutcome
-        if golden_dual and cfg.convention == DERIVED_TAYLOR:
+            return EXIT_USAGE, None
+        if golden == "golden-dual" and cfg.convention == DERIVED_TAYLOR:
             outcome = compare_series_dual(series, exp)
         else:
             outcome = compare_series(series, exp)
         for line in outcome.lines:
             print(line, file=out)
         report["golden"] = {"matched": outcome.matched, "lines": list(outcome.lines)}
-        if not outcome.matched:
-            code = EXIT_MISMATCH
-
-    _write_json(json_path, report)
-    return code
-
-
-def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
-    if cfg.mode != "numeric":
-        print("verify needs a numeric-mode config", file=sys.stderr)
-        return EXIT_USAGE
-    sys_, exp, ind = _prepare(cfg)
-    print(_indicial_summary(ind), file=out)
-    report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
-    if not ind.resonant_levels:
-        print(
-            "no integer eigenvalue: the Laurent ansatz has no integer leading exponent",
-            file=out,
-        )
-        _write_json(json_path, report)
-        return EXIT_MISMATCH
-
-    try:
-        series = compute_series(
-            exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO
-        )
-    except ResonanceObstruction as exc:
-        print(f"resonance obstruction at level {exc.level}", file=out)
-        report["obstruction"] = {
-            "level": exc.level,
-            "certificate": _vector_json(exc.certificate),
-            "rhs": _matrix_json(exc.rhs),
-        }
-        _write_json(json_path, report)
-        return EXIT_OBSTRUCTION
-    report["series"] = _series_json(series)
+        return (EXIT_OK if outcome.matched else EXIT_MISMATCH), report
 
     # Exponents and the series length come first: a large exponent makes
     # the expanded denominator huge, and a short series cannot use it.
-    if cfg.denominator_exponents is not None:
-        exponents = cfg.denominator_exponents
-    else:
-        try:
-            exponents = denominator_exponents(sys_, cfg.coupling)
-        except NoPolynomialDenominator as exc:
-            print(f"reconstruction impossible: {exc}", file=out)
-            report["reconstruction"] = {
-                "status": "no-polynomial-denominator",
-                "detail": str(exc),
-            }
-            _write_json(json_path, report)
-            return EXIT_MISMATCH
-    den_degree = sum(exponents)
-    degree = (
-        cfg.numerator_degree
-        if cfg.numerator_degree is not None
-        else den_degree + numerator_growth(sys_, cfg.coupling)
-    )
-
     try:
+        exponents = cfg.denominator_exponents
+        if exponents is None:
+            exponents = denominator_exponents(system, cfg.coupling)
+        den_degree = sum(exponents)
+        degree = cfg.numerator_degree
+        if degree is None:
+            degree = den_degree + numerator_growth(system, cfg.coupling)
         check_series_length(series, degree, den_degree)
-        den = denominator_from_exponents(sys_.points, exponents)
-        w = reconstruct(series, den, degree)
+        w = reconstruct(series, denominator_from_exponents(system.points, exponents), degree)
+    except NoPolynomialDenominator as exc:
+        print(f"reconstruction impossible: {exc}", file=out)
+        report["reconstruction"] = {"status": "no-polynomial-denominator", "detail": str(exc)}
+        return EXIT_MISMATCH, report
     except InsufficientSeriesError as exc:
-        print(f"insufficient series length: {exc}", file=sys.stderr)
+        print(f"insufficient series length: {exc}", file=err)
         report["reconstruction"] = {"status": "insufficient-series", "detail": str(exc)}
-        _write_json(json_path, report)
-        return EXIT_USAGE
+        return EXIT_USAGE, report
     except NotRepresentable as exc:
         print(f"not representable: {exc}", file=out)
         report["reconstruction"] = {
             "status": "not-representable",
             "first_unmatched_level": exc.first_unmatched_level,
         }
-        _write_json(json_path, report)
-        return EXIT_MISMATCH
+        return EXIT_MISMATCH, report
 
-    verdict = verify_ode(w, sys_)
+    verdict = verify_ode(w, system)
     report["reconstruction"] = {
         "status": "ok",
         "denominator": _poly_json(w.denominator),
@@ -616,7 +540,6 @@ def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
         "det_identically_zero": verdict.det_identically_zero,
         "residual_zero": verdict.residual.is_zero(),
     }
-
     print(f"denominator: {w.denominator.to_str('z')}", file=out)
     print("numerator:", file=out)
     for line in _matrix_lines(w.numerator):
@@ -626,8 +549,7 @@ def cmd_verify(cfg: SystemConfig, json_path: str | None, out) -> int:
         f"{verdict.det_identically_zero}",
         file=out,
     )
-    _write_json(json_path, report)
-    return EXIT_OK if verdict.satisfied else EXIT_MISMATCH
+    return (EXIT_OK if verdict.satisfied else EXIT_MISMATCH), report
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +560,7 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     cfg = parse_config(text)
     if not overrides:
@@ -682,27 +604,29 @@ def main(argv=None) -> int:
         overrides["center"] = args.center
     if args.convention is not None:
         overrides["convention"] = args.convention
+    golden = None
+    if getattr(args, "golden_dual", False):
+        golden = "golden-dual"
+    elif getattr(args, "golden", False):
+        golden = "golden"
 
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    out = sys.stdout
-    try:
-        if args.command == "expand":
-            return cmd_expand(cfg, args.json_path, out)
-        if args.command == "series":
-            golden = args.golden or args.golden_dual
-            return cmd_series(cfg, golden, args.golden_dual, args.json_path, out)
-        return cmd_verify(cfg, args.json_path, out)
+        code, report = run(cfg, args.command, golden, sys.stdout, sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if report is not None and args.json_path:
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(report_to_json(report))
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

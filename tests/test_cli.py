@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -311,12 +314,27 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_report_path_exits_two(tmp_path, capsys, target):
+    path = write_config(tmp_path, SINGLE_POLE)
+    report = tmp_path / "absent" / "report.json" if target == "missing-directory" else tmp_path
+    rc = main(["series", "--config", path, "--json", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: cannot write report: ")
+    assert err.count("\n") == 1
+
+
 def test_malformed_config_reports_field(tmp_path, capsys):
     path = write_config(tmp_path, dict(S3_NUMERIC, order=-1))
     rc = main(["series", "--config", path])
     err = capsys.readouterr().err
     assert rc == 2
     assert "order" in err
+
+
+# "{}" in UTF-16 after its byte-order mark: bytes that do not decode as UTF-8
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
 
 
 # Property: for any JSON document in the config file, main exits 0-3 and
@@ -416,12 +434,48 @@ _json_documents = st.recursive(
     doc={"mode": "numeric", "points": ["0", "1"], "coupling": "10007", "order": 40},
     argv=["verify"],
 )
+@example(doc=NOT_UTF8, argv=["series"])
 @settings(max_examples=200, deadline=None)
 def test_main_exits_zero_to_three_on_any_json(doc, argv):
+    """`doc` is a JSON document, or raw bytes written as the config file."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            cfg.write_bytes(doc)
+        else:
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
         report = str(Path(tmp) / "report.json")
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             rc = main([*argv, "--config", str(cfg), "--json", report])
     assert rc in (0, 1, 2, 3)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "code, argv, doc",
+    [
+        (0, ["series"], SINGLE_POLE),
+        (1, ["verify"], dict(S3_NUMERIC, coupling="1/2")),
+        (2, ["series"], NOT_UTF8),
+        (3, ["series"], OBSTRUCTED),
+    ],
+    ids=("ok", "mismatch", "usage", "obstruction"),
+)
+def test_python_m_kzrat_exit_status(tmp_path, code, argv, doc):
+    """`python -m kzrat` exits with main's code and never with a traceback."""
+    cfg = tmp_path / "cfg.json"
+    if isinstance(doc, bytes):
+        cfg.write_bytes(doc)
+    else:
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzrat", *argv, "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("config error: cannot read config: ")
