@@ -445,6 +445,12 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
     if command == "verify" and cfg.mode != "numeric":
         print("verify needs a numeric-mode config", file=err)
         return EXIT_USAGE, None
+    if golden and cfg.order < 3:
+        print("golden comparison needs --order >= 3", file=err)
+        return EXIT_USAGE, None
+    if golden and (cfg.mode != "symbolic" or cfg.preset != PRESET_KZ_S3):
+        print("golden comparison needs the kz-s3 preset in symbolic mode", file=err)
+        return EXIT_USAGE, None
     system = cfg.build_system()
     exp = local_expansion(system, cfg.center, cfg.convention, cfg.order)
     ind = indicial_data(exp, cfg.coupling)
@@ -461,9 +467,6 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
     if not ind.resonant_levels:
         print("no integer eigenvalue: the Laurent ansatz has no integer leading exponent", file=out)
         return EXIT_MISMATCH, report
-    if golden and cfg.order < 3:
-        print("golden comparison needs --order >= 3", file=out)
-        return EXIT_USAGE, None
     try:
         series = compute_series(exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO)
     except ResonanceObstruction as exc:
@@ -488,9 +491,6 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
             )
         if not golden:
             return EXIT_OK, report
-        if not series.symbolic or cfg.preset != PRESET_KZ_S3:
-            print("golden comparison needs the kz-s3 preset in symbolic mode", file=out)
-            return EXIT_USAGE, None
         if golden == "golden-dual" and cfg.convention == DERIVED_TAYLOR:
             outcome = compare_series_dual(series, exp)
         else:

@@ -35,6 +35,20 @@ def cleared(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def int_convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer coefficient vectors; [] when either is empty.
+    Zero coefficients of the first factor are skipped."""
+    if not a or not b:
+        return []
+    terms = [(i, x) for i, x in enumerate(a) if x]
+    res = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in terms:
+                res[i + j] += x * y
+    return res
+
+
 class Poly:
     """Polynomial with Fraction coefficients, index = degree.
 
@@ -158,14 +172,8 @@ class Poly:
             return Poly([c * scale if c else c for c in a])
         ia, da = cleared(a)
         ib, db = cleared(b)
-        terms = [(i, x) for i, x in enumerate(ia) if x]
-        res = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(ib):
-            if y:
-                for i, x in terms:
-                    res[i + j] += x * y
         den = da * db
-        return Poly([Fraction(c, den) if c else _ZERO for c in res])
+        return Poly([Fraction(c, den) if c else _ZERO for c in int_convolve(ia, ib)])
 
     __rmul__ = __mul__
 

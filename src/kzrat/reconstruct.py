@@ -5,6 +5,15 @@ Reconstruction is linear matching on the coefficient lattice: all entries
 share one prescribed scalar denominator, so the numerator polynomials drop
 out of an exact product and are then over-checked against every available
 series coefficient.
+
+Normalisation and the ODE check work on the factored denominator, with the
+numerator entries cleared to integer vectors over one common denominator.
+`rational_matrix` factors the denominator once (`rational_roots`) and
+cancels each rational root r = p/q as often as (q z - p) divides every
+entry, by exact integer division; only the root-free rest goes through
+`poly_gcd`.  `verify_ode` writes D = E prod (z - z_i)^(e_i) over the
+system's points and forms (dW/dz - coupling A W) D pi E from the
+log-derivative of D, with no D or D^2 products (see `verify_ode`).
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from fractions import Fraction
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
 from .matrix import FMatrix, charpoly
-from .poly import Poly, cleared, poly_gcd, rational_roots
+from .poly import Poly, cleared, int_convolve, poly_gcd, rational_roots
 
 
 class NotRepresentable(Exception):
@@ -133,27 +142,103 @@ class RationalMatrixFunction:
 
 def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
     """Normalize: strip the common factor of all entries and the denominator,
-    then make the denominator monic."""
+    then make the denominator monic.
+
+    The denominator is factored once as c * prod (z - r)^m * E with E free
+    of rational roots.  Each root r = p/q cancels as often as (q z - p)
+    divides every entry, tested by exact division of the entries cleared to
+    integers (Gauss's lemma: over Z as over Q, since q z - p is
+    primitive); only E is matched against the entries by poly_gcd.
+    """
     if denominator.is_zero():
         raise ZeroDivisionError("rational matrix function with zero denominator")
-    g = denominator
-    for row in numerator.entries:
-        for p in row:
-            g = poly_gcd(g, p)
+    if all(p.is_zero() for row in numerator.entries for p in row):
+        return RationalMatrixFunction(numerator=numerator, denominator=Poly.one())
+    roots, rest = rational_roots(denominator)
+    num, num_den = _cleared_entries(numerator)
+    den, den_den = cleared(denominator.coeffs)
+    for root, mult in roots:
+        line = [-root.numerator, root.denominator]
+        for _ in range(mult):
+            quotients = [[_exact_quotient(f, line) for f in row] for row in num]
+            if any(f is None for row in quotients for f in row):
+                break
+            num = quotients
+            den = _exact_quotient(den, line)
+    if rest.degree >= 1:
+        g = rest
+        for entry in (p for row in numerator.entries for p in row):
+            g = poly_gcd(g, entry)
             if g.degree == 0:
                 break
-        if g.degree == 0:
-            break
-    num = numerator
-    den = denominator
-    if g.degree >= 1:
-        num = num.map(lambda p: p // g)
-        den = den // g
-    lead = den.leading
-    if lead != 1:
-        num = num.map(lambda p: p / lead)
-        den = den / lead
-    return RationalMatrixFunction(numerator=num, denominator=den)
+        if g.degree >= 1:
+            g_ints, _ = cleared(g.coeffs)  # primitive, as g is monic
+            num = [[_exact_quotient(f, g_ints) for f in row] for row in num]
+            den = _exact_quotient(den, g_ints)
+    # numerator / denominator == (num / num_den) / (den / den_den)
+    lead = den[-1]
+    scale = num_den * lead
+    return RationalMatrixFunction(
+        numerator=FMatrix(
+            [[Poly([Fraction(x * den_den, scale) for x in f]) for f in row] for row in num]
+        ),
+        denominator=Poly([Fraction(x, lead) for x in den]),
+    )
+
+
+def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
+    """(ints, den) with entry (i, j) of the Poly matrix m equal to
+    ints[i][j] / den, den the least common denominator of all coefficients."""
+    flat, den = cleared([c for row in m.entries for p in row for c in p.coeffs])
+    out = []
+    pos = 0
+    for row in m.entries:
+        out_row = []
+        for p in row:
+            out_row.append(flat[pos : pos + len(p.coeffs)])
+            pos += len(p.coeffs)
+        out.append(out_row)
+    return out, den
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g for integer vectors without trailing zeros (g nonzero) when the
+    quotient has integer coefficients, else None.  Long division from the
+    top, so each step needs the leading coefficient of g to divide exactly."""
+    if not f:
+        return []
+    dg = len(g) - 1
+    top = len(f) - 1 - dg
+    if top < 0:
+        return None
+    lead = g[-1]
+    rem = list(f)
+    quo = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c, r = divmod(rem[k + dg], lead)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
+    if any(rem[:dg]):
+        return None
+    return quo
+
+
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for integer vectors, without trailing zeros."""
+    res = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        res[i] -= y
+    while res and not res[-1]:
+        res.pop()
+    return res
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [k * x for k, x in enumerate(f)][1:]
 
 
 def denominator_exponents(sys: KZSystem, coupling=None) -> tuple[int, ...]:
@@ -281,42 +366,88 @@ class OdeVerdict:
 
 
 def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
-    """Form dW/dz - coupling * A(z) * W(z) over a common denominator and test
-    the numerator for identical vanishing; also flag det(W) identically zero."""
+    """Test dW/dz - coupling * A(z) * W(z) for identical vanishing, exactly;
+    also flag det(W) identically zero.
+
+    With W = N / D, D = E * prod (z - z_i)^(e_i) over the system's points,
+    pi = prod (z - z_i) and c_i = pi / (z - z_i), the log-derivative
+    D'/D = E'/E + sum e_i / (z - z_i) gives
+
+        (dW/dz - coupling A W) D pi E
+            = E (pi N' - sum_i c_i (e_i I + coupling R_i) N) - pi E' N,
+
+    a polynomial matrix formed on integer vectors with no D or D^2
+    products.  The residual is that matrix over D pi E, normalized.
+    """
     if sys.is_symbolic:
         raise ValueError("verify_ode needs a numeric-mode system")
-    kappa = sys.coupling
-    pi = Poly.one()
-    for p in sys.points:
-        pi = pi * Poly((-p, Fraction(1)))
     n = w.n
-    s = FMatrix([[Poly() for _ in range(n)] for _ in range(n)])
-    for point, residue in zip(sys.points, sys.residues):
-        cofactor = pi // Poly((-point, Fraction(1)))
-        s = s + residue.map(lambda e, c=cofactor: c * e)
+    if sys.n != n:
+        raise ValueError(f"dimension mismatch: W is {n}x{n}, the system {sys.n}x{sys.n}")
+    num, num_den = _cleared_entries(w.numerator)
+    e_ints, _ = cleared(w.denominator.coeffs)
+    lines = [[-z.numerator, z.denominator] for z in sys.points]
+    exponents = []
+    for line in lines:
+        e = 0
+        while (quo := _exact_quotient(e_ints, line)) is not None:
+            e_ints = quo
+            e += 1
+        exponents.append(e)
 
-    num = w.numerator
-    den = w.denominator
-    dnum = num.map(lambda p: p.derivative())
-    dden = den.derivative()
-    residual_num = (dnum * den - num * dden) * pi - (s * num) * (den * kappa)
-    residual = rational_matrix(residual_num, den * den * pi)
-    satisfied = residual.is_zero()
-
+    # pi and the c_i, both times prod q_i for z_i = p_i / q_i
+    pi = [1]
+    for line in lines:
+        pi = int_convolve(pi, line)
+    cofactors = [[line[1] * x for x in _exact_quotient(pi, line)] for line in lines]
+    kappa = sys.coupling
+    shifted, shift_den = cleared([
+        kappa * x + (e if r == c else 0)
+        for e, residue in zip(exponents, sys.residues)
+        for r, row in enumerate(residue.entries)
+        for c, x in enumerate(row)
+    ])
+    # s = sum_i c_i (e_i I + coupling R_i), times prod q_i and shift_den
+    s = [
+        [
+            [
+                sum(shifted[i * n * n + r * n + c] * cof[t] for i, cof in enumerate(cofactors))
+                for t in range(len(pi) - 1)
+            ]
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    pi = [shift_den * x for x in pi]
+    pi_de = int_convolve(pi, _derivative(e_ints))
+    residual_ints = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            acc = int_convolve(pi, _derivative(num[r][c]))
+            for k in range(n):
+                acc = _sub(acc, int_convolve(s[r][k], num[k][c]))
+            row.append(_sub(int_convolve(e_ints, acc), int_convolve(pi_de, num[r][c])))
+        residual_ints.append(row)
+    residual = rational_matrix(
+        FMatrix([[Poly(f) for f in row] for row in residual_ints]),
+        w.denominator * Poly(pi) * Poly(e_ints) * num_den,
+    )
     return OdeVerdict(
-        satisfied=satisfied,
+        satisfied=not any(f for row in residual_ints for f in row),
         residual=residual,
         det_identically_zero=_det_is_zero(num),
     )
 
 
-def _det_is_zero(m: FMatrix) -> bool:
-    """Whether det(m) of a square Poly matrix vanishes identically, by
-    fraction-free (Bareiss) elimination: each step divides exactly by the
-    previous pivot, so entries stay polynomials."""
-    work = [list(row) for row in m.entries]
+def _det_is_zero(m: list[list[list[int]]]) -> bool:
+    """Whether det(m) of a square matrix of integer polynomial vectors
+    vanishes identically, by fraction-free (Bareiss) elimination: each step
+    divides exactly by the previous pivot, so entries stay in Z[z].  For
+    a Poly matrix cleared to m over L, det = det(m) / L^n."""
+    work = [list(row) for row in m]
     n = len(work)
-    prev = Poly.one()
+    prev = [1]
     for k in range(n):
         pivot = next((r for r in range(k, n) if work[r][k]), None)
         if pivot is None:
@@ -325,7 +456,10 @@ def _det_is_zero(m: FMatrix) -> bool:
         p = work[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * p - work[i][k] * work[k][j]) // prev
+                work[i][j] = _exact_quotient(
+                    _sub(int_convolve(work[i][j], p), int_convolve(work[i][k], work[k][j])),
+                    prev,
+                )
         prev = p
     return False
 

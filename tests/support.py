@@ -15,14 +15,17 @@ from hypothesis import strategies as st
 from kzrat import (
     POLICY_AUTO,
     FMatrix,
+    OdeVerdict,
     Poly,
     RatFunc,
+    RationalMatrixFunction,
     ResonanceObstruction,
     ResonanceRecord,
     SeriesSolution,
     SolveKind,
     convolution_rhs,
     leading_coefficient,
+    poly_gcd,
     rational_roots,
     solve_linear,
     transposition_matrix,
@@ -383,3 +386,74 @@ def pole_residues(draw, n: int) -> FMatrix:
         return draw(st.sampled_from((P1, P2, OBSTRUCTED_RESIDUE2)))
     entries = st.sampled_from((0, 0, 0, 1, -1, 2))
     return FMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+def euclid_rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
+    """Oracle for rational_matrix: the gcd of the denominator and every
+    entry by Euclid's algorithm over Fractions (poly_gcd), divided out with
+    Poly floor division, then the denominator made monic."""
+    if denominator.is_zero():
+        raise ZeroDivisionError("rational matrix function with zero denominator")
+    g = denominator
+    for row in numerator.entries:
+        for p in row:
+            g = poly_gcd(g, p)
+            if g.degree == 0:
+                break
+        if g.degree == 0:
+            break
+    num = numerator
+    den = denominator
+    if g.degree >= 1:
+        num = num.map(lambda p: p // g)
+        den = den // g
+    lead = den.leading
+    if lead != 1:
+        num = num.map(lambda p: p / lead)
+        den = den / lead
+    return RationalMatrixFunction(numerator=num, denominator=den)
+
+
+def fraction_det_is_zero(m: FMatrix) -> bool:
+    """Oracle for the det flag of verify_ode: Bareiss elimination over Poly
+    entries, dividing by the previous pivot with Fraction long division."""
+    work = [list(row) for row in m.entries]
+    n = len(work)
+    prev = Poly.one()
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if work[r][k]), None)
+        if pivot is None:
+            return True
+        work[k], work[pivot] = work[pivot], work[k]
+        p = work[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                work[i][j] = (work[i][j] * p - work[i][k] * work[k][j]) // prev
+        prev = p
+    return False
+
+
+def fmatrix_verify_ode(w: RationalMatrixFunction, sys) -> OdeVerdict:
+    """Oracle for verify_ode: the residual (N'D - ND') pi - S N D coupling
+    over D^2 pi, with S = sum_i R_i pi / (z - z_i), formed by FMatrix
+    products over Poly entries and normalised by euclid_rational_matrix."""
+    kappa = sys.coupling
+    pi = Poly.one()
+    for p in sys.points:
+        pi = pi * Poly((-p, Fraction(1)))
+    n = w.n
+    s = FMatrix([[Poly() for _ in range(n)] for _ in range(n)])
+    for point, residue in zip(sys.points, sys.residues):
+        cofactor = pi // Poly((-point, Fraction(1)))
+        s = s + residue.map(lambda e, c=cofactor: c * e)
+    num = w.numerator
+    den = w.denominator
+    dnum = num.map(lambda p: p.derivative())
+    dden = den.derivative()
+    residual_num = (dnum * den - num * dden) * pi - (s * num) * (den * kappa)
+    residual = euclid_rational_matrix(residual_num, den * den * pi)
+    return OdeVerdict(
+        satisfied=residual.is_zero(),
+        residual=residual,
+        det_identically_zero=fraction_det_is_zero(num),
+    )

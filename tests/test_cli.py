@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import RatFunc
+from kzrat import cli
 from kzrat.cli import (
     ConfigError,
     main,
@@ -162,6 +163,32 @@ def test_series_golden_needs_order_three(tmp_path, capsys):
     path = write_config(tmp_path, dict(S3_SYMBOLIC, order=2))
     rc = main(["series", "--config", path, "--golden"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (dict(S3_SYMBOLIC, order=2), "golden comparison needs --order >= 3"),
+        # before "no integer eigenvalue", which coupling 1/2 would give
+        (dict(S3_SYMBOLIC, order=2, coupling="1/2"), "golden comparison needs --order >= 3"),
+        (S3_NUMERIC, "golden comparison needs the kz-s3 preset in symbolic mode"),
+        (
+            dict(S3_SYMBOLIC, residues=[[[0, 1, 0], [1, 0, 0], [0, 0, 1]]] * 2),
+            "golden comparison needs the kz-s3 preset in symbolic mode",
+        ),
+    ],
+    ids=("order-2", "order-2-no-integer-eigenvalue", "numeric", "custom-residues"),
+)
+def test_golden_usage_errors_are_decided_from_the_config(tmp_path, capsys, monkeypatch, cfg, message):
+    def no_stage(*args):
+        raise AssertionError("a pipeline stage ran before a golden usage error")
+
+    monkeypatch.setattr(cli, "local_expansion", no_stage)
+    path = write_config(tmp_path, cfg)
+    report = tmp_path / "report.json"
+    rc = main(["series", "--config", path, "--golden", "--json", str(report)])
+    assert (rc, capsys.readouterr()) == (2, ("", message + "\n"))
+    assert not report.exists()
 
 
 def test_series_single_pole_reports_zero_tail(tmp_path, capsys):

@@ -196,14 +196,14 @@ PINNED = {
     "golden-numeric": (
         2,
         None,
-        "dbf94563ac72b8a465808e4e423d57a3f86b1c4350396a5e92109f9872c1f0dd",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7dec23c34538b766941db6a49937ad2ead381a1957a591afe726f9a2021edea7",
     ),
     "golden-order-2": (
         2,
         None,
-        "5d9af6db06f5c1b86d95fe7514a6383c38033932d6df247af59ebc8f199ac26d",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5a07558d95b5b770f60bebc2461a4109d3efca626944e5844fdcb30536ea3977",
     ),
     "obstructed-derived-taylor-1": (
         3,

@@ -1,3 +1,6 @@
+import functools
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,26 +15,43 @@ from kzrat import (
     NotRepresentable,
     PoleError,
     Poly,
+    RationalMatrixFunction,
     build_kz_s3,
     compute_series,
     evaluate,
     kz_system,
     local_expansion,
+    numerator_growth,
     poly_gcd,
     propose_denominator,
     rational_matrix,
     reconstruct,
+    transposition_matrix,
     verify_ode,
 )
-from kzrat.reconstruct import _series_of_ratio
+from kzrat.reconstruct import (
+    _cleared_entries,
+    _det_is_zero,
+    _series_of_ratio,
+    denominator_exponents,
+    denominator_from_exponents,
+)
 from support import (
     I3,
     P1,
     P2,
     coefficients,
+    couplings,
+    euclid_rational_matrix,
+    fmatrix_verify_ode,
+    fraction_det_is_zero,
     fraction_series_of_ratio,
     matrix_expansion_matches,
+    points,
 )
+
+poly_module = sys.modules["kzrat.poly"]
+reconstruct_module = sys.modules["kzrat.reconstruct"]
 
 TWO = Fraction(2)
 
@@ -230,3 +250,191 @@ def test_series_of_ratio_matches_fraction_oracle(num, den, pole, lo, count):
     got = _series_of_ratio(num, den, lo, count)
     assert got == fraction_series_of_ratio(num, den, lo, count)
     assert all(isinstance(x, Fraction) for x in got)
+
+
+# Real reconstructions: systems whose series reconstruct to a rational W,
+# from one to four points.  An affine change z -> a z + b maps a solution
+# W(z) of the system at z_i to W((z - b) / a), a solution of the system at
+# a z_i + b, so the bases below yield real solutions at any height.
+def _permutation_system(n, points, coupling):
+    return kz_system(
+        points, [transposition_matrix(n, 1, j) for j in range(2, len(points) + 2)], coupling
+    )
+
+
+BASES = (
+    ("single-pole", lambda: kz_system([0], [P1], TWO)),
+    ("kz-s3", lambda: build_kz_s3(0, 1, TWO)),
+    (
+        "three-point",
+        lambda: kz_system(
+            [0, Fraction(2, 3), Fraction(-5, 7)],
+            [P1, P2, transposition_matrix(3, 2, 3)],
+            Fraction(6),
+        ),
+    ),
+    ("four-point", lambda: _permutation_system(5, [0, 1, -2, Fraction(1, 3)], TWO)),
+)
+@functools.cache
+def real_reconstruction(name):
+    """(system, W) for one of BASES, computed once."""
+    sys_ = dict(BASES)[name]()
+    den = denominator_from_exponents(sys_.points, denominator_exponents(sys_))
+    degree = den.degree + numerator_growth(sys_)
+    order = degree + den.degree + 1
+    series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, order), sys_.coupling, order)
+    return sys_, reconstruct(series, den, degree)
+
+
+def _affine(p: Poly, a: Fraction, b: Fraction) -> Poly:
+    """p((z - b) / a)."""
+    return Poly([c / a**k for k, c in enumerate(p.coeffs)]).shifted(-b)
+
+
+SQRT2_MINIMAL = Poly((-2, 0, 1))  # z^2 - 2: no rational root
+EXTRA_ROOT = Z + Fraction(7, 2)  # a rational root that is no system point
+nonzero = points.filter(bool)
+
+
+def _assert_same_function(got, want):
+    assert got.denominator == want.denominator
+    assert got.numerator == want.numerator
+    assert all(isinstance(p, Poly) for row in got.numerator.entries for p in row)
+
+
+def _assert_same_verdict(got, want):
+    assert got.satisfied is want.satisfied
+    assert got.det_identically_zero is want.det_identically_zero
+    _assert_same_function(got.residual, want.residual)
+
+
+@given(
+    base=st.sampled_from([name for name, _ in BASES]),
+    a=nonzero,
+    b=points,
+    mutation=st.sampled_from(
+        ("none", "sign", "term", "point-common", "point-den", "extra-root", "irreducible-common",
+         "irreducible-den")
+    ),
+    pick=st.integers(0, 10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_ode_matches_fmatrix_oracle_on_real_reconstructions(base, a, b, mutation, pick):
+    base_sys, base_w = real_reconstruction(base)
+    sys_ = kz_system([a * p + b for p in base_sys.points], base_sys.residues, base_sys.coupling)
+    rows = [[_affine(p, a, b) for p in row] for row in base_w.numerator.entries]
+    den = _affine(base_w.denominator, a, b)
+    cells = [(i, j) for i, row in enumerate(rows) for j, p in enumerate(row) if p]
+    r, c = cells[pick % len(cells)]
+    point = sys_.points[pick % len(sys_.points)]
+    if mutation == "sign":
+        rows[r][c] = -rows[r][c]
+    elif mutation == "term":
+        rows[r][c] = rows[r][c] + Poly.monomial(pick % 5, Fraction(pick % 7 - 3, 5) or 1)
+    elif mutation == "point-common":
+        rows = [[p * (Z - point) for p in row] for row in rows]
+        den = den * (Z - point)
+    elif mutation == "point-den":
+        den = den * (Z - point)
+    elif mutation == "extra-root":
+        den = den * EXTRA_ROOT
+    elif mutation == "irreducible-common":
+        rows = [[p * SQRT2_MINIMAL for p in row] for row in rows]
+        den = den * SQRT2_MINIMAL
+    elif mutation == "irreducible-den":
+        den = den * SQRT2_MINIMAL
+    w = RationalMatrixFunction(numerator=FMatrix(rows), denominator=den)
+    got = verify_ode(w, sys_)
+    _assert_same_verdict(got, fmatrix_verify_ode(w, sys_))
+    if mutation not in ("sign", "term"):
+        assert got.satisfied is (mutation in ("none", "point-common", "irreducible-common"))
+
+
+small_coefficients = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 7)))
+)
+small_polys = st.lists(small_coefficients, max_size=4).map(Poly)
+
+
+@st.composite
+def factored_denominators(draw, pts):
+    """c * prod (z - z_i)^(e_i) * (z + 7/2)^k * (z^2 - 2)^l, possibly constant."""
+    den = Poly((draw(nonzero),))
+    for p in pts:
+        den = den * (Z - p) ** draw(st.integers(0, 2))
+    den = den * EXTRA_ROOT ** draw(st.integers(0, 1))
+    return den * SQRT2_MINIMAL ** draw(st.integers(0, 1))
+
+
+@given(data=st.data(), n=st.integers(1, 3), count=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_verify_ode_matches_fmatrix_oracle_on_random_systems(data, n, count):
+    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
+    residue = st.lists(st.lists(small_coefficients, min_size=n, max_size=n), min_size=n, max_size=n)
+    sys_ = kz_system(pts, [FMatrix(data.draw(residue)) for _ in pts], data.draw(couplings))
+    shape = data.draw(st.sampled_from(("random", "zero", "rank-deficient")))
+    rows = [[data.draw(small_polys) for _ in range(n)] for _ in range(n)]
+    if shape == "zero":
+        rows = [[Poly() for _ in range(n)] for _ in range(n)]
+    elif shape == "rank-deficient" and n > 1:
+        factor = data.draw(small_polys)
+        rows[-1] = [factor * p for p in rows[0]]
+    w = RationalMatrixFunction(
+        numerator=FMatrix(rows), denominator=data.draw(factored_denominators(pts))
+    )
+    _assert_same_verdict(verify_ode(w, sys_), fmatrix_verify_ode(w, sys_))
+
+
+@given(data=st.data(), count=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_rational_matrix_matches_euclid_oracle(data, count):
+    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
+    den = data.draw(factored_denominators(pts))
+    # a shared factor built from the denominator's own factors, so that
+    # cancellation happens at some roots and not at others
+    shared = Poly.one()
+    for p in pts + [Fraction(-7, 2)]:
+        shared = shared * (Z - p) ** data.draw(st.integers(0, 2))
+    shared = shared * SQRT2_MINIMAL ** data.draw(st.integers(0, 1))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entries = [[shared * data.draw(small_polys) for _ in range(cols)] for _ in range(rows)]
+    numerator = FMatrix(entries)
+    _assert_same_function(rational_matrix(numerator, den), euclid_rational_matrix(numerator, den))
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_det_flag_matches_fraction_bareiss(n, data):
+    rows = [[data.draw(st.lists(coefficients, max_size=4).map(Poly)) for _ in range(n)] for _ in range(n)]
+    if n > 1 and data.draw(st.booleans()):
+        factor, k = data.draw(small_polys), data.draw(st.integers(1, n - 1))
+        rows[k] = [factor * p for p in rows[0]]
+    m = FMatrix(rows)
+    assert _det_is_zero(_cleared_entries(m)[0]) is fraction_det_is_zero(m)
+
+
+def test_verify_path_runs_no_matrix_products_and_one_gcd(monkeypatch):
+    # The three-point system at 0, 2/3, -5/7, coupling 6, order 55.
+    sys_, _ = real_reconstruction("three-point")
+    exponents = denominator_exponents(sys_)
+    den = denominator_from_exponents(sys_.points, exponents)
+    degree = den.degree + numerator_growth(sys_)
+    series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, 55), sys_.coupling, 55)
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counting("rational_roots", poly_module.poly_gcd))
+    monkeypatch.setattr(reconstruct_module, "poly_gcd", counting("reconstruct", poly_gcd))
+    w = reconstruct(series, den, degree)
+    monkeypatch.setattr(FMatrix, "__mul__", counting("mul", FMatrix.__mul__))
+    verdict = verify_ode(w, sys_)
+    assert verdict.satisfied
+    assert calls["reconstruct"] == 0
+    assert calls["rational_roots"] <= 1
+    assert calls["mul"] == 0
