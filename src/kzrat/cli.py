@@ -297,10 +297,10 @@ def parse_entry(obj):
     if isinstance(obj, dict) and "poly" in obj:
         return Poly([parse_scalar(c) for c in obj["poly"]])
     if isinstance(obj, dict):
-        return RatFunc(
-            Poly([parse_scalar(c) for c in obj["num"]]),
-            Poly([parse_scalar(c) for c in obj["den"]]),
-        )
+        num, den = (Poly([parse_scalar(c) for c in obj[k]]) for k in ("num", "den"))
+        if any(p.valuation() != p.degree for p in (num, den)):
+            raise ValueError(f"entry is not a monomial in d: {obj!r}")
+        return RatFunc(num.coeff(num.degree) / den.leading, num.degree - den.degree)
     raise ValueError(f"unrecognized entry encoding: {obj!r}")
 
 
@@ -345,26 +345,13 @@ def _matrix_lines(m: FMatrix, indent: str = "  ") -> list[str]:
 
 def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
     """Print a matrix of equal-power monomials as  1/L * d^k * [integers]."""
-    power = None
-    coeffs = []
-    for row in m.entries:
-        crow = []
-        for e in row:
-            if not isinstance(e, RatFunc):
-                return None
-            parts = e.monomial_parts()
-            if parts is None:
-                return None
-            c, k = parts
-            if c != 0:
-                if power is None:
-                    power = k
-                elif k != power:
-                    return None
-            crow.append(c)
-        coeffs.append(crow)
-    if power in (None, 0):
+    if not all(isinstance(e, RatFunc) for row in m.entries for e in row):
         return None
+    powers = {e.power for row in m.entries for e in row if e}
+    if len(powers) != 1 or 0 in powers:
+        return None
+    (power,) = powers
+    coeffs = [[e.coeff for e in row] for row in m.entries]
     lcm_den = 1
     for row in coeffs:
         for c in row:

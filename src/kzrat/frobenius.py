@@ -292,8 +292,8 @@ def compute_series(
         rhs = FMatrix.from_cleared(rhs, rhs_den)
         res = solve_linear(a, rhs)
         # A symbolic kernel or certificate keeps the entry types that
-        # elimination over RatFunc gives it (entries the elimination never
-        # touches stay Fraction), so classify the graded step again.
+        # elimination over graded values gives it (entries the elimination
+        # never touches stay Fraction), so classify the graded step again.
         rhs = exp.grade(rhs, -step)
         graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
         if res.kind is SolveKind.INCONSISTENT:

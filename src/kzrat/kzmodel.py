@@ -3,7 +3,7 @@
 A system is dW/dz = coupling * A(z) * W with A(z) a sum of residue
 matrices over simple poles.  Points are exact rationals, or the formal
 marker "symbolic" (exactly two points), in which case the expansion
-coefficients live in the rational-function field in d = point2 - point1.
+coefficients are graded monomials c * d^k in d = point2 - point1.
 
 Symbolic mode is a grading of the numeric engine, not a second
 arithmetic: with two points every a_r is a monomial of d-degree -(r + 1),
@@ -108,8 +108,7 @@ class LocalExpansion:
     (u_i, R_i) per other singular point with a_r = -sum_i R_i * u_i^(r+1),
     are Fraction data; numerically u_i = 1/(z_i - z_c).  In symbolic mode
     they are taken at d = 1, u = +-1, and the public coefficients are
-    graded: a_r is a matrix of rational functions in d, homogeneous of
-    d-degree -(r + 1).
+    graded: a_r is a matrix of monomials in d, all of d-degree -(r + 1).
     """
 
     center_index: int

@@ -1,9 +1,11 @@
 """Dense matrices over an exact field, with possibly-singular linear solving.
 
 ``FMatrix`` arithmetic, ``solve_linear``, ``inverse`` and ``det`` accept
-entries of any exact field type that supports +, -, *, / and == with
-itself and with int/Fraction: Fraction, and RatFunc where symbolic values
-leave the Frobenius engine.  ``charpoly`` takes Fraction entries only.
+entries of any exact type that supports +, -, *, / and == with itself
+and with int/Fraction: Fraction, and the graded monomials c * d^k
+(RatFunc) where symbolic values leave the Frobenius engine.  Those add
+only at equal d-degree, which holds for the homogeneous matrices and
+systems the engine grades.  ``charpoly`` takes Fraction entries only.
 It and the Frobenius engine clear a matrix to integers over the least
 common denominator of its entries (``cleared_matrix``), work in plain int
 with the kernels below, and normalise one Fraction per output entry

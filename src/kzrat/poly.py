@@ -3,8 +3,9 @@
 Coefficients are Fractions, but products and Taylor shifts run on integer
 vectors: the operands are cleared to integer numerators over their least
 common denominator (`cleared`), the work is done in plain int, and one
-Fraction is normalised per output coefficient at the end.  Division,
-gcd and evaluation stay in Fraction arithmetic.
+Fraction is normalised per output coefficient at the end.  Exact
+division by a known factor (`exact_quotient`) is integer long division
+too; general division, gcd and evaluation stay in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -47,6 +48,32 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
             for i, x in terms:
                 res[i + j] += x * y
     return res
+
+
+def exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
+    """f / g for integer vectors without trailing zeros (g nonzero) when the
+    quotient has integer coefficients, else None.  Long division from the
+    top, so each step needs the leading coefficient of g to divide exactly."""
+    if not f:
+        return []
+    dg = len(g) - 1
+    top = len(f) - 1 - dg
+    if top < 0:
+        return None
+    lead = g[-1]
+    rem = list(f)
+    quo = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        c, r = divmod(rem[k + dg], lead)
+        if r:
+            return None
+        quo[k] = c
+        if c:
+            for i in range(dg):
+                rem[k + i] -= c * g[i]
+    if any(rem[:dg]):
+        return None
+    return quo
 
 
 class Poly:
@@ -226,12 +253,6 @@ class Poly:
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
 
-    def divides(self, other: Poly) -> bool:
-        """True when self divides other exactly."""
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
-
     def __call__(self, x: ScalarLike) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -305,16 +326,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return x.monic()
 
 
-def _synthetic_divide(p: Poly, root: Fraction) -> Poly:
-    """Divide p by (x - root); the caller guarantees root is a root."""
-    quo = [Fraction(0)] * p.degree
-    carry = Fraction(0)
-    for k in range(p.degree, 0, -1):
-        carry = p.coeffs[k] + carry * root
-        quo[k - 1] = carry
-    return Poly(quo)
-
-
 def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
     """All rational roots of p with multiplicities, plus the root-free remainder.
 
@@ -332,8 +343,8 @@ def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
     dividing disc(g) fail), each of them lifts uniquely by Newton steps
     mod p^(2^k) until the modulus exceeds 2 |g(0)|; its symmetric residue
     is then the one integer candidate, and an exact evaluation decides it.
-    Multiplicities and the remainder come from dividing p by each root in
-    turn.
+    Multiplicities and the remainder come from exact integer division of
+    p, cleared to integers once, by (q x - r) for each root r/q in turn.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every value as a root")
@@ -347,10 +358,13 @@ def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
 
     if work.degree >= 1:
         square_free = work // poly_gcd(work, work.derivative())
+        ints, _ = cleared(work.coeffs)
         for root in _simple_roots(square_free):
-            while work.degree >= 1 and work(root) == 0:
+            line = [-root.numerator, root.denominator]
+            while (quo := exact_quotient(ints, line)) is not None:
                 roots[root] = roots.get(root, 0) + 1
-                work = _synthetic_divide(work, root)
+                ints = quo
+        work = Poly(ints)
 
     ordered = tuple(sorted(roots.items()))
     return ordered, work.monic()

@@ -1,167 +1,136 @@
-"""Rational functions in one formal variable over exact rationals."""
+"""Graded monomials c * d^k in the formal variable d = point2 - point1.
+
+In two-point symbolic mode every value the package emits is homogeneous
+in d: a_r has d-degree -(r + 1) and b_p has d-degree -(p - rho).  So a
+symbolic value is one Fraction coefficient and one integer power.
+Products and quotients add and subtract powers; a sum needs equal powers
+unless one term is zero, and otherwise raises ValueError rather than
+leave the grading.  ``num`` and ``den`` give the value's canonical form
+as a rational function (monic denominator, no common factor), which is
+how reports encode it.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, poly_gcd
+from .poly import Poly
 
 
-def _as_poly(value) -> Poly | None:
-    if isinstance(value, Poly):
+def _graded(value) -> RatFunc | None:
+    if isinstance(value, RatFunc):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly((Fraction(value),))
+        return RatFunc(value)
     return None
 
 
 class RatFunc:
-    """Quotient of two polynomials in canonical form.
+    """The monomial coeff * d**power; zero is 0 * d**0."""
 
-    Canonical means: the denominator is monic, gcd(num, den) = 1, and zero
-    is 0/1.  Every arithmetic route to the same value therefore produces an
-    identical representation, so equality is plain tuple comparison.
-    """
+    __slots__ = ("coeff", "power")
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num=0, den=1):
-        n = _as_poly(num)
-        d = _as_poly(den)
-        if n is None or d is None:
-            raise TypeError("RatFunc components must be Poly, int, or Fraction")
-        if d.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if n.is_zero():
-            self.num = Poly()
-            self.den = Poly.one()
-            return
-        g = poly_gcd(n, d)
-        if g.degree >= 1:
-            n = n // g
-            d = d // g
-        lead = d.leading
-        if lead != 1:
-            n = n / lead
-            d = d / lead
-        self.num = n
-        self.den = d
+    def __init__(self, coeff=0, power: int = 0):
+        if not isinstance(coeff, (int, Fraction)):
+            raise TypeError("a graded monomial needs an int or Fraction coefficient")
+        self.coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        self.power = power if coeff else 0
 
     @classmethod
     def zero(cls) -> RatFunc:
-        return cls(0)
+        return cls()
 
     @classmethod
     def one(cls) -> RatFunc:
         return cls(1)
 
     @classmethod
-    def var(cls) -> RatFunc:
-        """The formal variable itself."""
-        return cls(Poly.monomial(1))
-
-    @classmethod
     def monomial(cls, power: int, coeff=1) -> RatFunc:
-        """coeff * var**power, with power of either sign."""
-        if power >= 0:
-            return cls(Poly.monomial(power, coeff))
-        return cls(Poly((Fraction(coeff),)), Poly.monomial(-power))
+        """coeff * d**power, with power of either sign."""
+        return cls(coeff, power)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    @property
+    def num(self) -> Poly:
+        """Numerator of the canonical form: [0..0, c] for k >= 0, else [c]."""
+        if self.power > 0:
+            return Poly.monomial(self.power, self.coeff)
+        return Poly((self.coeff,))
+
+    @property
+    def den(self) -> Poly:
+        """Monic denominator of the canonical form: d**(-k) for k < 0, else 1."""
+        return Poly.monomial(max(0, -self.power))
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def monomial_parts(self) -> tuple[Fraction, int] | None:
-        """(coeff, power) when the value is coeff * var**power, else None.
-
-        Zero is reported as (0, 0).
-        """
-        if self.is_zero():
-            return Fraction(0), 0
-        nv = self.num.valuation()
-        if nv != self.num.degree:
-            return None
-        dv = self.den.valuation()
-        if dv != self.den.degree:
-            return None
-        return self.num.coeffs[nv], nv - dv
-
-    def _coerce(self, other) -> RatFunc | None:
-        if isinstance(other, RatFunc):
-            return other
-        p = _as_poly(other)
-        if p is None:
-            return None
-        return RatFunc(p)
+        return bool(self.coeff)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self.coeff == o.coeff and self.power == o.power
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.coeff, self.power)) if self.power else hash(self.coeff)
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc(-self.coeff, self.power)
 
     def __add__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.coeff:
+            return self
+        if not self.coeff:
+            return o
+        if self.power != o.power:
+            raise ValueError(
+                f"sum of d-degrees {self.power} and {o.power} is not a graded monomial"
+            )
+        return RatFunc(self.coeff + o.coeff, self.power)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
         return o + (-self)
 
     def __mul__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        return RatFunc(self.coeff * o.coeff, self.power + o.power)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        if not o.coeff:
+            raise ZeroDivisionError("division by the zero monomial")
+        return RatFunc(self.coeff / o.coeff, self.power - o.power)
 
     def __rtruediv__(self, other) -> RatFunc:
-        o = self._coerce(other)
+        o = _graded(other)
         if o is None:
             return NotImplemented
         return o / self
 
     def to_str(self, var: str = "d") -> str:
-        parts = self.monomial_parts()
-        if parts is not None:
-            c, k = parts
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            if k == 0:
-                return cs
-            head = f"{var}" if k == 1 else f"{var}^{k}"
-            return f"{cs}*{head}"
-        if self.den == Poly.one():
-            return f"({self.num.to_str(var)})"
-        return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
+        if not self.power:
+            return str(self.coeff)
+        head = var if self.power == 1 else f"{var}^{self.power}"
+        return f"{self.coeff}*{head}"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.to_str()})"

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
 from .matrix import FMatrix, charpoly
-from .poly import Poly, cleared, int_convolve, poly_gcd, rational_roots
+from .poly import Poly, cleared, exact_quotient, int_convolve, poly_gcd, rational_roots
 
 
 class NotRepresentable(Exception):
@@ -160,11 +160,11 @@ def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunc
     for root, mult in roots:
         line = [-root.numerator, root.denominator]
         for _ in range(mult):
-            quotients = [[_exact_quotient(f, line) for f in row] for row in num]
+            quotients = [[exact_quotient(f, line) for f in row] for row in num]
             if any(f is None for row in quotients for f in row):
                 break
             num = quotients
-            den = _exact_quotient(den, line)
+            den = exact_quotient(den, line)
     if rest.degree >= 1:
         g = rest
         for entry in (p for row in numerator.entries for p in row):
@@ -173,8 +173,8 @@ def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunc
                 break
         if g.degree >= 1:
             g_ints, _ = cleared(g.coeffs)  # primitive, as g is monic
-            num = [[_exact_quotient(f, g_ints) for f in row] for row in num]
-            den = _exact_quotient(den, g_ints)
+            num = [[exact_quotient(f, g_ints) for f in row] for row in num]
+            den = exact_quotient(den, g_ints)
     # numerator / denominator == (num / num_den) / (den / den_den)
     lead = den[-1]
     scale = num_den * lead
@@ -199,32 +199,6 @@ def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
             pos += len(p.coeffs)
         out.append(out_row)
     return out, den
-
-
-def _exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
-    """f / g for integer vectors without trailing zeros (g nonzero) when the
-    quotient has integer coefficients, else None.  Long division from the
-    top, so each step needs the leading coefficient of g to divide exactly."""
-    if not f:
-        return []
-    dg = len(g) - 1
-    top = len(f) - 1 - dg
-    if top < 0:
-        return None
-    lead = g[-1]
-    rem = list(f)
-    quo = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        c, r = divmod(rem[k + dg], lead)
-        if r:
-            return None
-        quo[k] = c
-        if c:
-            for i in range(dg):
-                rem[k + i] -= c * g[i]
-    if any(rem[:dg]):
-        return None
-    return quo
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
@@ -390,7 +364,7 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     exponents = []
     for line in lines:
         e = 0
-        while (quo := _exact_quotient(e_ints, line)) is not None:
+        while (quo := exact_quotient(e_ints, line)) is not None:
             e_ints = quo
             e += 1
         exponents.append(e)
@@ -399,7 +373,7 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     pi = [1]
     for line in lines:
         pi = int_convolve(pi, line)
-    cofactors = [[line[1] * x for x in _exact_quotient(pi, line)] for line in lines]
+    cofactors = [[line[1] * x for x in exact_quotient(pi, line)] for line in lines]
     kappa = sys.coupling
     shifted, shift_den = cleared([
         kappa * x + (e if r == c else 0)
@@ -456,7 +430,7 @@ def _det_is_zero(m: list[list[list[int]]]) -> bool:
         p = work[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                work[i][j] = _exact_quotient(
+                work[i][j] = exact_quotient(
                     _sub(int_convolve(work[i][j], p), int_convolve(work[i][k], work[k][j])),
                     prev,
                 )

@@ -228,14 +228,7 @@ def matrix_expansion_matches(w, center, lo: int, coeff_matrices) -> bool:
 
 def dual_twist(m: FMatrix) -> FMatrix:
     """Apply d -> -d to a matrix of d-monomial entries."""
-
-    def twist(e: RatFunc) -> RatFunc:
-        parts = e.monomial_parts()
-        assert parts is not None
-        coeff, power = parts
-        return RatFunc.monomial(power, coeff * Fraction(-1) ** power)
-
-    return m.map(twist)
+    return m.map(lambda e: RatFunc.monomial(e.power, e.coeff * Fraction(-1) ** e.power))
 
 
 # A two-point system whose level-2 resonant step is inconsistent (found by
@@ -457,3 +450,106 @@ def fmatrix_verify_ode(w: RationalMatrixFunction, sys) -> OdeVerdict:
         residual=residual,
         det_identically_zero=fraction_det_is_zero(num),
     )
+
+
+class FieldRatFunc:
+    """Quotient of two polynomials in canonical form: the general
+    rational-function field that the graded monomials of kzrat.ratfunc
+    replaced, kept as their oracle and as a non-Fraction field for the
+    linear solver.
+
+    Canonical means: the denominator is monic, gcd(num, den) = 1 (Euclid,
+    poly_gcd), and zero is 0/1, so equality is plain tuple comparison.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num=0, den=1):
+        n = num if isinstance(num, Poly) else Poly((Fraction(num),))
+        d = den if isinstance(den, Poly) else Poly((Fraction(den),))
+        if d.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        if n.is_zero():
+            self.num, self.den = Poly(), Poly.one()
+            return
+        g = poly_gcd(n, d)
+        if g.degree >= 1:
+            n, d = n // g, d // g
+        self.num, self.den = n / d.leading, d / d.leading
+
+    @classmethod
+    def var(cls) -> FieldRatFunc:
+        return cls(Poly.monomial(1))
+
+    @classmethod
+    def monomial(cls, power: int, coeff=1) -> FieldRatFunc:
+        if power >= 0:
+            return cls(Poly.monomial(power, coeff))
+        return cls(Poly((Fraction(coeff),)), Poly.monomial(-power))
+
+    @staticmethod
+    def _coerce(other) -> FieldRatFunc | None:
+        if isinstance(other, FieldRatFunc):
+            return other
+        if isinstance(other, (int, Fraction, Poly)):
+            return FieldRatFunc(other)
+        return None
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
+
+    __hash__ = None
+
+    def __neg__(self) -> FieldRatFunc:
+        return FieldRatFunc(-self.num, self.den)
+
+    def __add__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FieldRatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FieldRatFunc(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.num.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        return FieldRatFunc(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other) -> FieldRatFunc:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __repr__(self) -> str:
+        return f"FieldRatFunc(({self.num.to_str('d')})/({self.den.to_str('d')}))"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from kzrat import RatFunc
 from kzrat import cli
+from kzrat import poly as poly_module
 from kzrat.cli import (
     ConfigError,
     main,
@@ -323,6 +325,67 @@ def test_report_roundtrip_is_byte_identical(tmp_path):
     doc = json.loads(text)
     entry = parse_entry(doc["series"]["coefficients"][1]["matrix"][0][0])
     assert entry == RatFunc.monomial(-1, Fraction(4, 3))
+
+
+def _graded_entries(node):
+    """Every {"num", "den"} entry anywhere in a report document."""
+    if isinstance(node, dict):
+        if set(node) == {"num", "den"}:
+            yield node
+        else:
+            for value in node.values():
+                yield from _graded_entries(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _graded_entries(value)
+
+
+def test_parse_entry_round_trips_every_graded_entry(tmp_path):
+    # coefficients, the level-2 kernel and the expansion, at order 20
+    for command in ("series", "expand"):
+        path = write_config(tmp_path, dict(S3_SYMBOLIC, order=20))
+        report_path = tmp_path / f"{command}.json"
+        with redirect_stdout(io.StringIO()):
+            assert main([command, "--config", path, "--json", str(report_path)]) == 0
+        entries = list(_graded_entries(json.loads(report_path.read_text())))
+        assert len(entries) > 100
+        for obj in entries:
+            value = parse_entry(obj)
+            assert isinstance(value, RatFunc)
+            assert cli._entry_json(value) == obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"num": ["1", "1"], "den": ["1"]},
+        {"num": ["1"], "den": ["1", "1"]},
+        {"num": ["1"], "den": []},
+    ],
+)
+def test_parse_entry_rejects_a_non_monomial(obj):
+    with pytest.raises(ValueError):
+        parse_entry(obj)
+
+
+def test_golden_series_calls_poly_gcd_once_from_indicial_data(tmp_path, monkeypatch):
+    # Graded values need no gcd: the only one left is the square-free part
+    # of the characteristic polynomial in rational_roots.
+    callers = Counter()
+    original = poly_module.poly_gcd
+
+    def counting(*args):
+        callers[sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kzrat" and getattr(module, "poly_gcd", None) is original:
+            monkeypatch.setattr(module, "poly_gcd", counting)
+    path = write_config(tmp_path, dict(S3_SYMBOLIC, order=20))
+    with redirect_stdout(io.StringIO()):
+        assert main(["series", "--config", path, "--golden"]) == 0
+    assert sum(callers.values()) <= 1
+    assert set(callers) <= {("rational_roots", "indicial_data")}
 
 
 def test_cli_overrides(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_symbolic_homogeneity():
         for r in range(13):
             for row in exp.regular(r).entries:
                 for e in row:
-                    coeff, power = e.monomial_parts()
+                    coeff, power = e.coeff, e.power
                     assert coeff == 0 or power == -(r + 1)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kzrat import (
     FMatrix,
     Poly,
-    RatFunc,
     SingularMatrixError,
     SolveKind,
     charpoly,
@@ -17,7 +16,7 @@ from kzrat import (
     solve_linear,
 )
 from kzrat.matrix import faddeev_leverrier, int_product
-from support import I3, P1, P2, coefficients, fraction_charpoly
+from support import I3, P1, P2, FieldRatFunc, coefficients, fraction_charpoly
 
 
 def columns_of(vectors, n):
@@ -187,17 +186,19 @@ def test_faddeev_leverrier_gives_determinant_and_adjugate(a, x):
 
 
 def test_solver_over_rational_function_field():
-    d = RatFunc.var()
-    a = FMatrix([[d, RatFunc.one()], [RatFunc.zero(), d]])
-    b = FMatrix([[RatFunc.one()], [d]])
+    d = FieldRatFunc.var()
+    one, zero = FieldRatFunc(1), FieldRatFunc(0)
+    a = FMatrix([[d + 1, one], [zero, d]])
+    b = FMatrix([[one], [d - 2]])
     res = solve_linear(a, b)
     assert res.kind is SolveKind.UNIQUE
     assert a * res.particular == b
-    singular = FMatrix([[d, d], [d, d]])
+    assert res.particular[1, 0] == (d - 2) / d
+    singular = FMatrix([[d, d + 1], [d, d + 1]])
     res2 = solve_linear(singular, FMatrix([[d], [d]]))
     assert res2.kind is SolveKind.AFFINE
     assert singular * res2.particular == FMatrix([[d], [d]])
-    res3 = solve_linear(singular, FMatrix([[d], [RatFunc.zero()]]))
+    res3 = solve_linear(singular, FMatrix([[d], [zero]]))
     assert res3.kind is SolveKind.INCONSISTENT
 
 
