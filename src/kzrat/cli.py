@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .frobenius import (
-    POLICY_AUTO,
-    ResonanceObstruction,
-    SeriesSolution,
-    compute_series,
-    indicial_data,
-)
+from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
 from .golden import compare_series, compare_series_dual
 from .kzmodel import (
     CONVENTIONS,
@@ -145,14 +139,17 @@ def _point_value(text: str):
     return parse_scalar(text)
 
 
-def parse_config(text: str) -> SystemConfig:
-    """Validate a JSON config; diagnostics name the offending field."""
+def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
+    """Validate a JSON config, once, with `overrides` (the command-line
+    flags) replacing its keys first: an overridden value is never read.
+    Diagnostics name the offending field."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("the config must be a JSON object")
+    doc.update(overrides or {})
     unknown = set(doc) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -455,7 +452,7 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         print("no integer eigenvalue: the Laurent ansatz has no integer leading exponent", file=out)
         return EXIT_MISMATCH, report
     try:
-        series = compute_series(exp, cfg.coupling, cfg.order, min(ind.resonant_levels), POLICY_AUTO)
+        series = compute_series(exp, cfg.coupling, cfg.order, min(ind.resonant_levels))
     except ResonanceObstruction as exc:
         certificate = _vector_json(exc.certificate)
         print(f"resonance obstruction at level {exc.level}", file=out)
@@ -492,11 +489,11 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
     try:
         exponents = cfg.denominator_exponents
         if exponents is None:
-            exponents = denominator_exponents(system, cfg.coupling)
+            exponents = denominator_exponents(system)
         den_degree = sum(exponents)
         degree = cfg.numerator_degree
         if degree is None:
-            degree = den_degree + numerator_growth(system, cfg.coupling)
+            degree = den_degree + numerator_growth(system)
         check_series_length(series, degree, den_degree)
         w = reconstruct(series, denominator_from_exponents(system.points, exponents), degree)
     except NoPolynomialDenominator as exc:
@@ -549,12 +546,7 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    cfg = parse_config(text)
-    if not overrides:
-        return cfg
-    doc = cfg.echo()
-    doc.update(overrides)
-    return parse_config(json.dumps(doc))
+    return parse_config(text, overrides)
 
 
 def main(argv=None) -> int:

@@ -228,10 +228,10 @@ def compute_series(
     coupling: Fraction,
     order: int,
     leading_exponent: int | None = None,
-    policy: str = POLICY_AUTO,
 ) -> SeriesSolution:
     """Solve the recursion for b_leading .. b_{leading+order}.
 
+    The seed b_leading is leading_coefficient's under the auto policy.
     Nonresonant steps have a unique solution.  A consistent resonant step
     takes the particular solution with all free kernel components set to
     zero and records the kernel; an inconsistent one raises
@@ -259,7 +259,7 @@ def compute_series(
     # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
     m_ints, m_den = cleared_matrix(exp.residue * coupling)
     chi, adj = faddeev_leverrier(m_ints)
-    coeffs = [_seed(exp, coupling, leading_exponent, policy)]
+    coeffs = [_seed(exp, coupling, leading_exponent, POLICY_AUTO)]
     b, b_den = cleared_matrix(coeffs[0])
     # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q);
     # every matrix is held as (ints, den) with den > 0.

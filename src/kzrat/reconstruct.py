@@ -2,9 +2,9 @@
 ODE verification.
 
 Reconstruction is linear matching on the coefficient lattice: all entries
-share one prescribed scalar denominator, so the numerator polynomials drop
-out of an exact product and are then over-checked against every available
-series coefficient.
+share one prescribed scalar denominator D, so each numerator is the
+product D W cut to the allowed degrees, and the excess coefficients of the
+same product, those cut off, over-check it against every series level.
 
 Normalisation and the ODE check work on the factored denominator, with the
 numerator entries cleared to integer vectors over one common denominator.
@@ -215,15 +215,14 @@ def _derivative(f: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(f)][1:]
 
 
-def denominator_exponents(sys: KZSystem, coupling=None) -> tuple[int, ...]:
+def denominator_exponents(sys: KZSystem) -> tuple[int, ...]:
     """m_i = max(0, -rho_i) per singular point, with rho_i the minimal
     integer eigenvalue of coupling * residue_i."""
     if sys.is_symbolic:
         raise ValueError("a denominator proposal needs a numeric-mode system")
-    kappa = Fraction(coupling) if coupling is not None else sys.coupling
     exponents = []
     for point, residue in zip(sys.points, sys.residues):
-        roots, _ = rational_roots(charpoly(residue * kappa))
+        roots, _ = rational_roots(charpoly(residue * sys.coupling))
         integer_eigs = [r for r, _ in roots if r.denominator == 1]
         if not integer_eigs:
             raise NoPolynomialDenominator(
@@ -243,12 +242,12 @@ def denominator_from_exponents(points, exponents) -> Poly:
     return den
 
 
-def propose_denominator(sys: KZSystem, coupling=None) -> Poly:
+def propose_denominator(sys: KZSystem) -> Poly:
     """prod (z - z_i)^{m_i} with the exponents of denominator_exponents."""
-    return denominator_from_exponents(sys.points, denominator_exponents(sys, coupling))
+    return denominator_from_exponents(sys.points, denominator_exponents(sys))
 
 
-def numerator_growth(sys: KZSystem, coupling=None) -> int:
+def numerator_growth(sys: KZSystem) -> int:
     """The largest nonnegative integer eigenvalue of coupling * (sum of
     residues).
 
@@ -256,18 +255,17 @@ def numerator_growth(sys: KZSystem, coupling=None) -> int:
     that matrix, so the numerator may exceed the denominator degree by
     this much.
     """
-    kappa = Fraction(coupling) if coupling is not None else sys.coupling
     total = sys.residues[0]
     for r in sys.residues[1:]:
         total = total + r
-    roots, _ = rational_roots(charpoly(total * kappa))
+    roots, _ = rational_roots(charpoly(total * sys.coupling))
     return max((int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0)
 
 
-def suggest_numerator_degree(sys: KZSystem, denominator: Poly, coupling=None) -> int:
+def suggest_numerator_degree(sys: KZSystem, denominator: Poly) -> int:
     """Degree bound implied by the growth allowance at infinity: the
     denominator degree plus numerator_growth."""
-    return denominator.degree + numerator_growth(sys, coupling)
+    return denominator.degree + numerator_growth(sys)
 
 
 def check_series_length(series: SeriesSolution, max_num_degree: int, den_degree: int) -> None:
@@ -284,6 +282,12 @@ def reconstruct(
     series: SeriesSolution, denominator: Poly, max_num_degree: int
 ) -> RationalMatrixFunction:
     """Solve for numerator polynomials matching every series coefficient.
+
+    Each numerator N is D W cut to degrees 0 .. max_num_degree in
+    u = z - center, W the series at levels rho .. rho+have-1.  As
+    N/D - W = (N - D W)/D and D = u^v g with g(0) != 0, N/D first departs
+    from W at level t - v, t the lowest degree of a nonzero excess
+    coefficient of D W (one cut off), if t - v <= rho + have - 1.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -304,25 +308,22 @@ def reconstruct(
     n_rows = series.coeffs[0].rows
     n_cols = series.coeffs[0].cols
 
+    v = den_u.valuation()
     num_entries_u: list[list[Poly]] = []
-    first_bad: int | None = None
+    bad_levels = []
     for i in range(n_rows):
         row = []
         for j in range(n_cols):
-            w_poly = Poly([series.coeffs[k][i, j] for k in range(have)])
-            q = den_u * w_poly
-            candidate = Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)])
-            back = _series_of_ratio(candidate, den_u, rho, have)
-            for k, (got, want) in enumerate(zip(back, w_poly.coeffs + (Fraction(0),) * have)):
-                if got != want:
-                    level = rho + k
-                    if first_bad is None or level < first_bad:
-                        first_bad = level
+            # q.coeff(s) is the coefficient of u^(s + rho) in D W
+            q = den_u * Poly([series.coeffs[k][i, j] for k in range(have)])
+            row.append(Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)]))
+            for s, x in enumerate(q.coeffs[: v + have]):
+                if x and not 0 <= s + rho <= max_num_degree:
+                    bad_levels.append(s + rho - v)
                     break
-            row.append(candidate)
         num_entries_u.append(row)
-    if first_bad is not None:
-        raise NotRepresentable(first_bad)
+    if bad_levels:
+        raise NotRepresentable(min(bad_levels))
 
     num_z = FMatrix(
         [[p.shifted(-center) for p in row] for row in num_entries_u]

@@ -31,6 +31,12 @@ from kzrat import (
     transposition_matrix,
 )
 from kzrat.frobenius import _seed
+from kzrat.reconstruct import (
+    NotRepresentable,
+    _series_of_ratio,
+    check_series_length,
+    rational_matrix,
+)
 
 P1 = transposition_matrix(3, 1, 2)
 P2 = transposition_matrix(3, 1, 3)
@@ -405,6 +411,45 @@ def euclid_rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMat
         num = num.map(lambda p: p / lead)
         den = den / lead
     return RationalMatrixFunction(numerator=num, denominator=den)
+
+
+def division_reconstruct(
+    series: SeriesSolution, denominator: Poly, max_num_degree: int
+) -> RationalMatrixFunction:
+    """Oracle for reconstruct: each candidate numerator N, read off D W,
+    is expanded back as the power series N/D (_series_of_ratio) and
+    compared with W level by level; the lowest level that differs in any
+    entry is the NotRepresentable level."""
+    if series.symbolic:
+        raise ValueError("reconstruction needs a numeric-mode series")
+    if max_num_degree < 0:
+        raise ValueError("max_num_degree must be >= 0")
+    if denominator.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    check_series_length(series, max_num_degree, denominator.degree)
+    have = series.order + 1
+    center = Fraction(series.center_point)
+    rho = series.leading_exponent
+    den_u = denominator.shifted(center)
+    rows = []
+    first_bad = None
+    for i in range(series.coeffs[0].rows):
+        row = []
+        for j in range(series.coeffs[0].cols):
+            w_poly = Poly([series.coeffs[k][i, j] for k in range(have)])
+            q = den_u * w_poly
+            candidate = Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)])
+            back = _series_of_ratio(candidate, den_u, rho, have)
+            for k, (got, want) in enumerate(zip(back, w_poly.coeffs + (Fraction(0),) * have)):
+                if got != want:
+                    if first_bad is None or rho + k < first_bad:
+                        first_bad = rho + k
+                    break
+            row.append(candidate.shifted(-center))
+        rows.append(row)
+    if first_bad is not None:
+        raise NotRepresentable(first_bad)
+    return rational_matrix(FMatrix(rows), denominator)
 
 
 def fraction_det_is_zero(m: FMatrix) -> bool:

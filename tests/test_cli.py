@@ -397,6 +397,34 @@ def test_cli_overrides(tmp_path, capsys):
     assert "(derived-taylor)" in out
 
 
+@pytest.mark.parametrize(
+    "field, bad, flag, value",
+    [
+        ("order", -1, "--order", "3"),
+        ("order", True, "--order", "3"),
+        ("center", 9, "--center", "2"),
+        ("convention", "taylor", "--convention", "literal-paper"),
+    ],
+)
+def test_flag_replaces_an_invalid_config_value_unread(tmp_path, capsys, field, bad, flag, value):
+    # The flags replace config keys before validation: the file's value is
+    # never read, so only the run without the flag is a config error.
+    path = write_config(tmp_path, dict(S3_SYMBOLIC, **{field: bad}))
+    assert main(["series", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    report = tmp_path / "report.json"
+    assert main(["series", "--config", path, flag, value, "--json", str(report)]) == 0
+    echoed = json.loads(report.read_text())["config"][field]
+    assert str(echoed) == value
+
+
+def test_overrides_give_the_config_of_the_merged_document(tmp_path):
+    overrides = {"order": 7, "center": 2, "convention": "derived-taylor"}
+    path = write_config(tmp_path, S3_NUMERIC)
+    assert cli.load_config(path, overrides) == parse_config(json.dumps(dict(S3_NUMERIC, **overrides)))
+    assert cli.load_config(path, {}) == parse_config(json.dumps(S3_NUMERIC))
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["series", "--config", str(tmp_path / "absent.json")])
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ keeps its code, its report and its text.
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,5 +405,17 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_pinned_digest(tmp_path, capsys, name):
+    argv, cfg = CASES[name]
+    assert run_case(tmp_path, capsys, argv, cfg) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (argv, _) in CASES.items() if argv[0] == "verify"))
+def test_verify_holds_its_pins_without_series_division(tmp_path, capsys, monkeypatch, name):
+    # reconstruct over-checks each numerator on the product D W it already
+    # forms; expanding N/D back into a series is never needed.
+    def refuse(*args):
+        raise AssertionError("reconstruct expanded N/D as a series")
+
+    monkeypatch.setattr(sys.modules["kzrat.reconstruct"], "_series_of_ratio", refuse)
     argv, cfg = CASES[name]
     assert run_case(tmp_path, capsys, argv, cfg) == PINNED[name]

@@ -1,10 +1,11 @@
+import dataclasses
 import functools
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
@@ -42,6 +43,7 @@ from support import (
     P2,
     coefficients,
     couplings,
+    division_reconstruct,
     euclid_rational_matrix,
     fmatrix_verify_ode,
     fraction_det_is_zero,
@@ -98,6 +100,27 @@ def test_reconstruct_paper_preset_needs_degree_eight():
     w = reconstruct(series, den, max_num_degree=8)
     assert max(p.degree for row in w.numerator.entries for p in row) == 8
     assert verify_ode(w, sys_).satisfied
+
+
+def _with_entry_changed(series, k, i, j, delta):
+    """The series with delta added to entry (i, j) of its k-th coefficient."""
+    rows = [list(row) for row in series.coeffs[k].entries]
+    rows[i][j] += delta
+    coeffs = series.coeffs[:k] + (FMatrix(rows),) + series.coeffs[k + 1 :]
+    return dataclasses.replace(series, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("level", [7, 10, 12])
+def test_reconstruct_flags_a_change_at_an_over_checked_level(level):
+    # Order 14 holds levels -2 .. 12.  Adding u^level to an entry adds
+    # u^(level + 2) (u - 1)^2 to D W, beyond the numerator degree 8 from
+    # level 7 on, so the change shows first at its own level; the top
+    # level is over-checked too.
+    sys_, series = paper_numeric_series(14)
+    changed = _with_entry_changed(series, level - series.leading_exponent, 2, 0, 1)
+    with pytest.raises(NotRepresentable) as ei:
+        reconstruct(changed, propose_denominator(sys_), max_num_degree=8)
+    assert ei.value.first_unmatched_level == level
 
 
 def test_reconstruct_insufficient_series():
@@ -438,3 +461,60 @@ def test_verify_path_runs_no_matrix_products_and_one_gcd(monkeypatch):
     assert calls["reconstruct"] == 0
     assert calls["rational_roots"] <= 1
     assert calls["mul"] == 0
+
+
+small_points = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+gaps = st.builds(Fraction, st.integers(1, 20), st.integers(1, 9))
+
+
+@st.composite
+def perturbed_reconstructions(draw):
+    """(series, denominator, degree): kz-s3 (coupling 2) or the three-point
+    transposition system (coupling 6) at random distinct points, a random
+    center and order, the system's denominator exponents each offset by
+    -1 .. +1, a numerator degree 0 .. 14, and, in half the draws, one
+    entry of one level changed, often the top level, the last one
+    over-checked."""
+    count = draw(st.sampled_from((2, 3)))
+    pts = [draw(small_points)]
+    for _ in range(count - 1):
+        pts.append(pts[-1] + draw(gaps))
+    pts = draw(st.permutations(pts))
+    if count == 2:
+        sys_ = build_kz_s3(pts[0], pts[1], TWO)
+    else:
+        sys_ = kz_system(pts, [P1, P2, transposition_matrix(3, 2, 3)], Fraction(6))
+    exponents = [max(0, e + draw(st.integers(-1, 1))) for e in denominator_exponents(sys_)]
+    den = denominator_from_exponents(sys_.points, exponents)
+    degree = draw(st.integers(0, 14))
+    order = degree + den.degree + draw(st.integers(0, 12))
+    exp = local_expansion(sys_, draw(st.integers(1, count)), DERIVED_TAYLOR, order)
+    series = compute_series(exp, sys_.coupling, order)
+    if draw(st.booleans()):
+        series = _with_entry_changed(
+            series,
+            draw(st.one_of(st.just(order), st.integers(0, order))),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2)),
+            draw(st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))),
+        )
+    return series, den, degree
+
+
+def _reconstruction_outcome(solve):
+    try:
+        w = solve()
+    except NotRepresentable as exc:
+        return ("not-representable", exc.first_unmatched_level)
+    except (ValueError, ZeroDivisionError) as exc:
+        return (type(exc),)
+    return ("ok", w.denominator, w.numerator)
+
+
+@given(perturbed_reconstructions())
+@settings(max_examples=150, deadline=None)
+def test_reconstruct_matches_division_oracle_on_perturbed_series(case):
+    series, den, degree = case
+    got = _reconstruction_outcome(lambda: reconstruct(series, den, degree))
+    event(str(got[0]))
+    assert got == _reconstruction_outcome(lambda: division_reconstruct(series, den, degree))
