@@ -145,7 +145,7 @@ def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
     Diagnostics name the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("the config must be a JSON object")
@@ -282,8 +282,6 @@ def _entry_json(e):
             "num": [format_scalar(c) for c in e.num.coeffs],
             "den": [format_scalar(c) for c in e.den.coeffs],
         }
-    if isinstance(e, Poly):
-        return {"poly": [format_scalar(c) for c in e.coeffs]}
     raise TypeError(f"unserializable entry {e!r}")
 
 
@@ -291,8 +289,6 @@ def parse_entry(obj):
     """Inverse of the report entry encoding (used for round-trip checks)."""
     if isinstance(obj, str):
         return parse_scalar(obj)
-    if isinstance(obj, dict) and "poly" in obj:
-        return Poly([parse_scalar(c) for c in obj["poly"]])
     if isinstance(obj, dict):
         num, den = (Poly([parse_scalar(c) for c in obj[k]]) for k in ("num", "den"))
         if any(p.valuation() != p.degree for p in (num, den)):
@@ -550,6 +546,10 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
 
 
 def main(argv=None) -> int:
+    # An exact report entry may run past CPython's int -> str cap of 4300
+    # digits; patch releases of 3.10 before 3.10.7 have no cap.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(
         prog="kzrat",
         description="Exact Frobenius series and rational solutions for "

@@ -24,17 +24,25 @@ division by chi(level).  A level is resonant exactly when chi(level) == 0;
 only there does solve_linear classify the step and give the kernel or the
 certificate.
 
+The seed b_rho at the leading exponent rho is the paper's projector
+I - a_{-1} where that is a kernel of the leading step (a_{-1} an involution
+other than I, rho = -coupling), and the canonical kernel columns of the
+step everywhere else.  The series order is not bounded by the expansion
+order: a_r is derived on demand from the poles.
+
 In two-point symbolic mode every quantity is a monomial in d: the engine
 solves at d = 1 (u = +-1) for B_p, and the series it returns is graded,
-b_p = B_p * d^(-(p - rho)) with rho the leading exponent; verify_recursion
-and the golden tables check those graded values.
+b_p = B_p * d^(-(p - rho)); verify_recursion and the golden tables check
+those graded values.  A resonant step is classified once, over graded
+values: the step matrix has d-degree 0 and the right side a single
+degree, so elimination picks the same pivots as at d = 1, and the
+particular solution read back at d = 1 is the engine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .kzmodel import LocalExpansion
 from .matrix import (
@@ -50,11 +58,7 @@ from .matrix import (
     solve_linear,
 )
 from .poly import Poly, rational_roots
-
-POLICY_PROJECTOR = "paper-projector"
-POLICY_KERNEL = "kernel-columns"
-POLICY_AUTO = "auto"
-LEADING_POLICIES = (POLICY_PROJECTOR, POLICY_KERNEL, POLICY_AUTO)
+from .ratfunc import RatFunc
 
 
 class ResonanceObstruction(Exception):
@@ -143,44 +147,23 @@ def _step_matrix(exp: LocalExpansion, coupling: Fraction, level: int) -> FMatrix
     )
 
 
-def leading_coefficient(
-    exp: LocalExpansion,
-    coupling: Fraction,
-    exponent: int,
-    policy: str = POLICY_AUTO,
-) -> FMatrix:
+def leading_coefficient(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
     """A nonzero seed b with (exponent * I - coupling * a_{-1}) b = 0.
 
-    paper-projector seeds with I - a_{-1}, valid when a_{-1} is an
-    involution and the exponent equals -coupling.  kernel-columns packs the
-    canonical kernel basis of the step matrix into leading columns, padded
-    with zero columns.
+    The paper's projector I - a_{-1} when a_{-1} is an involution other
+    than the identity and the exponent equals -coupling; otherwise the
+    canonical kernel basis of the step matrix packed into leading columns,
+    padded with zero columns.  Raises ValueError when the kernel is trivial.
     """
-    return exp.grade(_seed(exp, coupling, exponent, policy), 0)
+    return exp.grade(_seed(exp, coupling, exponent), 0)
 
 
-def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int, policy: str) -> FMatrix:
+def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
     """leading_coefficient over Fraction, before grading."""
-    if policy not in LEADING_POLICIES:
-        raise ValueError(f"unknown leading-coefficient policy {policy!r}")
     n = exp.n
     ident = FMatrix.identity(n)
     a0 = exp.residue
-
-    projector_ok = (
-        a0 * a0 == ident
-        and Fraction(exponent) == -Fraction(coupling)
-        and a0 != ident
-    )
-    if policy == POLICY_PROJECTOR and not projector_ok:
-        raise ValueError(
-            "paper-projector policy needs an involutive a_{-1} (not the identity) "
-            "and exponent == -coupling"
-        )
-    if policy == POLICY_AUTO:
-        policy = POLICY_PROJECTOR if projector_ok else POLICY_KERNEL
-
-    if policy == POLICY_PROJECTOR:
+    if a0 * a0 == ident and a0 != ident and Fraction(exponent) == -Fraction(coupling):
         return ident - a0
 
     step = ident * Fraction(exponent) - a0 * Fraction(coupling)
@@ -200,10 +183,6 @@ def convolution_rhs(exp: LocalExpansion, coeffs: dict[int, FMatrix], level: int)
 
 def _regular_table(exp: LocalExpansion, count: int) -> list[FMatrix]:
     """a_0 .. a_(count - 1), each derived once."""
-    if count - 1 > exp.order:
-        raise ValueError(
-            f"the local expansion holds a_0..a_{exp.order} but a_{count - 1} is needed"
-        )
     return [exp.regular(j) for j in range(count)]
 
 
@@ -223,6 +202,11 @@ def _scaled(ints: list[list[int]], den: int, c: Fraction) -> tuple[list[list[int
     return reduced([[e * p for e in row] for row in ints], den * c.denominator)
 
 
+def _at_unit(e) -> Fraction:
+    """A graded entry read back at d = 1; a Fraction passes through."""
+    return e.coeff if isinstance(e, RatFunc) else e
+
+
 def compute_series(
     exp: LocalExpansion,
     coupling: Fraction,
@@ -231,11 +215,11 @@ def compute_series(
 ) -> SeriesSolution:
     """Solve the recursion for b_leading .. b_{leading+order}.
 
-    The seed b_leading is leading_coefficient's under the auto policy.
-    Nonresonant steps have a unique solution.  A consistent resonant step
-    takes the particular solution with all free kernel components set to
-    zero and records the kernel; an inconsistent one raises
-    ResonanceObstruction with its certificate.
+    The seed b_leading is leading_coefficient's.  Nonresonant steps have
+    a unique solution.  A consistent resonant step takes the particular
+    solution with all free kernel components set to zero and records the
+    kernel; an inconsistent one raises ResonanceObstruction with its
+    certificate.  The order may exceed the expansion's own.
     """
     if order < 0:
         raise ValueError("series order must be >= 0")
@@ -248,18 +232,13 @@ def compute_series(
                 "integer leading exponent to seed the Laurent series"
             )
         leading_exponent = min(ind.resonant_levels)
-    if order > 0 and exp.order < order - 1:
-        raise ValueError(
-            f"series order {order} needs expansion coefficients a_0..a_{order - 1}, "
-            f"but the local expansion stops at a_{exp.order}"
-        )
 
     n = exp.n
     # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
     # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
     m_ints, m_den = cleared_matrix(exp.residue * coupling)
     chi, adj = faddeev_leverrier(m_ints)
-    coeffs = [_seed(exp, coupling, leading_exponent, POLICY_AUTO)]
+    coeffs = [_seed(exp, coupling, leading_exponent)]
     b, b_den = cleared_matrix(coeffs[0])
     # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q);
     # every matrix is held as (ints, den) with den > 0.
@@ -287,20 +266,18 @@ def compute_series(
             b, b_den = reduced(int_product(resolvent, rhs), rhs_den * abs(det_x))
             coeffs.append(FMatrix.from_cleared(b, b_den))
             continue
-        # chi(level) == 0: a resonant step, classified by elimination.
-        a = _step_matrix(exp, coupling, level)
-        rhs = FMatrix.from_cleared(rhs, rhs_den)
-        res = solve_linear(a, rhs)
-        # A symbolic kernel or certificate keeps the entry types that
-        # elimination over graded values gives it (entries the elimination
-        # never touches stay Fraction), so classify the graded step again.
-        rhs = exp.grade(rhs, -step)
-        graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
+        # chi(level) == 0: a resonant step, classified once by elimination
+        # over graded values.  The step matrix has d-degree 0 and the right
+        # side -step, so the pivots are those at d = 1: the kernel and the
+        # certificate keep the entry types that reports encode, and the
+        # particular solution read back at d = 1 is the engine's.
+        rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den), -step)
+        res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), rhs)
         if res.kind is SolveKind.INCONSISTENT:
-            raise ResonanceObstruction(level, graded.certificate, rhs)
-        records.append(ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis))
-        coeffs.append(res.particular)
-        b, b_den = cleared_matrix(res.particular)
+            raise ResonanceObstruction(level, res.certificate, rhs)
+        records.append(ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis))
+        coeffs.append(res.particular.map(_at_unit))
+        b, b_den = cleared_matrix(coeffs[-1])
 
     return SeriesSolution(
         leading_exponent=leading_exponent,

@@ -55,15 +55,13 @@ def _level2_normalized_rhs(series: SeriesSolution, exp: LocalExpansion) -> FMatr
     return convolution_rhs(exp, table, 2)
 
 
-def _require_comparable(series: SeriesSolution, exp: LocalExpansion) -> str | None:
+def _require_comparable(series: SeriesSolution) -> str | None:
     if not series.symbolic:
         return "golden comparison needs symbolic mode"
     if series.leading_exponent != -2:
         return f"golden comparison needs leading exponent -2, got {series.leading_exponent}"
     if series.order < 3:
         return "golden comparison needs series levels -2..1 (order >= 3)"
-    if exp.order < 3:
-        return "golden comparison needs expansion coefficients a_0..a_3 (order >= 3)"
     return None
 
 
@@ -79,7 +77,7 @@ def compare_series_dual(series: SeriesSolution, exp: LocalExpansion) -> GoldenOu
 
 
 def _compare(series: SeriesSolution, exp: LocalExpansion, dual: bool) -> GoldenOutcome:
-    problem = _require_comparable(series, exp)
+    problem = _require_comparable(series)
     if problem is None and series.convention != (DERIVED_TAYLOR if dual else LITERAL_PAPER):
         problem = (
             f"dual golden comparison needs the derived-taylor convention, "

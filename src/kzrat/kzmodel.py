@@ -109,6 +109,8 @@ class LocalExpansion:
     are Fraction data; numerically u_i = 1/(z_i - z_c).  In symbolic mode
     they are taken at d = 1, u = +-1, and the public coefficients are
     graded: a_r is a matrix of monomials in d, all of d-degree -(r + 1).
+    ``regular(r)`` derives a_r for any r >= 0; ``order`` only sets how many
+    of them (a_0 .. a_order) the expansion report lists.
     """
 
     center_index: int
@@ -133,8 +135,8 @@ class LocalExpansion:
         return self.grade(self.residue, 0)
 
     def regular(self, r: int) -> FMatrix:
-        if not 0 <= r <= self.order:
-            raise IndexError(f"the local expansion holds a_0..a_{self.order}, not a_{r}")
+        if r < 0:
+            raise IndexError(f"regular coefficients start at a_0, not a_{r}")
         terms = [res * -(u ** (r + 1)) for u, res in self.poles]
         a_r = sum(terms[1:], terms[0]) if terms else FMatrix.zeros(self.n, self.n)
         return self.grade(a_r, -(r + 1))
@@ -146,7 +148,8 @@ def local_expansion(
     convention: str = DERIVED_TAYLOR,
     order: int = 0,
 ) -> LocalExpansion:
-    """Expansion data for a_{-1}, a_0 .. a_order at the chosen point.
+    """Expansion data for a_{-1} and every a_r at the chosen point; ``order``
+    is how many regular coefficients, a_0 .. a_order, the report lists.
 
     derived-taylor gives the true geometric-series expansion
     a_r = -sum_{i != c} residues[i] / (points[i] - points[c])^(r+1).

@@ -114,6 +114,7 @@ class RationalMatrixFunction:
         return self.numerator.rows
 
     def evaluate(self, z) -> FMatrix:
+        """Exact evaluation; raises PoleError at a denominator root."""
         zv = Fraction(z)
         d = self.denominator(zv)
         if d == 0:
@@ -437,8 +438,3 @@ def _det_is_zero(m: list[list[list[int]]]) -> bool:
                 )
         prev = p
     return False
-
-
-def evaluate(w: RationalMatrixFunction, z) -> FMatrix:
-    """Exact evaluation; raises PoleError at a denominator root."""
-    return w.evaluate(z)

@@ -13,7 +13,6 @@ from math import gcd, isqrt, lcm
 from hypothesis import strategies as st
 
 from kzrat import (
-    POLICY_AUTO,
     FMatrix,
     OdeVerdict,
     Poly,
@@ -143,7 +142,7 @@ def fraction_compute_series(exp, coupling, order: int) -> SeriesSolution:
     leading_exponent = min(int(r) for r, _ in roots if r.denominator == 1)
     n = exp.n
     zero = FMatrix.zeros(n, n)
-    coeffs = [_seed(exp, coupling, leading_exponent, POLICY_AUTO)]
+    coeffs = [_seed(exp, coupling, leading_exponent)]
     weights = [res * -coupling for _, res in exp.poles]
     sums = [zero] * len(exp.poles)
     records = []

@@ -368,6 +368,20 @@ def test_parse_entry_rejects_a_non_monomial(obj):
         parse_entry(obj)
 
 
+def test_series_reports_entries_past_the_int_str_digit_cap(tmp_path):
+    # with the far pole at 10^18, b_p grows like 10^(18 p): at order 300
+    # entries run past CPython's default int -> str cap of 4300 digits
+    doc = dict(S3_NUMERIC, points=["0", "1000000000000000000"], order=300)
+    report_path = tmp_path / "series.json"
+    with redirect_stdout(io.StringIO()):
+        rc = main(["series", "--config", write_config(tmp_path, doc), "--json", str(report_path)])
+    assert rc == 0
+    coefficients = json.loads(report_path.read_text())["series"]["coefficients"]
+    longest = max((e for c in coefficients for row in c["matrix"] for e in row), key=len)
+    assert len(longest) > 4300
+    assert cli._entry_json(parse_entry(longest)) == longest
+
+
 def test_golden_series_calls_poly_gcd_once_from_indicial_data(tmp_path, monkeypatch):
     # Graded values need no gcd: the only one left is the square-free part
     # of the characteristic polynomial in rational_roots.
@@ -553,6 +567,7 @@ _json_documents = st.recursive(
     argv=["verify"],
 )
 @example(doc=NOT_UTF8, argv=["series"])
+@example(doc=b"[" * 100_000, argv=["series"])
 @settings(max_examples=200, deadline=None)
 def test_main_exits_zero_to_three_on_any_json(doc, argv):
     """`doc` is a JSON document, or raw bytes written as the config file."""

@@ -9,8 +9,6 @@ from kzrat import (
     CONVENTIONS,
     DERIVED_TAYLOR,
     LITERAL_PAPER,
-    POLICY_KERNEL,
-    POLICY_PROJECTOR,
     SYMBOLIC,
     FMatrix,
     Poly,
@@ -78,15 +76,18 @@ def test_indicial_irrational_spectrum():
 
 def test_leading_coefficient_policies():
     exp = symbolic_expansion(LITERAL_PAPER, 1)
-    proj = leading_coefficient(exp, TWO, -2, POLICY_PROJECTOR)
+    # the paper's projector where the exponent is -coupling
+    proj = leading_coefficient(exp, TWO, -2)
     assert proj == (I3 - P1) * RatFunc.one()
-    kern = leading_coefficient(exp, TWO, -2, POLICY_KERNEL)
-    expected = FMatrix([[1, 0, 0], [-1, 0, 0], [0, 0, 0]]) * RatFunc.one()
+    # kernel columns everywhere else: the +1 eigenspace of P1, zero-padded
+    kern = leading_coefficient(exp, TWO, 2)
+    expected = FMatrix([[1, 0, 0], [1, 0, 0], [0, 1, 0]]) * RatFunc.one()
     assert kern == expected
     with pytest.raises(ValueError):
         leading_coefficient(exp, TWO, 0)
+    # the identity is an involution, but I - I is no seed: -2 is no eigenvalue
     with pytest.raises(ValueError):
-        leading_coefficient(exp, TWO, 2, POLICY_PROJECTOR)
+        leading_coefficient(local_expansion(kz_system([0], [I3], TWO), 1), TWO, -2)
 
 
 def test_series_matches_reference_tables():
@@ -270,10 +271,14 @@ def test_series_at_second_center():
     assert verify_recursion(series, exp, TWO).all_ok
 
 
-def test_order_requires_enough_expansion_coefficients():
-    exp = symbolic_expansion(LITERAL_PAPER, 2)
-    with pytest.raises(ValueError):
-        compute_series(exp, TWO, order=5)
+def test_series_order_is_not_bounded_by_the_expansion_order():
+    short = symbolic_expansion(LITERAL_PAPER, 2)
+    # a_r is derived on demand; the expansion order only bounds what
+    # `expand` lists
+    series = compute_series(short, TWO, order=5)
+    full = symbolic_expansion(LITERAL_PAPER, 5)
+    assert outcome(lambda: series) == outcome(lambda: compute_series(full, TWO, order=5))
+    assert verify_recursion(series, short, TWO).all_ok
 
 
 def test_no_integer_exponent_rejected():
@@ -415,6 +420,34 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
     # elimination runs only where chi(level) = 0, at the resonant levels
     ind = indicial_data(exp, coupling)
     assert solve_levels == sorted(p for p in ind.resonant_levels if p > min(ind.resonant_levels))
+
+
+@pytest.mark.parametrize(
+    "points, other, convention, order",
+    [
+        ((SYMBOLIC, SYMBOLIC), P2, LITERAL_PAPER, 20),
+        ((SYMBOLIC, SYMBOLIC), OBSTRUCTED_RESIDUE2, LITERAL_PAPER, 8),
+        ((0, 1), P2, DERIVED_TAYLOR, 20),
+    ],
+    ids=("symbolic-golden", "symbolic-obstructed", "numeric-kz-s3"),
+)
+def test_one_solve_per_resonant_level(monkeypatch, points, other, convention, order):
+    exp = local_expansion(kz_system(points, [P1, other], TWO), 1, convention, order)
+    levels = []
+    original = frobenius.solve_linear
+
+    def recording_solve(a, b):
+        # a = level * I - coupling * a_{-1}, graded in symbolic mode
+        levels.append((a.trace() + TWO * exp.residue.trace()) / exp.n)
+        return original(a, b)
+
+    monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
+    try:
+        compute_series(exp, TWO, order)
+    except ResonanceObstruction as e:
+        assert e.level == 2
+    # the projector seed needs no solve; level 2 is the one resonant step
+    assert levels == [2]
 
 
 def test_verify_recursion_derives_each_regular_coefficient_once(monkeypatch):

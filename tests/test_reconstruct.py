@@ -19,7 +19,6 @@ from kzrat import (
     RationalMatrixFunction,
     build_kz_s3,
     compute_series,
-    evaluate,
     kz_system,
     local_expansion,
     numerator_growth,
@@ -215,10 +214,10 @@ def test_verify_ode_detects_mutation():
 def test_evaluate_examples():
     sys_, series = single_pole_pipeline()
     w = reconstruct(series, Z**2, max_num_degree=0)
-    assert evaluate(w, 1) == I3 - P1
-    assert evaluate(w, 2) == (I3 - P1) * Fraction(1, 4)
+    assert w.evaluate(1) == I3 - P1
+    assert w.evaluate(2) == (I3 - P1) * Fraction(1, 4)
     with pytest.raises(PoleError):
-        evaluate(w, 0)
+        w.evaluate(0)
 
 
 def test_rational_matrix_normalization():
