@@ -491,7 +491,12 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         if degree is None:
             degree = den_degree + numerator_growth(system)
         check_series_length(series, degree, den_degree)
-        w = reconstruct(series, denominator_from_exponents(system.points, exponents), degree)
+        w = reconstruct(
+            series,
+            denominator_from_exponents(system.points, exponents),
+            degree,
+            roots=zip(system.points, exponents),
+        )
     except NoPolynomialDenominator as exc:
         print(f"reconstruction impossible: {exc}", file=out)
         report["reconstruction"] = {"status": "no-polynomial-denominator", "detail": str(exc)}
@@ -546,8 +551,10 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
 
 
 def main(argv=None) -> int:
-    # An exact report entry may run past CPython's int -> str cap of 4300
-    # digits; patch releases of 3.10 before 3.10.7 have no cap.
+    # Exact values may run past CPython's int -> str cap of 4300 digits.
+    # format_scalar, and the printing and report encoding built on it,
+    # never hit the cap; this covers any other conversion.  Patch releases
+    # of 3.10 before 3.10.7 have no cap.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(

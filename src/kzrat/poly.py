@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Union
 
+from .scalars import format_scalar
+
 ScalarLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -74,6 +76,20 @@ def exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
     if any(rem[:dg]):
         return None
     return quo
+
+
+def taylor_shift(ints: list[int], r: int, s: int) -> list[int]:
+    """T with T(x) = s^n P(x + r/s) for the integer vector P of degree n
+    (s > 0): P(x + r/s) s^n = Q(s x + r) with Q(y) = s^n P(y/s), whose
+    coefficients p_k s^(n-k) are integers; the integer Taylor shift of Q
+    by r (Horner's rule, in place) gives U(y) = Q(y + r), and T_k = U_k s^k."""
+    n = len(ints) - 1
+    powers = [s**k for k in range(n + 1)]
+    a = [x * powers[n - k] for k, x in enumerate(ints)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += r * a[j + 1]
+    return [x * p for x, p in zip(a, powers)]
 
 
 class Poly:
@@ -268,27 +284,15 @@ class Poly:
         return self / self.leading
 
     def shifted(self, c: ScalarLike) -> Poly:
-        """Return p(x + c) as a polynomial in x.
-
-        With c = r/s and p = ints/den, P(y) = den s^n p(y/s) has integer
-        coefficients, and p(x + c) = P(s x + r) / (den s^n): an integer
-        Taylor shift of P by r (Horner's rule, in place), then the k-th
-        coefficient over den s^(n-k).
-        """
+        """Return p(x + c) as a polynomial in x: with p = ints / den and
+        c = r/s, p(x + c) = taylor_shift(ints, r, s)(x) / (den s^n)."""
         c = Fraction(c)
-        if not c:
+        if not c or not self.coeffs:
             return self
-        r, s = c.numerator, c.denominator
+        s = c.denominator
         ints, den = cleared(self.coeffs)
-        n = len(ints) - 1
-        powers = [1]
-        for _ in range(n):
-            powers.append(powers[-1] * s)
-        a = [x * powers[n - k] for k, x in enumerate(ints)]
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                a[j] += r * a[j + 1]
-        return Poly([Fraction(x, den * powers[n - k]) for k, x in enumerate(a)])
+        scale = den * s ** (len(ints) - 1)
+        return Poly([Fraction(x, scale) for x in taylor_shift(ints, c.numerator, s)])
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
@@ -299,10 +303,10 @@ class Poly:
             if not c:
                 continue
             if k == 0:
-                term = _frac_str(abs(c))
+                term = format_scalar(abs(c))
             else:
                 mag = abs(c)
-                head = "" if mag == 1 else _frac_str(mag) + "*"
+                head = "" if mag == 1 else format_scalar(mag) + "*"
                 term = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -312,10 +316,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -383,8 +383,8 @@ def _simple_roots(s: Poly) -> list[Fraction]:
     prime = 2
     while True:
         if all(prime % d for d in range(2, isqrt(prime) + 1)):
-            residues = [r for r in range(prime) if _eval_int(g, r, prime) == 0]
-            if all(_eval_int(dg, r, prime) for r in residues):
+            residues = [r for r in range(prime) if eval_int(g, r, prime) == 0]
+            if all(eval_int(dg, r, prime) for r in residues):
                 break
         prime += 1
 
@@ -393,15 +393,15 @@ def _simple_roots(s: Poly) -> list[Fraction]:
         modulus = prime
         while modulus <= bound:
             modulus *= modulus
-            step = _eval_int(g, r, modulus) * pow(_eval_int(dg, r, modulus), -1, modulus)
+            step = eval_int(g, r, modulus) * pow(eval_int(dg, r, modulus), -1, modulus)
             r = (r - step) % modulus
         y = r if 2 * r <= modulus else r - modulus
-        if _eval_int(g, y) == 0:
+        if eval_int(g, y) == 0:
             roots.append(Fraction(y, lead))
     return sorted(roots)
 
 
-def _eval_int(coeffs: list[int], x: int, modulus: int | None = None) -> int:
+def eval_int(coeffs: list[int], x: int, modulus: int | None = None) -> int:
     """Horner evaluation of an integer polynomial, reduced mod modulus if given."""
     acc = 0
     for c in reversed(coeffs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
+from .scalars import format_scalar
 
 
 def _graded(value) -> RatFunc | None:
@@ -128,9 +129,9 @@ class RatFunc:
 
     def to_str(self, var: str = "d") -> str:
         if not self.power:
-            return str(self.coeff)
+            return format_scalar(self.coeff)
         head = var if self.power == 1 else f"{var}^{self.power}"
-        return f"{self.coeff}*{head}"
+        return f"{format_scalar(self.coeff)}*{head}"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.to_str()})"

@@ -6,25 +6,44 @@ share one prescribed scalar denominator D, so each numerator is the
 product D W cut to the allowed degrees, and the excess coefficients of the
 same product, those cut off, over-check it against every series level.
 
-Normalisation and the ODE check work on the factored denominator, with the
-numerator entries cleared to integer vectors over one common denominator.
-`rational_matrix` factors the denominator once (`rational_roots`) and
-cancels each rational root r = p/q as often as (q z - p) divides every
-entry, by exact integer division; only the root-free rest goes through
-`poly_gcd`.  `verify_ode` writes D = E prod (z - z_i)^(e_i) over the
-system's points and forms (dW/dz - coupling A W) D pi E from the
-log-derivative of D, with no D or D^2 products (see `verify_ode`).
+Everything after the series runs on integer vectors.  `reconstruct` clears
+each series entry once, convolves it with the cleared D(u), reads the
+numerator and the over-check from that integer product, shifts the
+numerators back to z by an integer Taylor shift, and normalizes the
+integer matrix directly; one Fraction is built per output coefficient.
+
+Normalisation works on the factored denominator.  Callers that know
+rational roots of D with their multiplicities (the CLI knows all of
+them: D = prod (z - z_i)^(m_i)) pass them; each is divided out of D
+exactly, and only what is left goes through `rational_roots`.  Each root
+r = p/q cancels as often as (q z - p) divides every entry, by exact
+integer division; only the root-free rest goes through `poly_gcd`.
+`verify_ode` writes D = E prod (z - z_i)^(e_i) over the system's points
+and forms (dW/dz - coupling A W) D pi E from the log-derivative of D,
+with no D or D^2 products (see `verify_ode`).  Its det(W) flag is decided
+by two integer certificates, with Bareiss elimination over Z[z] only
+when neither applies (see `_det_is_zero`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
 from .matrix import FMatrix, charpoly
-from .poly import Poly, cleared, exact_quotient, int_convolve, poly_gcd, rational_roots
+from .poly import (
+    Poly,
+    cleared,
+    eval_int,
+    exact_quotient,
+    int_convolve,
+    poly_gcd,
+    rational_roots,
+    taylor_shift,
+)
 
 
 class NotRepresentable(Exception):
@@ -141,42 +160,75 @@ class RationalMatrixFunction:
         return all(p.is_zero() for row in self.numerator.entries for p in row)
 
 
-def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
+def rational_matrix(
+    numerator: FMatrix, denominator: Poly, roots=()
+) -> RationalMatrixFunction:
     """Normalize: strip the common factor of all entries and the denominator,
     then make the denominator monic.
 
-    The denominator is factored once as c * prod (z - r)^m * E with E free
-    of rational roots.  Each root r = p/q cancels as often as (q z - p)
-    divides every entry, tested by exact division of the entries cleared to
-    integers (Gauss's lemma: over Z as over Q, since q z - p is
-    primitive); only E is matched against the entries by poly_gcd.
+    `roots` are known rational roots of the denominator, as (root,
+    multiplicity) pairs; they save factoring it and never change the
+    result (see `_normalized`).
     """
     if denominator.is_zero():
         raise ZeroDivisionError("rational matrix function with zero denominator")
-    if all(p.is_zero() for row in numerator.entries for p in row):
-        return RationalMatrixFunction(numerator=numerator, denominator=Poly.one())
-    roots, rest = rational_roots(denominator)
     num, num_den = _cleared_entries(numerator)
     den, den_den = cleared(denominator.coeffs)
-    for root, mult in roots:
+    return _normalized(num, num_den, den, den_den, roots)
+
+
+def _normalized(
+    num: list[list[list[int]]], num_den: int, den: list[int], den_den: int, roots
+) -> RationalMatrixFunction:
+    """(num / num_den) / (den / den_den), normalized, for integer vectors
+    without trailing zeros; one Fraction is built per output coefficient.
+
+    The denominator is factored as c * prod (q z - p)^m * E with E free of
+    rational roots.  Each hinted root is divided out of den first, by exact
+    integer division, and a hint that does not divide raises ValueError;
+    `rational_roots` factors only what is left.  Each root r = p/q then
+    cancels as often as (q z - p) divides every entry, tested by exact
+    division (Gauss's lemma: over Z as over Q, since q z - p is
+    primitive); only E is matched against the entries by poly_gcd.
+    """
+    mults: dict = {}
+    rest = den
+    for root, m in roots:
+        if m < 0:
+            raise ValueError(f"root {root}: negative multiplicity {m}")
         line = [-root.numerator, root.denominator]
-        for _ in range(mult):
-            quotients = [[exact_quotient(f, line) for f in row] for row in num]
-            if any(f is None for row in quotients for f in row):
+        for _ in range(m):
+            rest = exact_quotient(rest, line)
+            if rest is None:
+                raise ValueError(f"z = {root} is no root of multiplicity {m} of the denominator")
+        mults[root] = mults.get(root, 0) + m
+    if not any(f for row in num for f in row):
+        return RationalMatrixFunction(
+            numerator=FMatrix([[Poly() for _ in row] for row in num]), denominator=Poly.one()
+        )
+    rest_free = Poly()  # what rational_roots leaves; none when rest is constant
+    if len(rest) > 1:
+        found, rest_free = rational_roots(Poly(rest))
+        for root, m in found:
+            mults[root] = mults.get(root, 0) + m
+    for root, m in mults.items():
+        line = [-root.numerator, root.denominator]
+        for _ in range(m):
+            quotients = _divided(num, line)
+            if quotients is None:
                 break
             num = quotients
             den = exact_quotient(den, line)
-    if rest.degree >= 1:
-        g = rest
-        for entry in (p for row in numerator.entries for p in row):
-            g = poly_gcd(g, entry)
+    if rest_free.degree >= 1:
+        g = rest_free
+        for f in (f for row in num for f in row):
+            g = poly_gcd(g, Poly(f))
             if g.degree == 0:
                 break
         if g.degree >= 1:
             g_ints, _ = cleared(g.coeffs)  # primitive, as g is monic
-            num = [[exact_quotient(f, g_ints) for f in row] for row in num]
+            num = _divided(num, g_ints)
             den = exact_quotient(den, g_ints)
-    # numerator / denominator == (num / num_den) / (den / den_den)
     lead = den[-1]
     scale = num_den * lead
     return RationalMatrixFunction(
@@ -185,6 +237,21 @@ def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunc
         ),
         denominator=Poly([Fraction(x, lead) for x in den]),
     )
+
+
+def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] | None:
+    """Every entry of num divided exactly by g, or None as soon as one is
+    not divisible."""
+    out = []
+    for row in num:
+        out_row = []
+        for f in row:
+            quo = exact_quotient(f, g)
+            if quo is None:
+                return None
+            out_row.append(quo)
+        out.append(out_row)
+    return out
 
 
 def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
@@ -280,7 +347,7 @@ def check_series_length(series: SeriesSolution, max_num_degree: int, den_degree:
 
 
 def reconstruct(
-    series: SeriesSolution, denominator: Poly, max_num_degree: int
+    series: SeriesSolution, denominator: Poly, max_num_degree: int, roots=()
 ) -> RationalMatrixFunction:
     """Solve for numerator polynomials matching every series coefficient.
 
@@ -289,6 +356,11 @@ def reconstruct(
     N/D - W = (N - D W)/D and D = u^v g with g(0) != 0, N/D first departs
     from W at level t - v, t the lowest degree of a nonzero excess
     coefficient of D W (one cut off), if t - v <= rho + have - 1.
+
+    All of it runs on integer vectors: D(u) is the integer Taylor shift of
+    D, each entry of W is cleared once, and the numerators are shifted back
+    to z over one common denominator.  `roots` are known rational roots of
+    the denominator with their multiplicities, as for `rational_matrix`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -303,33 +375,52 @@ def reconstruct(
     check_series_length(series, max_num_degree, denominator.degree)
     have = series.order + 1
 
-    center = Fraction(series.center_point)
+    center = series.center_point
+    r, s = center.numerator, center.denominator
     rho = series.leading_exponent
-    den_u = denominator.shifted(center)
-    n_rows = series.coeffs[0].rows
-    n_cols = series.coeffs[0].cols
-
-    v = den_u.valuation()
-    num_entries_u: list[list[Poly]] = []
+    den, _ = cleared(denominator.coeffs)
+    # D = den / L of degree deg; in u = z - r/s, D(u) = g(u) / (L s^deg)
+    g = taylor_shift(den, r, s)
+    v = next(t for t, x in enumerate(g) if x)
+    levels = [m.entries for m in series.coeffs]
+    products = []
     bad_levels = []
-    for i in range(n_rows):
+    for i in range(len(levels[0])):
         row = []
-        for j in range(n_cols):
-            # q.coeff(s) is the coefficient of u^(s + rho) in D W
-            q = den_u * Poly([series.coeffs[k][i, j] for k in range(have)])
-            row.append(Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)]))
-            for s, x in enumerate(q.coeffs[: v + have]):
-                if x and not 0 <= s + rho <= max_num_degree:
-                    bad_levels.append(s + rho - v)
+        for j in range(len(levels[0][0])):
+            f, f_den = cleared([m[i][j] for m in levels])
+            # q[t] / (L s^deg f_den) is the coefficient of u^(t + rho) in D W
+            q = int_convolve(g, f)
+            row.append((q, f_den))
+            for t, x in enumerate(q[: v + have]):
+                if x and not 0 <= t + rho <= max_num_degree:
+                    bad_levels.append(t + rho - v)
                     break
-        num_entries_u.append(row)
+        products.append(row)
     if bad_levels:
         raise NotRepresentable(min(bad_levels))
 
-    num_z = FMatrix(
-        [[p.shifted(-center) for p in row] for row in num_entries_u]
-    )
-    return rational_matrix(num_z, denominator)
+    # With nu the cut of q over the common denominator of the entries,
+    # N(u) = nu(u) / (L s^deg common) and N(z) = N(u = z - r/s) is
+    # taylor_shift(nu, -r, s)(z) / (L s^(deg + max_num_degree) common),
+    # so N/D = taylor_shift(nu, -r, s) / (s^(deg + max_num_degree) common den).
+    common = lcm(*(f_den for row in products for _, f_den in row))
+    num = []
+    for row in products:
+        out_row = []
+        for q, f_den in row:
+            scale = common // f_den
+            nu = [
+                q[t - rho] * scale if 0 <= t - rho < len(q) else 0
+                for t in range(max_num_degree + 1)
+            ]
+            f = taylor_shift(nu, -r, s) if any(nu) else []
+            while f and not f[-1]:
+                f.pop()
+            out_row.append(f)
+        num.append(out_row)
+    num_den = common * s ** (len(den) - 1 + max_num_degree)
+    return _normalized(num, num_den, den, 1, roots)
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,7 +452,8 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     if sys.n != n:
         raise ValueError(f"dimension mismatch: W is {n}x{n}, the system {sys.n}x{sys.n}")
     num, num_den = _cleared_entries(w.numerator)
-    e_ints, _ = cleared(w.denominator.coeffs)
+    d_ints, d_den = cleared(w.denominator.coeffs)
+    e_ints = d_ints
     lines = [[-z.numerator, z.denominator] for z in sys.points]
     exponents = []
     for line in lines:
@@ -405,9 +497,12 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
                 acc = _sub(acc, int_convolve(s[r][k], num[k][c]))
             row.append(_sub(int_convolve(e_ints, acc), int_convolve(pi_de, num[r][c])))
         residual_ints.append(row)
-    residual = rational_matrix(
-        FMatrix([[Poly(f) for f in row] for row in residual_ints]),
-        w.denominator * Poly(pi) * Poly(e_ints) * num_den,
+    residual = _normalized(
+        residual_ints,
+        num_den,
+        int_convolve(int_convolve(d_ints, pi), e_ints),
+        d_den,
+        [(z, e + 1) for z, e in zip(sys.points, exponents)],
     )
     return OdeVerdict(
         satisfied=not any(f for row in residual_ints for f in row),
@@ -416,11 +511,53 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     )
 
 
+# The integer point at which _det_is_zero evaluates its first certificate.
+_PROBE = 2
+
+
 def _det_is_zero(m: list[list[list[int]]]) -> bool:
     """Whether det(m) of a square matrix of integer polynomial vectors
-    vanishes identically, by fraction-free (Bareiss) elimination: each step
-    divides exactly by the previous pivot, so entries stay in Z[z].  For
-    a Poly matrix cleared to m over L, det = det(m) / L^n."""
+    vanishes identically; for a Poly matrix cleared to m over L,
+    det = det(m) / L^n.
+
+    Two exact certificates decide it without polynomial elimination:
+    det m(t) != 0 at the integer t = _PROBE proves it is not identically
+    zero, and the coefficient matrices [m_0; m_1; ...] stacked having rank
+    < n proves it is: some constant c != 0 has m(z) c = 0.  Only when
+    neither applies, a kernel that is not constant or an integer root at
+    t, does Bareiss elimination over Z[z] run.
+    """
+    n = len(m)
+    if _spans(([eval_int(f, _PROBE) for f in row] for row in m), n):
+        return False
+    depth = max(len(f) for row in m for f in row)
+    stacked = ([f[k] if k < len(f) else 0 for f in row] for k in range(depth) for row in m)
+    if not _spans(stacked, n):
+        return True
+    return _bareiss_det_is_zero(m)
+
+
+def _spans(rows, n: int) -> bool:
+    """Whether the integer vectors of length n span Q^n: fraction-free
+    elimination against an echelon basis, made primitive row by row, that
+    stops at the n-th pivot."""
+    basis = []
+    for row in rows:
+        for col, b in basis:
+            if row[col]:
+                row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is not None:
+            content = gcd(*row)
+            basis.append((col, [x // content for x in row]))
+            if len(basis) == n:
+                return True
+    return False
+
+
+def _bareiss_det_is_zero(m: list[list[list[int]]]) -> bool:
+    """The same flag by fraction-free (Bareiss) elimination over Z[z]: each
+    step divides exactly by the previous pivot, so entries stay in Z[z]."""
     work = [list(row) for row in m]
     n = len(work)
     prev = [1]

@@ -24,11 +24,45 @@ def parse_scalar(text: str) -> Fraction:
         )
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r} (expected 'p' or 'p/q')")
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    return Fraction(_int_of(num), _int_of(den or "1"))
 
 
 def format_scalar(x: Fraction) -> str:
     """Canonical string form: ``p`` for integers, ``p/q`` otherwise."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # a part runs past CPython's int -> str digit cap
+        num = _decimal(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+
+
+# CPython (3.10.7 and later) caps int <-> decimal str conversion at 4300
+# digits by default, and exact values run past it.  Longer numbers are
+# split into pieces below the cap, so neither direction depends on
+# sys.set_int_max_str_digits.
+_PIECE = 4000
+
+
+def _int_of(digits: str) -> int:
+    """int(digits) for a signed decimal literal of any length."""
+    if len(digits) <= _PIECE:
+        return int(digits)
+    if digits[0] in "+-":
+        value = _int_of(digits[1:])
+        return -value if digits[0] == "-" else value
+    k = len(digits) // 2
+    return _int_of(digits[:-k]) * 10**k + _int_of(digits[-k:])
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n.bit_length() <= 3 * _PIECE:  # under _PIECE digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)

@@ -382,6 +382,27 @@ def test_series_reports_entries_past_the_int_str_digit_cap(tmp_path):
     assert cli._entry_json(parse_entry(longest)) == longest
 
 
+def test_library_round_trips_long_entries_in_a_fresh_process():
+    # main lifts the int <-> str digit cap, so only a process that never
+    # ran main shows whether the library reads, writes and prints them
+    script = (
+        "from fractions import Fraction\n"
+        "from kzrat import Poly, RatFunc\n"
+        "from kzrat.cli import _entry_json, parse_entry\n"
+        "graded = _entry_json(RatFunc(Fraction(-(10**5000 // 9), 7), -2))\n"
+        "for entry in ('1' * 5000, '-' + '7' * 9001 + '/' + '3' * 4301, graded):\n"
+        "    assert _entry_json(parse_entry(entry)) == entry, entry\n"
+        "big = '1' + '0' * 5000\n"
+        "assert Poly([10**5000]).to_str() == big\n"
+        "assert RatFunc(Fraction(10**5000), 1).to_str() == big + '*d'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_golden_series_calls_poly_gcd_once_from_indicial_data(tmp_path, monkeypatch):
     # Graded values need no gcd: the only one left is the square-free part
     # of the characteristic polynomial in rational_roots.

@@ -147,6 +147,8 @@ def homogeneous(draw, degree: int, depth: int):
     y, oy = draw(homogeneous(j, depth - 1))
     if not y:
         y, oy = RatFunc.monomial(j, 3), FieldRatFunc.monomial(j, 3)
+    if isinstance(x, int) and isinstance(y, int):  # int / int would be a float
+        x, ox = Fraction(x), Fraction(ox)
     return x / y, ox / oy
 
 

@@ -1,8 +1,12 @@
 import dataclasses
 import functools
+import io
+import json
 import sys
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -55,6 +59,7 @@ poly_module = sys.modules["kzrat.poly"]
 reconstruct_module = sys.modules["kzrat.reconstruct"]
 
 TWO = Fraction(2)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def paper_numeric_series(order):
@@ -379,13 +384,19 @@ small_polys = st.lists(small_coefficients, max_size=4).map(Poly)
 
 
 @st.composite
-def factored_denominators(draw, pts):
-    """c * prod (z - z_i)^(e_i) * (z + 7/2)^k * (z^2 - 2)^l, possibly constant."""
+def rooted_denominators(draw, pts):
+    """(D, roots): D = c * prod (z - z_i)^(e_i) * (z + 7/2)^k * (z^2 - 2)^l,
+    possibly constant, and roots its rational roots with multiplicities."""
     den = Poly((draw(nonzero),))
-    for p in pts:
-        den = den * (Z - p) ** draw(st.integers(0, 2))
-    den = den * EXTRA_ROOT ** draw(st.integers(0, 1))
-    return den * SQRT2_MINIMAL ** draw(st.integers(0, 1))
+    roots = [(p, draw(st.integers(0, 2))) for p in pts]
+    roots.append((Fraction(-7, 2), draw(st.integers(0, 1))))
+    for p, e in roots:
+        den = den * (Z - p) ** e
+    return den * SQRT2_MINIMAL ** draw(st.integers(0, 1)), roots
+
+
+def factored_denominators(pts):
+    return rooted_denominators(pts).map(lambda pair: pair[0])
 
 
 @given(data=st.data(), n=st.integers(1, 3), count=st.integers(1, 4))
@@ -424,6 +435,36 @@ def test_rational_matrix_matches_euclid_oracle(data, count):
     _assert_same_function(rational_matrix(numerator, den), euclid_rational_matrix(numerator, den))
 
 
+@given(data=st.data(), count=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_rational_matrix_root_hints_never_change_the_result(data, count):
+    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
+    den, roots = data.draw(rooted_denominators(pts))
+    shared = Poly.one()
+    for p in pts + [Fraction(-7, 2)]:
+        shared = shared * (Z - p) ** data.draw(st.integers(0, 2))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entries = [[shared * data.draw(small_polys) for _ in range(cols)] for _ in range(rows)]
+    numerator = FMatrix(entries)
+    partial = [(p, data.draw(st.integers(0, e))) for p, e in roots]
+    want = euclid_rational_matrix(numerator, den)
+    for hint in (roots, partial, ()):
+        _assert_same_function(rational_matrix(numerator, den, hint), want)
+
+
+@given(data=st.data(), count=st.integers(1, 4))
+@settings(max_examples=50, deadline=None)
+def test_rational_matrix_rejects_a_root_hint_that_does_not_divide(data, count):
+    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
+    den, roots = data.draw(rooted_denominators(pts))
+    k = data.draw(st.integers(0, len(roots) - 1))
+    root, e = roots[k]
+    wrong = roots[:k] + [(root, e + data.draw(st.integers(1, 2)))] + roots[k + 1 :]
+    numerator = FMatrix([[data.draw(small_polys)]])
+    with pytest.raises(ValueError, match="no root"):
+        rational_matrix(numerator, den, wrong)
+
+
 @given(n=st.integers(1, 4), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_det_flag_matches_fraction_bareiss(n, data):
@@ -435,7 +476,119 @@ def test_det_flag_matches_fraction_bareiss(n, data):
     assert _det_is_zero(_cleared_entries(m)[0]) is fraction_det_is_zero(m)
 
 
-def test_verify_path_runs_no_matrix_products_and_one_gcd(monkeypatch):
+def _counting_bareiss(monkeypatch):
+    calls = Counter()
+    original = reconstruct_module._bareiss_det_is_zero
+
+    def counting(m):
+        calls["bareiss"] += 1
+        return original(m)
+
+    monkeypatch.setattr(reconstruct_module, "_bareiss_det_is_zero", counting)
+    return calls
+
+
+PROBE = reconstruct_module._PROBE
+
+
+@pytest.mark.parametrize(
+    "rows, singular",
+    [
+        # kernels (z, -1) and (z, -1, 0): none constant, and det(t) = 0 at every t
+        ([[1, Z], [Z, Z**2]], True),
+        ([[Z, Z**2, 1], [1, Z, 0], [0, 0, Z - 5]], True),
+        # nonsingular, with a root at the probe point
+        ([[Z - PROBE, 0], [0, 1]], False),
+        ([[Z, 1], [Z**2 - PROBE**2, Z - PROBE]], False),
+    ],
+    ids=("2x2-singular", "3x3-singular", "2x2-probe-root", "2x2-probe-root-dense"),
+)
+def test_det_flag_falls_back_to_bareiss_without_a_certificate(monkeypatch, rows, singular):
+    m = _poly_rows(*rows)
+    calls = _counting_bareiss(monkeypatch)
+    assert _det_is_zero(_cleared_entries(m)[0]) is singular
+    assert fraction_det_is_zero(m) is singular
+    assert calls["bareiss"] == 1
+
+
+def test_det_flag_of_cli_verify_runs_needs_no_bareiss(monkeypatch, tmp_path):
+    # Every series column lies in the image of the seed b_rho, whose kernel
+    # is constant, so the rank certificate decides the flag.
+    from kzrat.cli import main
+
+    calls = _counting_bareiss(monkeypatch)
+    three_point = {
+        "mode": "numeric",
+        "points": ["0", "2/3", "-5/7"],
+        "residues": [
+            [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+            [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+        ],
+        "coupling": "6",
+        "order": 55,
+    }
+    configs = [CONFIGS / "kz-s3-numeric.json"]
+    for center in (1, 2, 3):
+        path = tmp_path / f"three-point-{center}.json"
+        path.write_text(json.dumps(dict(three_point, center=center)), encoding="utf-8")
+        configs.append(path)
+    for path in configs:
+        report = tmp_path / "report.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["verify", "--config", str(path), "--json", str(report)]) == 0
+        assert json.loads(report.read_text())["ode"]["det_identically_zero"] is True
+    assert calls["bareiss"] == 0
+
+
+def test_reconstruct_at_a_rational_center_matches_division_oracle():
+    # The three-point system expanded at z = 2/3, at the minimum order.
+    sys_ = dict(BASES)["three-point"]()
+    exponents = denominator_exponents(sys_)
+    den = denominator_from_exponents(sys_.points, exponents)
+    degree = den.degree + numerator_growth(sys_)
+    order = degree + den.degree + 1
+    series = compute_series(local_expansion(sys_, 2, DERIVED_TAYLOR, order), sys_.coupling, order)
+    assert series.center_point == Fraction(2, 3)
+    got = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
+    _assert_same_function(got, division_reconstruct(series, den, degree))
+    assert verify_ode(got, sys_).satisfied
+    with pytest.raises(NotRepresentable) as ei:
+        reconstruct(series, den, degree - 1)
+    with pytest.raises(NotRepresentable) as want_ei:
+        division_reconstruct(series, den, degree - 1)
+    assert ei.value.first_unmatched_level == want_ei.value.first_unmatched_level
+
+
+def test_reconstruct_builds_one_fraction_per_output_coefficient(monkeypatch):
+    sys_ = dict(BASES)["three-point"]()
+    exponents = denominator_exponents(sys_)
+    den = denominator_from_exponents(sys_.points, exponents)
+    degree = den.degree + numerator_growth(sys_)
+    series = compute_series(local_expansion(sys_, 2, DERIVED_TAYLOR, 55), sys_.coupling, 55)
+    built = Counter()
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built["fractions"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 arithmetic
+        original_coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            built["fractions"] += 1
+            return original_coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    w = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
+    monkeypatch.undo()
+    outputs = sum(len(p.coeffs) for row in w.numerator.entries for p in row)
+    assert built["fractions"] <= outputs + len(w.denominator.coeffs)
+
+
+def test_verify_path_runs_no_matrix_products_and_no_gcd(monkeypatch):
     # The three-point system at 0, 2/3, -5/7, coupling 6, order 55.
     sys_, _ = real_reconstruction("three-point")
     exponents = denominator_exponents(sys_)
@@ -453,12 +606,13 @@ def test_verify_path_runs_no_matrix_products_and_one_gcd(monkeypatch):
 
     monkeypatch.setattr(poly_module, "poly_gcd", counting("rational_roots", poly_module.poly_gcd))
     monkeypatch.setattr(reconstruct_module, "poly_gcd", counting("reconstruct", poly_gcd))
-    w = reconstruct(series, den, degree)
+    # the hint the CLI passes: every root of the denominator is known
+    w = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
     monkeypatch.setattr(FMatrix, "__mul__", counting("mul", FMatrix.__mul__))
     verdict = verify_ode(w, sys_)
     assert verdict.satisfied
     assert calls["reconstruct"] == 0
-    assert calls["rational_roots"] <= 1
+    assert calls["rational_roots"] == 0
     assert calls["mul"] == 0
 
 
