@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +50,7 @@ from .reconstruct import (
     reconstruct,
     verify_ode,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import _int_of, format_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -144,7 +145,7 @@ def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
     flags) replacing its keys first: an overridden value is never read.
     Diagnostics name the offending field."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_int_of)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -310,7 +311,23 @@ def _poly_json(p: Poly):
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    except ValueError:  # an int runs past CPython's int -> str digit cap
+        text = json.dumps(_ints_marked(report), indent=2, sort_keys=True)
+        return re.sub(r'"\\u0000(-?\d+)"', r"\1", text) + "\n"
+
+
+def _ints_marked(obj):
+    """obj with each int written out by format_scalar behind a NUL, which
+    no report string holds, so the JSON text can unquote it again."""
+    if isinstance(obj, dict):
+        return {k: _ints_marked(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_ints_marked(v) for v in obj]
+    if _is_int(obj):
+        return "\0" + format_scalar(obj)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +428,7 @@ def _expansion_json(exp: LocalExpansion) -> dict:
 
 def _indicial_summary(ind) -> str:
     eigs = ", ".join(f"{format_scalar(v)} (x{m})" for v, m in ind.eigenvalues)
-    levels = "{" + ", ".join(str(v) for v in sorted(ind.resonant_levels)) + "}"
+    levels = "{" + ", ".join(format_scalar(v) for v in sorted(ind.resonant_levels)) + "}"
     return f"indicial: eigenvalues {eigs}; resonant levels {levels}"
 
 
@@ -451,7 +468,7 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         series = compute_series(exp, cfg.coupling, cfg.order, min(ind.resonant_levels))
     except ResonanceObstruction as exc:
         certificate = _vector_json(exc.certificate)
-        print(f"resonance obstruction at level {exc.level}", file=out)
+        print(f"resonance obstruction at level {format_scalar(exc.level)}", file=out)
         print(f"certificate y (y*step = 0, y*rhs != 0): {certificate}", file=out)
         report["obstruction"] = {
             "level": exc.level,
@@ -461,12 +478,14 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         return EXIT_OBSTRUCTION, report
     report["series"] = _series_json(series)
     if command == "series":
-        print(f"leading exponent: {series.leading_exponent} ({series.convention})", file=out)
+        exponent = format_scalar(series.leading_exponent)
+        print(f"leading exponent: {exponent} ({series.convention})", file=out)
         for p in series.levels():
-            _print_coefficient(f"b[{p}]", series.coefficient(p), out)
+            _print_coefficient(f"b[{format_scalar(p)}]", series.coefficient(p), out)
         for rec in series.resonances:
             print(
-                f"resonant level {rec.level}: {rec.kind.value}, kernel dimension {len(rec.kernel)}",
+                f"resonant level {format_scalar(rec.level)}: {rec.kind.value}, "
+                f"kernel dimension {len(rec.kernel)}",
                 file=out,
             )
         if not golden:
@@ -551,12 +570,6 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
 
 
 def main(argv=None) -> int:
-    # Exact values may run past CPython's int -> str cap of 4300 digits.
-    # format_scalar, and the printing and report encoding built on it,
-    # never hit the cap; this covers any other conversion.  Patch releases
-    # of 3.10 before 3.10.7 have no cap.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(
         prog="kzrat",
         description="Exact Frobenius series and rational solutions for "

@@ -59,6 +59,7 @@ from .matrix import (
 )
 from .poly import Poly, rational_roots
 from .ratfunc import RatFunc
+from .scalars import format_scalar
 
 
 class ResonanceObstruction(Exception):
@@ -66,7 +67,7 @@ class ResonanceObstruction(Exception):
     certificate * rhs != 0, both exactly."""
 
     def __init__(self, level: int, certificate: tuple, rhs: FMatrix):
-        super().__init__(f"inconsistent resonant step at level {level}")
+        super().__init__(f"inconsistent resonant step at level {format_scalar(level)}")
         self.level = level
         self.certificate = certificate
         self.rhs = rhs

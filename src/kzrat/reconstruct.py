@@ -21,8 +21,8 @@ integer division; only the root-free rest goes through `poly_gcd`.
 `verify_ode` writes D = E prod (z - z_i)^(e_i) over the system's points
 and forms (dW/dz - coupling A W) D pi E from the log-derivative of D,
 with no D or D^2 products (see `verify_ode`).  Its det(W) flag is decided
-by two integer certificates, with Bareiss elimination over Z[z] only
-when neither applies (see `_det_is_zero`).
+by one integer rank test: on the stacked coefficient matrices, and only
+when that finds no constant kernel, at integer points (see `_det_is_zero`).
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .poly import (
     rational_roots,
     taylor_shift,
 )
+from .scalars import format_scalar
 
 
 class NotRepresentable(Exception):
@@ -51,7 +52,8 @@ class NotRepresentable(Exception):
 
     def __init__(self, first_unmatched_level: int):
         super().__init__(
-            f"series departs from the rational ansatz first at level {first_unmatched_level}"
+            "series departs from the rational ansatz first at level "
+            f"{format_scalar(first_unmatched_level)}"
         )
         self.first_unmatched_level = first_unmatched_level
 
@@ -61,8 +63,9 @@ class InsufficientSeriesError(ValueError):
 
     def __init__(self, have: int, need: int):
         super().__init__(
-            f"reconstruction needs at least {need} series coefficients, got {have}; "
-            f"recompute the series with order >= {need - 1}"
+            f"reconstruction needs at least {format_scalar(need)} series coefficients, "
+            f"got {format_scalar(have)}; recompute the series with order >= "
+            f"{format_scalar(need - 1)}"
         )
         self.have = have
         self.need = need
@@ -294,7 +297,7 @@ def denominator_exponents(sys: KZSystem) -> tuple[int, ...]:
         integer_eigs = [r for r, _ in roots if r.denominator == 1]
         if not integer_eigs:
             raise NoPolynomialDenominator(
-                f"coupling * residue at z = {point} has no integer eigenvalue; "
+                f"coupling * residue at z = {format_scalar(point)} has no integer eigenvalue; "
                 "no polynomial denominator exists for the Laurent ansatz"
             )
         exponents.append(max(0, -int(min(integer_eigs))))
@@ -511,30 +514,25 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     )
 
 
-# The integer point at which _det_is_zero evaluates its first certificate.
-_PROBE = 2
-
-
 def _det_is_zero(m: list[list[list[int]]]) -> bool:
     """Whether det(m) of a square matrix of integer polynomial vectors
     vanishes identically; for a Poly matrix cleared to m over L,
     det = det(m) / L^n.
 
-    Two exact certificates decide it without polynomial elimination:
-    det m(t) != 0 at the integer t = _PROBE proves it is not identically
-    zero, and the coefficient matrices [m_0; m_1; ...] stacked having rank
-    < n proves it is: some constant c != 0 has m(z) c = 0.  Only when
-    neither applies, a kernel that is not constant or an integer root at
-    t, does Bareiss elimination over Z[z] run.
+    Both answers rest on one rank test, `_spans`.  The coefficient
+    matrices [m_0; m_1; ...] stacked having rank < n proves det m = 0:
+    some constant c != 0 has m(z) c = 0.  Otherwise m(t) is tested at the
+    integers t = 2, 3, ...: the first nonsingular m(t) proves det m != 0,
+    and n d + 1 singular ones prove det m = 0, since det m has degree at
+    most n d for entries of degree at most d.
     """
     n = len(m)
-    if _spans(([eval_int(f, _PROBE) for f in row] for row in m), n):
-        return False
     depth = max(len(f) for row in m for f in row)
     stacked = ([f[k] if k < len(f) else 0 for f in row] for k in range(depth) for row in m)
     if not _spans(stacked, n):
         return True
-    return _bareiss_det_is_zero(m)
+    points = range(2, 3 + n * (depth - 1))  # n d + 1 of them
+    return not any(_spans(([eval_int(f, t) for f in row] for row in m), n) for t in points)
 
 
 def _spans(rows, n: int) -> bool:
@@ -552,26 +550,4 @@ def _spans(rows, n: int) -> bool:
             basis.append((col, [x // content for x in row]))
             if len(basis) == n:
                 return True
-    return False
-
-
-def _bareiss_det_is_zero(m: list[list[list[int]]]) -> bool:
-    """The same flag by fraction-free (Bareiss) elimination over Z[z]: each
-    step divides exactly by the previous pivot, so entries stay in Z[z]."""
-    work = [list(row) for row in m]
-    n = len(work)
-    prev = [1]
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if work[r][k]), None)
-        if pivot is None:
-            return True
-        work[k], work[pivot] = work[pivot], work[k]
-        p = work[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = exact_quotient(
-                    _sub(int_convolve(work[i][j], p), int_convolve(work[i][k], work[k][j])),
-                    prev,
-                )
-        prev = p
     return False

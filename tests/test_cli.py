@@ -382,9 +382,27 @@ def test_series_reports_entries_past_the_int_str_digit_cap(tmp_path):
     assert cli._entry_json(parse_entry(longest)) == longest
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int <-> str digit cap before 3.10.7"
+)
+def test_main_leaves_the_int_str_digit_cap_as_it_found_it(tmp_path):
+    # long integers are converted in pieces, never by lifting the cap
+    before = sys.get_int_max_str_digits()
+    big = "1" + "0" * 5000
+    text = json.dumps(dict(SINGLE_POLE, residues=[[["BIG"]]])).replace('"BIG"', big)
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    report = tmp_path / "report.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--config", str(path), "--json", str(report)]) == 2
+    assert f'"{big}"' in report.read_text()
+    assert sys.get_int_max_str_digits() == before
+
+
 def test_library_round_trips_long_entries_in_a_fresh_process():
-    # main lifts the int <-> str digit cap, so only a process that never
-    # ran main shows whether the library reads, writes and prints them
+    # a fresh process has CPython's default int <-> str digit cap whatever
+    # this one has done, so it shows whether the library reads, writes and
+    # prints long entries under that cap
     script = (
         "from fractions import Fraction\n"
         "from kzrat import Poly, RatFunc\n"

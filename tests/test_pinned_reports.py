@@ -92,6 +92,35 @@ EXIT_PATHS = {
     "config-error-build": (["series"], dict(S3_NUMERIC, points=["0", "1", "2"])),
 }
 
+# Integers past CPython's 4,300-digit int <-> str cap, as JSON integer
+# literals (raw config text) or point strings: each message and report
+# that carries one.
+BIG = "1" + "0" * 5000
+
+
+def _long(doc: dict) -> str:
+    """doc as JSON text, with each "BIG" or "-BIG" string a 5,001-digit literal."""
+    return json.dumps(doc).replace('"-BIG"', "-" + BIG).replace('"BIG"', BIG)
+
+
+ONE_POINT = {"mode": "numeric", "points": ["0"], "coupling": "1", "order": 5}
+LONG_INTEGERS = {
+    "verify-long-residue-literal": (
+        ["verify"],
+        _long(dict(ONE_POINT, residues=[[["BIG"]]], coupling="1/3")),
+    ),
+    "verify-long-point": (
+        ["verify"],
+        dict(ONE_POINT, points=["0", BIG], residues=[[[-3]], [["1/2"]]]),
+    ),
+    "verify-long-numerator-degree": (["verify"], _long(dict(S3_NUMERIC, numerator_degree="BIG"))),
+    "verify-long-level": (
+        ["verify"],
+        _long(dict(ONE_POINT, residues=[[["BIG"]]], numerator_degree=2)),
+    ),
+    "series-long-leading-exponent": (["series"], _long(dict(ONE_POINT, residues=[[["-BIG"]]]))),
+}
+
 
 def _cases():
     yield "golden", ["series", "--golden"], S3_SYMBOLIC
@@ -114,7 +143,7 @@ def _cases():
     for path in sorted(CONFIGS.glob("*.json")):
         for command in ("expand", "series", "verify"):
             yield f"{command}-{path.stem}", [command], json.loads(path.read_text())
-    for name, (argv, cfg) in EXIT_PATHS.items():
+    for name, (argv, cfg) in {**EXIT_PATHS, **LONG_INTEGERS}.items():
         yield name, argv, cfg
 
 
@@ -284,6 +313,12 @@ PINNED = {
         "81dd90f1dcb873761797b90dd7597e8d1a7d446841b500087e0a8083b29a3831",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "series-long-leading-exponent": (
+        0,
+        "6226280856518bcc0c83467db34fd132a5245f67e32f72ecc065832d7d35b4d1",
+        "07badd1d4d52e1911a4f175a57ce350a50458d0d03fff1777498c13489eb74ce",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "series-no-integer-eigenvalue": (
         1,
         "9d556637fcdd4f74ea62a613b1ffba43b42ab582ff7eacd67b84bceae979b82f",
@@ -331,6 +366,30 @@ PINNED = {
         None,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "600c86c0d0cf7282e969931b5d5885fa47c6542c2c54222f060c9257fb8e4af3",
+    ),
+    "verify-long-level": (
+        1,
+        "d747f0379ab3d73c24c884ad8c4a746640f1f949171cea2d5424253320385052",
+        "b23acba916dfc98fa119480330598a35aa900ba4e783c53218cea4ce39ad465f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify-long-numerator-degree": (
+        2,
+        "e11efbc251be2f8c493d2a726dcf0220bc99b45649201de7210536857e21a75d",
+        "f21e169c4696407066a118b65d37fbd50bb3cdca81204678f326a153286626b9",
+        "3c96edc8065220f2dc91d5b6fd0222c60934be467b0e6b7d091056f3ada535b5",
+    ),
+    "verify-long-point": (
+        1,
+        "a3b051613197db8caa38f6ace5e6ec062ece607cdc3fb08f5c24d4142ffce6bc",
+        "4cf72c106c50e95e5ab9bed236542634af2a40c2a1485caa745dd34e73c4cfff",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify-long-residue-literal": (
+        1,
+        "3b6bcce06d24e3dc87144e5ecf79361efca08d3c8c1a0cc2f65e570a715b7dd5",
+        "1100edeca4659a9d0d9df37f81ad042cddf67846fff2090d39d4b3e5882507d9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify-no-integer-eigenvalue": (
         1,
@@ -387,10 +446,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_case(tmp_path: Path, capsys, argv: list[str], cfg: dict) -> tuple:
-    """(exit code, report digest or None, stdout digest, stderr digest)."""
+def run_case(tmp_path: Path, capsys, argv: list[str], cfg: dict | str) -> tuple:
+    """(exit code, report digest or None, stdout digest, stderr digest);
+    `cfg` is a config document or its JSON text."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(cfg), encoding="utf-8")
+    config.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg), encoding="utf-8")
     report = tmp_path / "report.json"
     capsys.readouterr()
     rc = main(argv + ["--config", str(config), "--json", str(report)])

@@ -476,47 +476,65 @@ def test_det_flag_matches_fraction_bareiss(n, data):
     assert _det_is_zero(_cleared_entries(m)[0]) is fraction_det_is_zero(m)
 
 
-def _counting_bareiss(monkeypatch):
-    calls = Counter()
-    original = reconstruct_module._bareiss_det_is_zero
+def _scan_points(monkeypatch):
+    """The integer points t, in order, at which _det_is_zero evaluates m(t)."""
+    points = []
+    original = reconstruct_module.eval_int
 
-    def counting(m):
-        calls["bareiss"] += 1
-        return original(m)
+    def recording(f, t, *args):
+        if t not in points:
+            points.append(t)
+        return original(f, t, *args)
 
-    monkeypatch.setattr(reconstruct_module, "_bareiss_det_is_zero", counting)
-    return calls
-
-
-PROBE = reconstruct_module._PROBE
+    monkeypatch.setattr(reconstruct_module, "eval_int", recording)
+    return points
 
 
 @pytest.mark.parametrize(
-    "rows, singular",
+    "rows, singular, scanned",
     [
-        # kernels (z, -1) and (z, -1, 0): none constant, and det(t) = 0 at every t
-        ([[1, Z], [Z, Z**2]], True),
-        ([[Z, Z**2, 1], [1, Z, 0], [0, 0, Z - 5]], True),
-        # nonsingular, with a root at the probe point
-        ([[Z - PROBE, 0], [0, 1]], False),
-        ([[Z, 1], [Z**2 - PROBE**2, Z - PROBE]], False),
+        # kernels (z, -1) and (z, -1, 0): none constant, and det(t) = 0 at
+        # every t, so all n d + 1 points are scanned
+        ([[1, Z], [Z, Z**2]], True, 5),
+        ([[Z, Z**2, 1], [1, Z, 0], [0, 0, Z - 5]], True, 7),
+        # nonsingular, with a root at the first point probed, t = 2
+        ([[Z - 2, 0], [0, 1]], False, 2),
+        ([[Z, 1], [Z**2 - 4, Z - 2]], False, 2),
     ],
     ids=("2x2-singular", "3x3-singular", "2x2-probe-root", "2x2-probe-root-dense"),
 )
-def test_det_flag_falls_back_to_bareiss_without_a_certificate(monkeypatch, rows, singular):
+def test_det_flag_falls_back_to_bareiss_without_a_certificate(
+    monkeypatch, rows, singular, scanned
+):
+    # With no constant kernel the flag falls back to the point scan; the
+    # fraction Bareiss oracle gives the expected answer.
     m = _poly_rows(*rows)
-    calls = _counting_bareiss(monkeypatch)
+    points = _scan_points(monkeypatch)
     assert _det_is_zero(_cleared_entries(m)[0]) is singular
     assert fraction_det_is_zero(m) is singular
-    assert calls["bareiss"] == 1
+    assert points == list(range(2, 2 + scanned))
+
+
+def test_det_flag_scan_needs_all_n_d_plus_1_points(monkeypatch):
+    # det = (z - 2)(z - 3) ... (z - 7) has degree n d = 6 and vanishes at the
+    # first six scan points; only the seventh shows it is not identically 0
+    m = _poly_rows(
+        [(Z - 2) * (Z - 3) * (Z - 4), 0],
+        [0, (Z - 5) * (Z - 6) * (Z - 7)],
+    )
+    points = _scan_points(monkeypatch)
+    assert _det_is_zero(_cleared_entries(m)[0]) is False
+    assert fraction_det_is_zero(m) is False
+    assert points == list(range(2, 9))
 
 
 def test_det_flag_of_cli_verify_runs_needs_no_bareiss(monkeypatch, tmp_path):
     # Every series column lies in the image of the seed b_rho, whose kernel
-    # is constant, so the rank certificate decides the flag.
+    # is constant, so the stacked rank test decides the flag: no fallback
+    # runs, and no point is scanned.
     from kzrat.cli import main
 
-    calls = _counting_bareiss(monkeypatch)
+    points = _scan_points(monkeypatch)
     three_point = {
         "mode": "numeric",
         "points": ["0", "2/3", "-5/7"],
@@ -528,7 +546,7 @@ def test_det_flag_of_cli_verify_runs_needs_no_bareiss(monkeypatch, tmp_path):
         "coupling": "6",
         "order": 55,
     }
-    configs = [CONFIGS / "kz-s3-numeric.json"]
+    configs = [CONFIGS / "kz-s3-numeric.json", CONFIGS / "single-pole.json"]
     for center in (1, 2, 3):
         path = tmp_path / f"three-point-{center}.json"
         path.write_text(json.dumps(dict(three_point, center=center)), encoding="utf-8")
@@ -538,7 +556,7 @@ def test_det_flag_of_cli_verify_runs_needs_no_bareiss(monkeypatch, tmp_path):
         with redirect_stdout(io.StringIO()):
             assert main(["verify", "--config", str(path), "--json", str(report)]) == 0
         assert json.loads(report.read_text())["ode"]["det_identically_zero"] is True
-    assert calls["bareiss"] == 0
+    assert points == []
 
 
 def test_reconstruct_at_a_rational_center_matches_division_oracle():
