@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
+from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
 from .golden import compare_series, compare_series_dual
@@ -77,8 +77,7 @@ _KNOWN_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(NamedTuple):
     mode: str
     points: tuple[str, ...]
     preset: str | None
@@ -311,23 +310,30 @@ def _poly_json(p: Poly):
 
 
 def report_to_json(report: dict) -> str:
-    try:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    except ValueError:  # an int runs past CPython's int -> str digit cap
-        text = json.dumps(_ints_marked(report), indent=2, sort_keys=True)
-        return re.sub(r'"\\u0000(-?\d+)"', r"\1", text) + "\n"
+    """json.dumps(report, indent=2, sort_keys=True) + newline, byte for byte, on
+    the C string encoder; an int past CPython's int -> str cap is written too."""
+    return _json_text(report, "\n") + "\n"
 
 
-def _ints_marked(obj):
-    """obj with each int written out by format_scalar behind a NUL, which
-    no report string holds, so the JSON text can unquote it again."""
-    if isinstance(obj, dict):
-        return {k: _ints_marked(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_ints_marked(v) for v in obj]
+def _json_text(obj, newline: str) -> str:
+    """obj as indented JSON; `newline` breaks a line to obj's own indent."""
     if _is_int(obj):
-        return "\0" + format_scalar(obj)
-    return obj
+        return format_scalar(obj)
+    if isinstance(obj, (str, bool)) or obj is None:
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [_quote(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        quote_only = all(isinstance(v, str) for v in obj)
+        items = map(_quote, obj) if quote_only else [_json_text(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ particular solution read back at d = 1 is the engine's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .kzmodel import LocalExpansion
 from .matrix import (
@@ -73,8 +73,7 @@ class ResonanceObstruction(Exception):
         self.rhs = rhs
 
 
-@dataclass(frozen=True, eq=False)
-class IndicialData:
+class IndicialData(NamedTuple):
     """Exact spectrum of coupling * a_{-1} and its integer part.
 
     ``eigenvalues`` lists the rational eigenvalues with multiplicities;
@@ -88,16 +87,14 @@ class IndicialData:
     unresolved_factor: Poly
 
 
-@dataclass(frozen=True, eq=False)
-class ResonanceRecord:
+class ResonanceRecord(NamedTuple):
     level: int
     kind: SolveKind
     kernel: tuple[tuple, ...]
     certificate: tuple | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesSolution:
+class SeriesSolution(NamedTuple):
     """Laurent coefficients b_leading .. b_{leading+N} with resonance records."""
 
     leading_exponent: int
@@ -290,16 +287,14 @@ def compute_series(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LevelCheck:
+class LevelCheck(NamedTuple):
     level: int
     resonant: bool
     residual_zero: bool
     rhs: FMatrix
 
 
-@dataclass(frozen=True, eq=False)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     checks: tuple[LevelCheck, ...]
 
     @property

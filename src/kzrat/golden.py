@@ -9,8 +9,8 @@ right side is the plain convolution of the tables through order 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .frobenius import SeriesSolution, convolution_rhs
 from .kzmodel import DERIVED_TAYLOR, LITERAL_PAPER, LocalExpansion
@@ -42,8 +42,7 @@ GOLDEN_LEVEL2_RHS: FMatrix = _fixture(
 GOLDEN_LEVELS = (-2, -1, 0, 1)
 
 
-@dataclass(frozen=True)
-class GoldenOutcome:
+class GoldenOutcome(NamedTuple):
     matched: bool
     lines: tuple[str, ...]
 

@@ -14,11 +14,12 @@ it leaves the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .matrix import FMatrix
 from .ratfunc import RatFunc
+from .scalars import format_scalar
 
 SYMBOLIC = "symbolic"
 
@@ -27,8 +28,7 @@ LITERAL_PAPER = "literal-paper"
 CONVENTIONS = (DERIVED_TAYLOR, LITERAL_PAPER)
 
 
-@dataclass(frozen=True, eq=False)
-class KZSystem:
+class KZSystem(NamedTuple):
     """Singular points, residue matrices, and the coupling constant."""
 
     points: tuple
@@ -92,7 +92,7 @@ def system_matrix_at(sys: KZSystem, z) -> FMatrix:
         raise ValueError("system_matrix_at needs a numeric-mode system")
     zv = Fraction(z)
     if zv in sys.points:
-        raise ValueError(f"evaluation at the singular point z = {zv}")
+        raise ValueError(f"evaluation at the singular point z = {format_scalar(zv)}")
     n = sys.n
     total = FMatrix.zeros(n, n)
     for p, res in zip(sys.points, sys.residues):
@@ -100,8 +100,7 @@ def system_matrix_at(sys: KZSystem, z) -> FMatrix:
     return total
 
 
-@dataclass(frozen=True, eq=False)
-class LocalExpansion:
+class LocalExpansion(NamedTuple):
     """A(z) = a_minus1/(z - z_c) + a_0 + a_1 (z - z_c) + ... at the center.
 
     ``residue`` (the residue at the center) and ``poles``, one pair

@@ -14,11 +14,10 @@ with the kernels below, and normalise one Fraction per output entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
 
@@ -167,8 +166,7 @@ class SolveKind(str, Enum):
     INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True, eq=False)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Exact classification of a linear system A X = B.
 
     unique/affine: ``a * particular == b`` holds exactly and every kernel

@@ -27,9 +27,9 @@ when that finds no constant kernel, at integer points (see `_det_is_zero`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
@@ -119,8 +119,7 @@ def _series_of_ratio(num: Poly, den: Poly, lo: int, count: int) -> list[Fraction
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class RationalMatrixFunction:
+class RationalMatrixFunction(NamedTuple):
     """Matrix of polynomials in z over one monic scalar denominator.
 
     Use :func:`rational_matrix` to construct a normalized value: no common
@@ -140,7 +139,7 @@ class RationalMatrixFunction:
         zv = Fraction(z)
         d = self.denominator(zv)
         if d == 0:
-            raise PoleError(f"z = {zv} is a pole of the denominator")
+            raise PoleError(f"z = {format_scalar(zv)} is a pole of the denominator")
         return FMatrix(
             [[p(zv) / d for p in row] for row in self.numerator.entries]
         )
@@ -198,12 +197,14 @@ def _normalized(
     rest = den
     for root, m in roots:
         if m < 0:
-            raise ValueError(f"root {root}: negative multiplicity {m}")
+            raise ValueError(f"root {format_scalar(root)}: negative multiplicity {m}")
         line = [-root.numerator, root.denominator]
         for _ in range(m):
             rest = exact_quotient(rest, line)
             if rest is None:
-                raise ValueError(f"z = {root} is no root of multiplicity {m} of the denominator")
+                raise ValueError(
+                    f"z = {format_scalar(root)} is no root of multiplicity {m} of the denominator"
+                )
         mults[root] = mults.get(root, 0) + m
     if not any(f for row in num for f in row):
         return RationalMatrixFunction(
@@ -426,8 +427,7 @@ def reconstruct(
     return _normalized(num, num_den, den, 1, roots)
 
 
-@dataclass(frozen=True, eq=False)
-class OdeVerdict:
+class OdeVerdict(NamedTuple):
     """Outcome of the exact check of dW/dz = coupling * A(z) * W(z)."""
 
     satisfied: bool

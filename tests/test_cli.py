@@ -327,6 +327,22 @@ def test_report_roundtrip_is_byte_identical(tmp_path):
     assert entry == RatFunc.monomial(-1, Fraction(4, 3))
 
 
+def test_report_to_json_writes_the_bytes_of_json_dumps():
+    doc = {
+        "b": [1, -2, True, False, None, [], {}, ("t", "\u00e9")],
+        "a": {"\u2603": 'q"\\\n\t', "z": [["x", "y"], [], [[]]]},
+        "": 0,
+    }
+    assert report_to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    big = 10**5000  # past CPython's int -> str digit cap
+    digits = "1" + "0" * 5000
+    expected = f'{{\n  "n": [\n    {digits},\n    -{digits}\n  ]\n}}\n'
+    assert report_to_json({"n": [big, -big]}) == expected
+    for bad in ({"s": {1}}, [Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            report_to_json(bad)
+
+
 def _graded_entries(node):
     """Every {"num", "den"} entry anywhere in a report document."""
     if isinstance(node, dict):

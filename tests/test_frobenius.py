@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -189,9 +188,7 @@ def test_verify_recursion_flags_tampered_series():
     rows = [list(r) for r in series.coefficient(top).entries]
     # a monomial of the entry's own d-degree, so the series stays graded
     rows[0][0] = rows[0][0] + RatFunc.monomial(-(top - series.leading_exponent))
-    tampered = replace(
-        series, coeffs=series.coeffs[:-1] + (FMatrix(rows),)
-    )
+    tampered = series._replace(coeffs=series.coeffs[:-1] + (FMatrix(rows),))
     report = verify_recursion(tampered, exp, TWO)
     assert not report.all_ok
     bad = [c.level for c in report.checks if not c.residual_zero]

@@ -79,6 +79,13 @@ def test_system_matrix_examples():
     assert system_matrix_at(sys_, half) == expected
 
 
+def test_singular_point_message_past_the_int_str_digit_cap():
+    big = 10**5000
+    with pytest.raises(ValueError) as info:
+        system_matrix_at(build_kz_s3(0, big), big)
+    assert str(info.value) == "evaluation at the singular point z = 1" + "0" * 5000
+
+
 def test_system_matrix_requires_numeric_mode():
     with pytest.raises(ValueError):
         system_matrix_at(build_kz_s3(SYMBOLIC, SYMBOLIC), 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import json
@@ -111,7 +110,7 @@ def _with_entry_changed(series, k, i, j, delta):
     rows = [list(row) for row in series.coeffs[k].entries]
     rows[i][j] += delta
     coeffs = series.coeffs[:k] + (FMatrix(rows),) + series.coeffs[k + 1 :]
-    return dataclasses.replace(series, coeffs=coeffs)
+    return series._replace(coeffs=coeffs)
 
 
 @pytest.mark.parametrize("level", [7, 10, 12])
@@ -223,6 +222,37 @@ def test_evaluate_examples():
     assert w.evaluate(2) == (I3 - P1) * Fraction(1, 4)
     with pytest.raises(PoleError):
         w.evaluate(0)
+
+
+BIG = Fraction(10**5000)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly((-BIG, 1))).evaluate(BIG),
+            PoleError,
+            "z = 1{zeros} is a pole of the denominator",
+        ),
+        (
+            lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly.one(), [(BIG, 1)]),
+            ValueError,
+            "z = 1{zeros} is no root of multiplicity 1 of the denominator",
+        ),
+        (
+            lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly.one(), [(BIG, -1)]),
+            ValueError,
+            "root 1{zeros}: negative multiplicity -1",
+        ),
+    ],
+)
+def test_messages_past_the_int_str_digit_cap(call, error, message):
+    # a message that formats its value with str() would raise the cap's
+    # own ValueError in its place
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message.format(zeros="0" * 5000)
 
 
 def test_rational_matrix_normalization():
