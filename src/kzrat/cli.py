@@ -277,10 +277,10 @@ def _parse_matrix(obj, where: str) -> FMatrix:
 def _entry_json(e):
     if isinstance(e, Fraction):
         return format_scalar(e)
-    if isinstance(e, RatFunc):
+    if isinstance(e, RatFunc):  # c * d^k as num / den, the monomial's canonical form
         return {
-            "num": [format_scalar(c) for c in e.num.coeffs],
-            "den": [format_scalar(c) for c in e.den.coeffs],
+            "num": ["0"] * e.power + [format_scalar(e.coeff)] if e.coeff else [],
+            "den": ["0"] * -e.power + ["1"],
         }
     raise TypeError(f"unserializable entry {e!r}")
 

@@ -13,12 +13,14 @@ series costs O(m N) matrix products.  verify_recursion re-derives every
 level by the direct O(N^2) convolution over Fraction, as an independent
 check, reading a_0 .. a_(N-1) from a table it builds once.
 
-The recursion state runs on integers: each S_i, the last coefficient b_q
-and the right side is an int matrix over one positive common denominator;
-S_i and b_q have their content gcd stripped once per level, and one
-Fraction is built per output entry.  Steps are solved with the resolvent of M = coupling * a_{-1}:
-Faddeev-LeVerrier on the cleared integer matrix gives chi(x) = det(xI - M)
-and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each level takes one Horner
+The recursion state runs on integers: each n x n matrix is a flat
+row-major list of n^2 ints over one positive denominator.  With -coupling
+R_i = w_i / w_den_i cleared, the state is T_i = w_i S_i, and the right
+side is sum_i T_i / w_den_i; T_i and b_q have their content gcd stripped
+once per level, and one Fraction is built per output entry.  Steps are
+solved with the resolvent of M = coupling * a_{-1}: Faddeev-LeVerrier on
+the cleared integer matrix gives chi(x) = det(xI - M) and
+adj(xI - M) = sum_k x^(n-1-k) N_k once, so each level takes one Horner
 evaluation of the adjugate, one integer product with the right side and a
 division by chi(level).  A level is resonant exactly when chi(level) == 0;
 only there does solve_linear classify the step and give the kernel or the
@@ -42,6 +44,8 @@ particular solution read back at d = 1 is the engine's.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .kzmodel import LocalExpansion
@@ -52,12 +56,9 @@ from .matrix import (
     cleared_matrix,
     det,
     faddeev_leverrier,
-    int_product,
-    int_sum,
-    reduced,
     solve_linear,
 )
-from .poly import Poly, rational_roots
+from .poly import Poly, cleared, rational_roots
 from .ratfunc import RatFunc
 from .scalars import format_scalar
 
@@ -194,10 +195,35 @@ def _convolve(a: list[FMatrix], coeffs: dict[int, FMatrix], level: int, n: int) 
     return acc
 
 
-def _scaled(ints: list[list[int]], den: int, c: Fraction) -> tuple[list[list[int]], int]:
-    """c * ints / den, reduced."""
-    p = c.numerator
-    return reduced([[e * p for e in row] for row in ints], den * c.denominator)
+def _flat(m: FMatrix) -> tuple[list[int], int]:
+    """m as one flat row-major int list over its least common denominator."""
+    return cleared([e for row in m.entries for e in row])
+
+
+def _stripped(ints: list[int], den: int) -> tuple[list[int], int]:
+    """ints / den with the content gcd(den, ints...) divided out; den > 0."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return ints, den
+    return [e // g for e in ints], den // g
+
+
+def _sparse_product(rows: list[list[tuple[int, int]]], b: list[int], n: int) -> list[int]:
+    """w * b for a flat n x n int matrix b, with w given per row by its
+    nonzero entries as (k * n, w_ik): KZ residues have one per row."""
+    out = []
+    for row in rows:
+        acc = [0] * n
+        for k, x in row:
+            acc = [s + x * y for s, y in zip(acc, b[k : k + n])]
+        out += acc
+    return out
+
+
+def _dense_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """a * b for flat n x n int matrices, by rows of a against columns of b."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
 
 
 def _at_unit(e) -> Fraction:
@@ -234,48 +260,60 @@ def compute_series(
     n = exp.n
     # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
     # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
+    # Horner's rule on +-m_den N_k gives the signed, scaled adjugate.
     m_ints, m_den = cleared_matrix(exp.residue * coupling)
     chi, adj = faddeev_leverrier(m_ints)
+    plus = [[m_den * e for row in nk for e in row] for nk in adj]
+    minus = [[-e for e in nk] for nk in plus]
     coeffs = [_seed(exp, coupling, leading_exponent)]
-    b, b_den = cleared_matrix(coeffs[0])
-    # rhs(q+1) = sum_i (-coupling R_i) S_i(q), S_i(q) = u_i (S_i(q-1) + b_q);
-    # every matrix is held as (ints, den) with den > 0.
-    weights = [cleared_matrix(res * -coupling) for _, res in exp.poles]
-    sums = [([[0] * n for _ in range(n)], 1)] * len(exp.poles)
+    b, b_den = _flat(coeffs[0])
+    # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q);
+    # each w_i is kept as its nonzero (k * n, w_ik) per row.
+    weights = []
+    for u, res in exp.poles:
+        w, w_den = _flat(res * -coupling)
+        rows = [[(k * n, x) for k, x in enumerate(w[i : i + n]) if x] for i in range(0, n * n, n)]
+        weights.append((rows, w_den, u.numerator, u.denominator))
+    terms = [([0] * (n * n), 1)] * len(exp.poles)
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
         level = leading_exponent + step
-        sums = [
-            _scaled(*int_sum(s, s_den, b, b_den), u) for (s, s_den), (u, _) in zip(sums, exp.poles)
-        ]
-        rhs, rhs_den = [[0] * n for _ in range(n)], 1
-        for (w, w_den), (s, s_den) in zip(weights, sums):
-            rhs, rhs_den = int_sum(rhs, rhs_den, int_product(w, s), w_den * s_den)
+        rhs, rhs_den = [0] * (n * n), 1
+        for i, ((rows, w_den, p, q), (t, t_den)) in enumerate(zip(weights, terms)):
+            g = gcd(t_den, b_den)
+            ft, fb = b_den // g, t_den // g
+            t = [(e * ft + f * fb) * p for e, f in zip(t, _sparse_product(rows, b, n))]
+            t, t_den = _stripped(t, t_den * ft * q)
+            terms[i] = t, t_den
+            d = t_den * w_den
+            g = gcd(rhs_den, d)
+            fr, ft = d // g, rhs_den // g
+            rhs = [e * fr + f * ft for e, f in zip(rhs, t)] if i else t
+            rhs_den *= fr
         x = level * m_den
         det_x = 0
         for c in chi:
             det_x = det_x * x + c
         if det_x:
-            resolvent = adj[0]
-            for nk in adj[1:]:
-                resolvent = [[e * x + f for e, f in zip(r, rk)] for r, rk in zip(resolvent, nk)]
-            scale = m_den if det_x > 0 else -m_den
-            resolvent = [[scale * e for e in row] for row in resolvent]
-            b, b_den = reduced(int_product(resolvent, rhs), rhs_den * abs(det_x))
-            coeffs.append(FMatrix.from_cleared(b, b_den))
+            resolvent = plus if det_x > 0 else minus
+            r = resolvent[0]
+            for nk in resolvent[1:]:
+                r = [e * x + f for e, f in zip(r, nk)]
+            b, b_den = _stripped(_dense_product(r, rhs, n), rhs_den * abs(det_x))
+            coeffs.append(FMatrix.from_cleared(b, b_den, n))
             continue
         # chi(level) == 0: a resonant step, classified once by elimination
         # over graded values.  The step matrix has d-degree 0 and the right
         # side -step, so the pivots are those at d = 1: the kernel and the
         # certificate keep the entry types that reports encode, and the
         # particular solution read back at d = 1 is the engine's.
-        rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den), -step)
+        rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den, n), -step)
         res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), rhs)
         if res.kind is SolveKind.INCONSISTENT:
             raise ResonanceObstruction(level, res.certificate, rhs)
         records.append(ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis))
         coeffs.append(res.particular.map(_at_unit))
-        b, b_den = cleared_matrix(coeffs[-1])
+        b, b_den = _flat(coeffs[-1])
 
     return SeriesSolution(
         leading_exponent=leading_exponent,

@@ -127,7 +127,9 @@ class LocalExpansion(NamedTuple):
     def grade(self, m: FMatrix, power: int) -> FMatrix:
         """An engine value as it leaves the engine: m * d^power in symbolic
         mode, where the engine ran at d = 1; m itself numerically."""
-        return m * RatFunc.monomial(power) if self.symbolic else m
+        if not self.symbolic:
+            return m
+        return FMatrix([[RatFunc(e, power) for e in row] for row in m.entries])
 
     @property
     def a_minus1(self) -> FMatrix:

@@ -6,17 +6,16 @@ and with int/Fraction: Fraction, and the graded monomials c * d^k
 (RatFunc) where symbolic values leave the Frobenius engine.  Those add
 only at equal d-degree, which holds for the homogeneous matrices and
 systems the engine grades.  ``charpoly`` takes Fraction entries only.
-It and the Frobenius engine clear a matrix to integers over the least
-common denominator of its entries (``cleared_matrix``), work in plain int
-with the kernels below, and normalise one Fraction per output entry
-(``FMatrix.from_cleared``).
+It clears a matrix to integers (``cleared_matrix``) for Faddeev-LeVerrier
+in plain int, the routine that also gives the Frobenius engine its
+resolvent; the engine's flat int rows come back through
+``FMatrix.from_cleared``, one Fraction per entry.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
@@ -55,9 +54,12 @@ class FMatrix:
         return cls([[col[i] for col in columns] for i in range(rows)])
 
     @classmethod
-    def from_cleared(cls, ints: list[list[int]], den: int) -> FMatrix:
-        """The Fraction matrix ints / den."""
-        return cls([[Fraction(e, den) for e in row] for row in ints])
+    def from_cleared(cls, ints: list[int], den: int, cols: int) -> FMatrix:
+        """ints / den for flat row-major ints, cols per row; nothing checked."""
+        ents = [Fraction(e, den) for e in ints]
+        m = object.__new__(cls)
+        m.entries = tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
+        return m
 
     @property
     def rows(self) -> int:
@@ -363,23 +365,6 @@ def int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(acc)
     return out
-
-
-def int_sum(
-    a: list[list[int]], a_den: int, b: list[list[int]], b_den: int
-) -> tuple[list[list[int]], int]:
-    """a / a_den + b / b_den as (ints, den) over den = lcm(a_den, b_den)."""
-    g = gcd(a_den, b_den)
-    fa, fb = b_den // g, a_den // g
-    return [[x * fa + y * fb for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], a_den * fa
-
-
-def reduced(ints: list[list[int]], den: int) -> tuple[list[list[int]], int]:
-    """ints / den with the content gcd(den, ints...) divided out; den > 0."""
-    g = gcd(den, *(e for row in ints for e in row))
-    if g == 1:
-        return ints, den
-    return [[e // g for e in row] for row in ints], den // g
 
 
 def faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:

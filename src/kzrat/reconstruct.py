@@ -293,9 +293,12 @@ def denominator_exponents(sys: KZSystem) -> tuple[int, ...]:
     if sys.is_symbolic:
         raise ValueError("a denominator proposal needs a numeric-mode system")
     exponents = []
+    roots_of = {}  # KZ residues often share one characteristic polynomial
     for point, residue in zip(sys.points, sys.residues):
-        roots, _ = rational_roots(charpoly(residue * sys.coupling))
-        integer_eigs = [r for r, _ in roots if r.denominator == 1]
+        chi = charpoly(residue * sys.coupling)
+        if chi.coeffs not in roots_of:
+            roots_of[chi.coeffs] = rational_roots(chi)[0]
+        integer_eigs = [r for r, _ in roots_of[chi.coeffs] if r.denominator == 1]
         if not integer_eigs:
             raise NoPolynomialDenominator(
                 f"coupling * residue at z = {format_scalar(point)} has no integer eigenvalue; "

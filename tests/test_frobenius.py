@@ -24,7 +24,7 @@ from kzrat import (
     solve_linear,
     verify_recursion,
 )
-from kzrat import frobenius, matrix
+from kzrat import frobenius
 from support import (
     I3,
     OBSTRUCTED_RESIDUE2,
@@ -324,6 +324,10 @@ TRANSPOSITIONS = [transposition_matrix(3, i, j) for i, j in ((1, 2), (1, 3), (2,
 
 @st.composite
 def numeric_systems(draw):
+    """Transposition residues, those of the other poles scaled by rational
+    factors; a rational coupling scales the center's residue by its
+    denominator, so the center stays resonant.  So -coupling * R_i may clear
+    to integers over a denominator > 1."""
     points = draw(
         st.lists(
             st.fractions(min_value=-4, max_value=4, max_denominator=6),
@@ -332,9 +336,11 @@ def numeric_systems(draw):
             unique=True,
         )
     )
-    residues = [draw(st.sampled_from(TRANSPOSITIONS)) for _ in points]
+    factors = st.sampled_from((1, 1, Fraction(1, 3), Fraction(-3, 5), Fraction(5, 2)))
+    residues = [draw(st.sampled_from(TRANSPOSITIONS)) * draw(factors) for _ in points]
     center = draw(st.integers(1, len(points)))
-    coupling = Fraction(draw(st.sampled_from((1, 2, 3, 6))))
+    coupling = Fraction(draw(st.sampled_from((1, 2, 3, 6, Fraction(1, 2), Fraction(-2, 3)))))
+    residues[center - 1] = draw(st.sampled_from(TRANSPOSITIONS)) * coupling.denominator
     return kz_system(points, residues, coupling), center, coupling
 
 
@@ -387,7 +393,6 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
     int_calls = 0
     solve_levels = []
     original = FMatrix.__mul__
-    original_int = matrix.int_product
     original_solve = frobenius.solve_linear
 
     def counting_mul(self, other):
@@ -395,10 +400,13 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
         calls += 1
         return original(self, other)
 
-    def counting_int_product(a, b):
-        nonlocal int_calls
-        int_calls += 1
-        return original_int(a, b)
+    def counting(product):
+        def wrapped(*args):
+            nonlocal int_calls
+            int_calls += 1
+            return product(*args)
+
+        return wrapped
 
     def recording_solve(a, b):
         # a = level * I - coupling * a_{-1}
@@ -406,17 +414,60 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
         return original_solve(a, b)
 
     monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
-    monkeypatch.setattr(matrix, "int_product", counting_int_product)
-    monkeypatch.setattr(frobenius, "int_product", counting_int_product)
+    # the integer kernel's products: w_i * b_q per pole, adjugate * rhs per level
+    for name in ("_sparse_product", "_dense_product"):
+        monkeypatch.setattr(frobenius, name, counting(getattr(frobenius, name)))
     monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
     compute_series(exp, coupling, order)
     # m singular points leave a recurrence of length m; the direct
     # convolution would need order^2 / 2 products here
     assert calls <= (len(points) + 3) * order
-    assert int_calls <= (len(points) + 3) * order
+    assert 0 < int_calls <= (len(points) + 3) * order
     # elimination runs only where chi(level) = 0, at the resonant levels
     ind = indicial_data(exp, coupling)
     assert solve_levels == sorted(p for p in ind.resonant_levels if p > min(ind.resonant_levels))
+
+
+@pytest.mark.parametrize(
+    "points, residues, coupling",
+    [
+        ((0, 1), (P1, P2), TWO),
+        ((0, Fraction(2, 3), Fraction(-5, 7)), tuple(TRANSPOSITIONS), Fraction(6)),
+    ],
+    ids=("kz-s3", "three-point"),
+)
+def test_nonresonant_level_builds_one_fraction_per_entry(monkeypatch, points, residues, coupling):
+    order = 30
+    exp = local_expansion(kz_system(points, residues, coupling), 1, DERIVED_TAYLOR, order + 1)
+    resonant = indicial_data(exp, coupling).resonant_levels
+    assert min(resonant) + order + 1 not in resonant
+    built = 0
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if "_from_coprime_ints" in vars(Fraction):  # Python >= 3.12 arithmetic
+        original_coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            nonlocal built
+            built += 1
+            return original_coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+
+    def fractions_built(n_levels):
+        nonlocal built
+        built = 0
+        compute_series(exp, coupling, n_levels)
+        return built
+
+    # one more non-resonant level is one Fraction per output entry
+    assert fractions_built(order + 1) - fractions_built(order) == exp.n**2
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,25 @@ def test_propose_denominator_examples():
         propose_denominator(build_kz_s3(0, 1, Fraction(2, 3)))
 
 
+def test_denominator_exponents_finds_roots_once_per_characteristic_polynomial(monkeypatch):
+    calls = []
+    original = reconstruct_module.rational_roots
+    monkeypatch.setattr(
+        reconstruct_module, "rational_roots", lambda p: calls.append(p) or original(p)
+    )
+    # every residue of kz-s3 and of the three-point system is a transposition
+    assert denominator_exponents(build_kz_s3(0, 1, TWO)) == (2, 2)
+    assert denominator_exponents(dict(BASES)["three-point"]()) == (6, 6, 6)
+    assert len(calls) == 2
+    calls.clear()
+    assert denominator_exponents(kz_system([0, 1, 2], [P1, P2 * 2, P1], TWO)) == (2, 4, 2)
+    assert len(calls) == 2
+    # the first point without an integer eigenvalue is the one named
+    third = P1 * Fraction(1, 3)
+    with pytest.raises(NoPolynomialDenominator, match="z = 5 "):
+        denominator_exponents(kz_system([0, 5, 7], [P1, third, third * 2], TWO))
+
+
 def test_reconstruct_single_pole_terminating():
     sys_, series = single_pole_pipeline()
     w = reconstruct(series, Z**2, max_num_degree=0)
