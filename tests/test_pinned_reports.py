@@ -140,6 +140,8 @@ def _cases():
             THREE_POINT_FAR, center=center
         )
     yield "verify-kz-s3-far", ["verify"], S3_FAR
+    # a numeric series printout whose entries run to about 520 bits
+    yield "series-kz-s3-coupling-10007", ["series"], dict(S3_NUMERIC, coupling="10007", order=40)
     for path in sorted(CONFIGS.glob("*.json")):
         for command in ("expand", "series", "verify"):
             yield f"{command}-{path.stem}", [command], json.loads(path.read_text())
@@ -287,6 +289,12 @@ PINNED = {
         0,
         "0768b17acf1ab1e94c5144f7cec48db58399cc9831d87549c8d7c8ba07a0f790",
         "04b1202c14448da98a9221c4a528df018edb4d59e2680a72124cc2f9beb7cfb5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "series-kz-s3-coupling-10007": (
+        0,
+        "e442544af7050ebcb52b93b532e3133b0127a8bae2cb88ce48c7a88299428cc7",
+        "2f37b7a3d26e2e1bf0f8ae199d842fc9b1a9632c39f9494035fb18b38de13b41",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "series-kz-s3-numeric": (
