@@ -37,7 +37,7 @@ from .kzmodel import (
     local_expansion,
 )
 from .matrix import FMatrix
-from .poly import Poly
+from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
     InsufficientSeriesError,
@@ -117,10 +117,7 @@ class SystemConfig(NamedTuple):
         if self.preset is not None:
             out["residues"] = self.preset
         else:
-            out["residues"] = [
-                [[format_scalar(e) for e in row] for row in m.entries]
-                for m in self.residues
-            ]
+            out["residues"] = [_matrix_json(m) for m in self.residues]
         if self.numerator_degree is not None:
             out["numerator_degree"] = self.numerator_degree
         if self.denominator_exponents is not None:
@@ -298,7 +295,11 @@ def parse_entry(obj):
 
 
 def _matrix_json(m: FMatrix):
-    return [[_entry_json(e) for e in row] for row in m.entries]
+    # a Fraction entry, the common case, is formatted without the dispatch
+    return [
+        [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
+        for row in m.entries
+    ]
 
 
 def _vector_json(v):
@@ -310,53 +311,59 @@ def _poly_json(p: Poly):
 
 
 def report_to_json(report: dict) -> str:
-    """json.dumps(report, indent=2, sort_keys=True) + newline, byte for byte, on
-    the C string encoder; an int past CPython's int -> str cap is written too."""
-    return _json_text(report, "\n") + "\n"
+    """json.dumps(report, indent=2, sort_keys=True) + newline, byte for byte.
+
+    One pass appends the text piece by piece to a list, joined once at the
+    end.  Strings are quoted by json's C helper, and ints go through
+    format_scalar, so an int past CPython's int -> str cap is written too."""
+    parts: list[str] = []
+    _write_json(report, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _json_text(obj, newline: str) -> str:
-    """obj as indented JSON; `newline` breaks a line to obj's own indent."""
-    if _is_int(obj):
-        return format_scalar(obj)
-    if isinstance(obj, (str, bool)) or obj is None:
-        return json.dumps(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        items = [_quote(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
-        ends = "{}"
-    elif isinstance(obj, (list, tuple)):
-        quote_only = all(isinstance(v, str) for v in obj)
-        items = map(_quote, obj) if quote_only else [_json_text(v, inner) for v in obj]
-        ends = "[]"
+def _write_json(obj, newline: str, write) -> None:
+    """Write obj as indented JSON; `newline` breaks a line to obj's own indent."""
+    kind = type(obj)
+    if kind is str:
+        write(_quote(obj))
+    elif kind is int:
+        write(format_scalar(obj))
+    elif (kind is dict or kind is list or kind is tuple) and not obj:
+        write("{}" if kind is dict else "[]")
+    elif kind is dict:
+        inner = newline + "  "
+        sep = "{" + inner
+        for k in sorted(obj):
+            write(sep + _quote(k) + ": ")
+            _write_json(obj[k], inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif kind is list or kind is tuple:
+        inner = newline + "  "
+        if all(type(v) is str for v in obj):
+            write("[" + inner + ("," + inner).join(map(_quote, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            write(sep)
+            _write_json(v, inner, write)
+            sep = "," + inner
+        write(newline + "]")
+    elif kind is bool or obj is None:
+        write("null" if obj is None else "true" if obj else "false")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not obj:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
 # human-readable printing
 
 
-def _entry_str(e) -> str:
-    if isinstance(e, Fraction):
-        return format_scalar(e)
-    if isinstance(e, RatFunc):
-        return e.to_str("d")
-    if isinstance(e, Poly):
-        return e.to_str("z")
-    return str(e)
-
-
-def _matrix_lines(m: FMatrix, indent: str = "  ") -> list[str]:
-    cells = [[_entry_str(e) for e in row] for row in m.entries]
-    widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)]
-    return [
-        indent + "[" + "  ".join(cells[i][j].rjust(widths[j]) for j in range(m.cols)) + "]"
-        for i in range(m.rows)
-    ]
+def _cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
+    """Rows of cells in brackets, each column right-aligned to its widest cell."""
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return [indent + "[" + "  ".join(map(str.rjust, row, widths)) + "]" for row in cells]
 
 
 def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
@@ -368,21 +375,24 @@ def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
         return None
     (power,) = powers
     coeffs = [[e.coeff for e in row] for row in m.entries]
-    lcm_den = 1
-    for row in coeffs:
-        for c in row:
-            lcm_den = lcm(lcm_den, c.denominator)
-    ints = [[c * lcm_den for c in row] for row in coeffs]
+    lcm_den = lcm(*(c.denominator for row in coeffs for c in row))
     head = f"d^{power}" if lcm_den == 1 else f"1/{lcm_den} * d^{power}"
-    body = FMatrix([[Fraction(e) for e in row] for row in ints])
-    return [f"  {head} *"] + _matrix_lines(body, indent="    ")
+    body = [[format_scalar(c.numerator * (lcm_den // c.denominator)) for c in row] for row in coeffs]
+    return [f"  {head} *"] + _cell_lines(body, indent="    ")
 
 
-def _print_coefficient(label: str, m: FMatrix, out) -> None:
-    factored = _factored_symbolic_lines(m)
-    print(f"{label} =", file=out)
-    for line in factored if factored is not None else _matrix_lines(m):
-        print(line, file=out)
+def _print_coefficient(label: str, m: FMatrix, doc: list, out) -> None:
+    """Print m; doc is its report form, whose strings print its Fractions."""
+    if all(type(d) is str for drow in doc for d in drow):
+        lines = _cell_lines(doc)
+    else:
+        lines = _factored_symbolic_lines(m) or _cell_lines(
+            [
+                [d if type(d) is str else e.to_str("d") for d, e in zip(drow, row)]
+                for drow, row in zip(doc, m.entries)
+            ]
+        )
+    print(f"{label} =", *lines, sep="\n", file=out)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +442,10 @@ def _expansion_json(exp: LocalExpansion) -> dict:
 # the pipeline
 
 
-def _indicial_summary(ind) -> str:
-    eigs = ", ".join(f"{format_scalar(v)} (x{m})" for v, m in ind.eigenvalues)
-    levels = "{" + ", ".join(format_scalar(v) for v in sorted(ind.resonant_levels)) + "}"
+def _indicial_summary(doc: dict) -> str:
+    """The indicial line, from the report's indicial section."""
+    eigs = ", ".join(f"{v} (x{m})" for v, m in doc["eigenvalues"])
+    levels = "{" + ", ".join(map(format_scalar, doc["resonant_levels"])) + "}"
     return f"indicial: eigenvalues {eigs}; resonant levels {levels}"
 
 
@@ -459,14 +470,14 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
     ind = indicial_data(exp, cfg.coupling)
     report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
     if command == "expand":
+        expansion = report["expansion"] = _expansion_json(exp)
         print(f"local expansion at point {cfg.center} ({cfg.convention})", file=out)
-        _print_coefficient("a[-1]", exp.a_minus1, out)
-        for r in range(exp.order + 1):
-            _print_coefficient(f"a[{r}]", exp.regular(r), out)
-        report["expansion"] = _expansion_json(exp)
+        _print_coefficient("a[-1]", exp.a_minus1, expansion["a_minus1"], out)
+        for r, entry in enumerate(expansion["regular"]):
+            _print_coefficient(f"a[{r}]", exp.regular(r), entry["matrix"], out)
         return EXIT_OK, report
 
-    print(_indicial_summary(ind), file=out)
+    print(_indicial_summary(report["indicial"]), file=out)
     if not ind.resonant_levels:
         print("no integer eigenvalue: the Laurent ansatz has no integer leading exponent", file=out)
         return EXIT_MISMATCH, report
@@ -486,8 +497,8 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
     if command == "series":
         exponent = format_scalar(series.leading_exponent)
         print(f"leading exponent: {exponent} ({series.convention})", file=out)
-        for p in series.levels():
-            _print_coefficient(f"b[{format_scalar(p)}]", series.coefficient(p), out)
+        for p, m, entry in zip(series.levels(), series.coeffs, report["series"]["coefficients"]):
+            _print_coefficient(f"b[{format_scalar(p)}]", m, entry["matrix"], out)
         for rec in series.resonances:
             print(
                 f"resonant level {format_scalar(rec.level)}: {rec.kind.value}, "
@@ -539,7 +550,7 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         return EXIT_MISMATCH, report
 
     verdict = verify_ode(w, system)
-    report["reconstruction"] = {
+    recon = report["reconstruction"] = {
         "status": "ok",
         "denominator": _poly_json(w.denominator),
         "numerator": [[_poly_json(p) for p in row] for row in w.numerator.entries],
@@ -550,10 +561,9 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         "det_identically_zero": verdict.det_identically_zero,
         "residual_zero": verdict.residual.is_zero(),
     }
-    print(f"denominator: {w.denominator.to_str('z')}", file=out)
-    print("numerator:", file=out)
-    for line in _matrix_lines(w.numerator):
-        print(line, file=out)
+    print(f"denominator: {poly_str(recon['denominator'], 'z')}", file=out)
+    cells = [[poly_str(texts, "z") for texts in row] for row in recon["numerator"]]
+    print("numerator:", *_cell_lines(cells), sep="\n", file=out)
     print(
         f"ode satisfied: {verdict.satisfied}; det identically zero: "
         f"{verdict.det_identically_zero}",

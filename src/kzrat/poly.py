@@ -295,27 +295,29 @@ class Poly:
         return Poly([Fraction(x, scale) for x in taylor_shift(ints, c.numerator, s)])
 
     def to_str(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            if k == 0:
-                term = format_scalar(abs(c))
-            else:
-                mag = abs(c)
-                head = "" if mag == 1 else format_scalar(mag) + "*"
-                term = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return poly_str([format_scalar(c) for c in self.coeffs], var)
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
+
+
+def poly_str(texts, var: str) -> str:
+    """The printed polynomial whose coefficients, lowest degree first, are
+    written `texts` (format_scalar strings); each is read once for its sign
+    and magnitude."""
+    parts = []
+    for k in range(len(texts) - 1, -1, -1):
+        text = texts[k]
+        if text == "0":
+            continue
+        sign, mag = ("- ", text[1:]) if text[0] == "-" else ("+ ", text)
+        if k:
+            mag = ("" if mag == "1" else mag + "*") + (var if k == 1 else f"{var}^{k}")
+        parts.append(sign + mag)
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -343,6 +343,26 @@ def test_report_to_json_writes_the_bytes_of_json_dumps():
             report_to_json(bad)
 
 
+# Documents of every JSON shape the writer handles: nested dicts, lists and
+# tuples, empty containers, lists of strings only, strings with escapes and
+# non-ASCII characters, negative ints, bools and None.
+_texts = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9", "\U0001f600"])
+_report_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _texts,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_texts, max_size=4)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(doc=_report_documents)
+@settings(max_examples=300, deadline=None)
+def test_report_to_json_writes_the_bytes_of_json_dumps_on_drawn_documents(doc):
+    assert report_to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _graded_entries(node):
     """Every {"num", "den"} entry anywhere in a report document."""
     if isinstance(node, dict):

@@ -2,10 +2,10 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzrat import Poly, poly_gcd, rational_roots
+from kzrat import Poly, format_scalar, poly_gcd, rational_roots
 from support import (
     BIG,
     coefficients,
@@ -235,3 +235,42 @@ def test_to_str():
     assert P(1, -2, 3).to_str("z") == "3*z^2 - 2*z + 1"
     assert Poly().to_str() == "0"
     assert Poly.monomial(1).to_str("d") == "d"
+
+
+def reference_to_str(p: Poly, var: str) -> str:
+    """Poly.to_str with each term's sign and magnitude taken by Fraction
+    arithmetic on the coefficient."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            term = format_scalar(mag)
+        else:
+            head = "" if mag == 1 else format_scalar(mag) + "*"
+            term = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
+
+
+# past CPython's 4,300-digit int <-> str cap; drawn as a position in the
+# list, since Fraction's repr cannot print it
+HUGE = Fraction(-(10**4400) - 1, 3)
+
+
+@given(
+    cs=st.lists(st.just(0) | st.sampled_from((1, -1)) | coefficients, max_size=10),
+    huge_at=st.none() | st.integers(0, 10),
+    var=st.sampled_from(("x", "z", "d")),
+)
+@example(cs=[0, 0, -1, 1], huge_at=4, var="z")
+@settings(max_examples=300, deadline=None)
+def test_to_str_matches_reference(cs, huge_at, var):
+    if huge_at is not None:
+        cs.insert(huge_at, HUGE)
+    assert Poly(cs).to_str(var) == reference_to_str(Poly(cs), var)
