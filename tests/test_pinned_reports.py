@@ -201,6 +201,12 @@ PINNED = {
         "32177c149a77c9b2c6430ecfacfd5984ecfde9f547ecf9e1339ced3d6e7d35e6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "expand-s5-permutation": (
+        0,
+        "f7e1b47892cb07bd690ec9b9ccf8d0bbf77cbe4a94cc4c4952c82df2c15bc123",
+        "f2140e8e6fd16d868c08850a2a89da742e4e4e5a30e8426f59659521e64a26d5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "expand-single-pole": (
         0,
         "af1a36b80b061815ec1ecc75858cb615903391640a2f71d08ffdbbf2d08b65de",
@@ -339,6 +345,12 @@ PINNED = {
         "636ee4b4dedf7c19009e046e3a22696080d9e34a81c3123d250da857604e4e4f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "series-s5-permutation": (
+        0,
+        "f1c3e513b44883513e7113644da709faf81f1397fe2c63ff51c388de65e27bef",
+        "a7d9ad50f85848b66782bef5a341a38c02c25edfda6b8864ad905992e51d5d7a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "series-single-pole": (
         0,
         "53ec442104992805576b0d47fd32b96794a6161c4ea50eaccf5c78993e5bacb3",
@@ -421,6 +433,12 @@ PINNED = {
         3,
         "22cba568ae57bd4c22b5cf5d1316aac49ffe6157d236d06533242bffe82f2224",
         "636ee4b4dedf7c19009e046e3a22696080d9e34a81c3123d250da857604e4e4f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify-s5-permutation": (
+        0,
+        "f1dbc5cba702126b53272bbdc4ce29f479c85d2a4807d5cbb0af670d05aaca16",
+        "9fef88d1a3b1ce77010490db09d784f35bef97bf4ea203a8a43b53e62ec6a242",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify-single-pole": (
