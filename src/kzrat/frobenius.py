@@ -13,18 +13,19 @@ series costs O(m N) matrix products.  verify_recursion re-derives every
 level by the direct O(N^2) convolution over Fraction, as an independent
 check, reading a_0 .. a_(N-1) from a table it builds once.
 
-The recursion state runs on integers: each n x n matrix is a flat
-row-major list of n^2 ints over one positive denominator.  With -coupling
+The recursion state runs on integers, in the flat matrix form of
+kzrat.matrix: each n x n matrix is a row-major list of n^2 ints over one
+positive denominator, multiplied with its products.  With -coupling
 R_i = w_i / w_den_i cleared, the state is T_i = w_i S_i, and the right
 side is sum_i T_i / w_den_i; T_i and b_q have their content gcd stripped
 once per level, and one Fraction is built per output entry.  Steps are
 solved with the resolvent of M = coupling * a_{-1}: Faddeev-LeVerrier on
-the cleared integer matrix gives chi(x) = det(xI - M) and
-adj(xI - M) = sum_k x^(n-1-k) N_k once, so each level takes one Horner
-evaluation of the adjugate, one integer product with the right side and a
-division by chi(level).  A level is resonant exactly when chi(level) == 0;
-only there does solve_linear classify the step and give the kernel or the
-certificate.
+the cleared integer matrix, the routine behind charpoly, gives
+chi(x) = det(xI - M) and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each
+level takes one Horner evaluation of chi and of the adjugate, one integer
+product with the right side and a division by chi(level).  A level is
+resonant exactly when chi(level) == 0; only there does solve_linear
+classify the step and give the kernel or the certificate.
 
 The seed b_rho at the leading exponent rho is the paper's projector
 I - a_{-1} where that is a kernel of the leading step (a_{-1} an involution
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from typing import NamedTuple
 
 from .kzmodel import LocalExpansion
@@ -53,12 +53,16 @@ from .matrix import (
     FMatrix,
     SolveKind,
     charpoly,
-    cleared_matrix,
+    dense_product,
     det,
     faddeev_leverrier,
+    flat,
     solve_linear,
+    sparse_product,
+    sparse_rows,
+    stripped,
 )
-from .poly import Poly, cleared, rational_roots
+from .poly import Poly, eval_int, rational_roots
 from .ratfunc import RatFunc
 from .scalars import format_scalar
 
@@ -165,8 +169,7 @@ def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
     if a0 * a0 == ident and a0 != ident and Fraction(exponent) == -Fraction(coupling):
         return ident - a0
 
-    step = ident * Fraction(exponent) - a0 * Fraction(coupling)
-    res = solve_linear(step, FMatrix.zeros(n, n))
+    res = solve_linear(_step_matrix(exp, Fraction(coupling), exponent), FMatrix.zeros(n, n))
     if res.kind is SolveKind.UNIQUE:
         raise ValueError(
             f"{exponent} is not an eigenvalue of coupling * a_{{-1}}; the kernel is trivial"
@@ -193,37 +196,6 @@ def _convolve(a: list[FMatrix], coeffs: dict[int, FMatrix], level: int, n: int) 
         if q - j in coeffs:
             acc = acc + a[j] * coeffs[q - j]
     return acc
-
-
-def _flat(m: FMatrix) -> tuple[list[int], int]:
-    """m as one flat row-major int list over its least common denominator."""
-    return cleared([e for row in m.entries for e in row])
-
-
-def _stripped(ints: list[int], den: int) -> tuple[list[int], int]:
-    """ints / den with the content gcd(den, ints...) divided out; den > 0."""
-    g = gcd(den, *ints)
-    if g == 1:
-        return ints, den
-    return [e // g for e in ints], den // g
-
-
-def _sparse_product(rows: list[list[tuple[int, int]]], b: list[int], n: int) -> list[int]:
-    """w * b for a flat n x n int matrix b, with w given per row by its
-    nonzero entries as (k * n, w_ik): KZ residues have one per row."""
-    out = []
-    for row in rows:
-        acc = [0] * n
-        for k, x in row:
-            acc = [s + x * y for s, y in zip(acc, b[k : k + n])]
-        out += acc
-    return out
-
-
-def _dense_product(a: list[int], b: list[int], n: int) -> list[int]:
-    """a * b for flat n x n int matrices, by rows of a against columns of b."""
-    cols = [b[j::n] for j in range(n)]
-    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
 
 
 def _at_unit(e) -> Fraction:
@@ -261,19 +233,18 @@ def compute_series(
     # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
     # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
     # Horner's rule on +-m_den N_k gives the signed, scaled adjugate.
-    m_ints, m_den = cleared_matrix(exp.residue * coupling)
-    chi, adj = faddeev_leverrier(m_ints)
-    plus = [[m_den * e for row in nk for e in row] for nk in adj]
+    m_ints, m_den = flat(exp.residue * coupling)
+    chi, adj = faddeev_leverrier(m_ints, n)
+    chi_low = chi[::-1]
+    plus = [[m_den * e for e in nk] for nk in adj]
     minus = [[-e for e in nk] for nk in plus]
     coeffs = [_seed(exp, coupling, leading_exponent)]
-    b, b_den = _flat(coeffs[0])
-    # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q);
-    # each w_i is kept as its nonzero (k * n, w_ik) per row.
+    b, b_den = flat(coeffs[0])
+    # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q)
     weights = []
     for u, res in exp.poles:
-        w, w_den = _flat(res * -coupling)
-        rows = [[(k * n, x) for k, x in enumerate(w[i : i + n]) if x] for i in range(0, n * n, n)]
-        weights.append((rows, w_den, u.numerator, u.denominator))
+        w, w_den = flat(res * -coupling)
+        weights.append((sparse_rows(w, n), w_den, u.numerator, u.denominator))
     terms = [([0] * (n * n), 1)] * len(exp.poles)
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
@@ -282,8 +253,8 @@ def compute_series(
         for i, ((rows, w_den, p, q), (t, t_den)) in enumerate(zip(weights, terms)):
             g = gcd(t_den, b_den)
             ft, fb = b_den // g, t_den // g
-            t = [(e * ft + f * fb) * p for e, f in zip(t, _sparse_product(rows, b, n))]
-            t, t_den = _stripped(t, t_den * ft * q)
+            t = [(e * ft + f * fb) * p for e, f in zip(t, sparse_product(rows, b, n))]
+            t, t_den = stripped(t, t_den * ft * q)
             terms[i] = t, t_den
             d = t_den * w_den
             g = gcd(rhs_den, d)
@@ -291,15 +262,13 @@ def compute_series(
             rhs = [e * fr + f * ft for e, f in zip(rhs, t)] if i else t
             rhs_den *= fr
         x = level * m_den
-        det_x = 0
-        for c in chi:
-            det_x = det_x * x + c
+        det_x = eval_int(chi_low, x)
         if det_x:
             resolvent = plus if det_x > 0 else minus
             r = resolvent[0]
             for nk in resolvent[1:]:
                 r = [e * x + f for e, f in zip(r, nk)]
-            b, b_den = _stripped(_dense_product(r, rhs, n), rhs_den * abs(det_x))
+            b, b_den = stripped(dense_product(r, rhs, n), rhs_den * abs(det_x))
             coeffs.append(FMatrix.from_cleared(b, b_den, n))
             continue
         # chi(level) == 0: a resonant step, classified once by elimination
@@ -313,7 +282,7 @@ def compute_series(
             raise ResonanceObstruction(level, res.certificate, rhs)
         records.append(ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis))
         coeffs.append(res.particular.map(_at_unit))
-        b, b_den = _flat(coeffs[-1])
+        b, b_den = flat(coeffs[-1])
 
     return SeriesSolution(
         leading_exponent=leading_exponent,
@@ -365,8 +334,7 @@ def verify_recursion(
         if level == series.leading_exponent:
             rhs = exp.grade(FMatrix.zeros(exp.n, exp.n), 0)
         else:
-            known = {p: table[p] for p in table if p < level}
-            rhs = _convolve(a, known, level, exp.n) * coupling
+            rhs = _convolve(a, table, level, exp.n) * coupling
         residual = step * table[level] - rhs
         checks.append(
             LevelCheck(

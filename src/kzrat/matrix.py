@@ -6,16 +6,21 @@ and with int/Fraction: Fraction, and the graded monomials c * d^k
 (RatFunc) where symbolic values leave the Frobenius engine.  Those add
 only at equal d-degree, which holds for the homogeneous matrices and
 systems the engine grades.  ``charpoly`` takes Fraction entries only.
-It clears a matrix to integers (``cleared_matrix``) for Faddeev-LeVerrier
-in plain int, the routine that also gives the Frobenius engine its
-resolvent; the engine's flat int rows come back through
-``FMatrix.from_cleared``, one Fraction per entry.
+
+The one integer matrix form is flat: an n x n matrix is n^2 row-major
+ints over one positive denominator, made by ``flat``, reduced by
+``stripped``, multiplied by ``sparse_product`` and ``dense_product`` and
+read back by ``FMatrix.from_cleared``, one Fraction per entry.
+Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
+engine's resolvent.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
@@ -346,44 +351,61 @@ def det(a: FMatrix):
     return result if sign > 0 else -result
 
 
-def cleared_matrix(a: FMatrix) -> tuple[list[list[int]], int]:
-    """(ints, den) with a[i, j] == ints[i][j] / den and den the least common
-    denominator of the Fraction entries."""
-    flat, den = cleared([e for row in a.entries for e in row])
-    return [flat[i : i + a.cols] for i in range(0, len(flat), a.cols)], den
+def flat(m: FMatrix) -> tuple[list[int], int]:
+    """m as one flat row-major int list over its least common denominator."""
+    return cleared([e for row in m.entries for e in row])
 
 
-def int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """a * b for int matrices given as lists of rows.  Zero entries of the
-    left factor are skipped: KZ residues are permutation matrices, with one
-    nonzero per row."""
+def stripped(ints: list[int], den: int) -> tuple[list[int], int]:
+    """ints / den with the content gcd(den, ints...) divided out; den > 0."""
+    g = gcd(den, *ints)
+    if g == 1:
+        return ints, den
+    return [e // g for e in ints], den // g
+
+
+def sparse_rows(a: list[int], n: int) -> list[list[tuple[int, int]]]:
+    """A flat n x n int matrix given per row by its nonzero entries as
+    (k * n, a_ik), the left factor of sparse_product."""
+    return [[(k * n, x) for k, x in enumerate(a[i : i + n]) if x] for i in range(0, n * n, n)]
+
+
+def sparse_product(rows: list[list[tuple[int, int]]], b: list[int], n: int) -> list[int]:
+    """a * b for a flat n x n int matrix b and a given by sparse_rows(a, n):
+    KZ residues have one nonzero per row."""
     out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(acc)
+    for row in rows:
+        acc = [0] * n
+        for k, x in row:
+            acc = [s + x * y for s, y in zip(acc, b[k : k + n])]
+        out += acc
     return out
 
 
-def faddeev_leverrier(a: list[list[int]]) -> tuple[list[int], list[list[list[int]]]]:
-    """Characteristic data of a square int matrix A, all in int.
+def dense_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """a * b for flat n x n int matrices, by rows of a against columns of b."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
 
-    Returns c_0 .. c_n with det(xI - A) = sum_k c_k x^(n-k), and
+
+def faddeev_leverrier(a: list[int], n: int) -> tuple[list[int], list[list[int]]]:
+    """Characteristic data of a flat n x n int matrix A, all in int.
+
+    Returns c_0 .. c_n with det(xI - A) = sum_k c_k x^(n-k), and flat
     N_0 .. N_(n-1) with adj(xI - A) = sum_k x^(n-1-k) N_k: N_0 = I,
     c_k = -tr(A N_(k-1)) / k and N_k = A N_(k-1) + c_k I.  Every c_k is an
     integer, so each division by k is exact.
     """
-    n = len(a)
+    rows = sparse_rows(a, n)
+    diagonal = range(0, n * n, n + 1)
     coeffs = [1]
-    adj = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    adj = [[int(i in diagonal) for i in range(n * n)]]
     for k in range(1, n + 1):
-        prod = int_product(a, adj[-1])
-        coeffs.append(-sum(prod[i][i] for i in range(n)) // k)
+        prod = sparse_product(rows, adj[-1], n)
+        coeffs.append(-sum(prod[i] for i in diagonal) // k)
         if k < n:
-            for i in range(n):
-                prod[i][i] += coeffs[-1]
+            for i in diagonal:
+                prod[i] += coeffs[-1]
             adj.append(prod)
     return coeffs, adj
 
@@ -396,6 +418,6 @@ def charpoly(a: FMatrix) -> Poly:
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    ints, den = cleared_matrix(a)
-    coeffs, _ = faddeev_leverrier(ints)
+    ints, den = flat(a)
+    coeffs, _ = faddeev_leverrier(ints, a.rows)
     return Poly([Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])

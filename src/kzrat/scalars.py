@@ -9,7 +9,8 @@ from fractions import Fraction
 # gcd(|num|, den) = 1, den > 0, and zero is 0/1.
 Scalar = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only: \d and int() also accept every other Unicode digit.
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_scalar(text: str) -> Fraction:

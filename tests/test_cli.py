@@ -89,10 +89,21 @@ def test_parse_config_coincident_points():
         parse_config(json.dumps(doc))
 
 
-def test_parse_config_rejects_decimals():
-    doc = dict(S3_NUMERIC, coupling="0.5")
-    with pytest.raises(ConfigError, match="1/2"):
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        (dict(S3_NUMERIC, coupling="0.5"), "1/2"),
+        # non-ASCII decimal digits are not read as numbers
+        (dict(S3_NUMERIC, coupling="\uff11"), "not a rational literal"),
+        (dict(S3_NUMERIC, points=["0", "\u0663"]), "not a rational literal"),
+    ],
+    ids=("decimal", "fullwidth-coupling", "arabic-indic-point"),
+)
+def test_parse_config_rejects_decimals(tmp_path, capsys, doc, match):
+    with pytest.raises(ConfigError, match=match):
         parse_config(json.dumps(doc))
+    assert main(["series", "--config", write_config(tmp_path, doc)]) == 2
+    assert match in capsys.readouterr().err
 
 
 def test_parse_config_unknown_preset_and_keys():

@@ -415,7 +415,7 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
 
     monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
     # the integer kernel's products: w_i * b_q per pole, adjugate * rhs per level
-    for name in ("_sparse_product", "_dense_product"):
+    for name in ("sparse_product", "dense_product"):
         monkeypatch.setattr(frobenius, name, counting(getattr(frobenius, name)))
     monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
     compute_series(exp, coupling, order)

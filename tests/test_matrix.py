@@ -15,7 +15,14 @@ from kzrat import (
     inverse,
     solve_linear,
 )
-from kzrat.matrix import faddeev_leverrier, int_product
+from kzrat.matrix import (
+    dense_product,
+    faddeev_leverrier,
+    flat,
+    sparse_product,
+    sparse_rows,
+    stripped,
+)
 from support import I3, P1, P2, FieldRatFunc, coefficients, fraction_charpoly
 
 
@@ -156,33 +163,41 @@ def test_charpoly_of_doubled_transposition():
 def test_charpoly_matches_fraction_oracle(a):
     a = FMatrix(a)
     assert charpoly(a) == fraction_charpoly(a)
+    ints, den = flat(a)
+    assert FMatrix.from_cleared(ints, den, a.cols) == a
+    ints, den = stripped([3 * e for e in ints], 3 * den)
+    assert den > 0 and FMatrix.from_cleared(ints, den, a.cols) == a
 
 
 small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))
 
 
+def _rows(ints, n):
+    """A flat n x n int matrix as an FMatrix."""
+    return FMatrix.from_cleared(ints, 1, n)
+
+
 @given(
-    a=st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+    na=st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(small_ints, min_size=n * n, max_size=n * n))
     ),
     x=st.integers(-10**12, 10**12),
 )
 @settings(max_examples=150, deadline=None)
-def test_faddeev_leverrier_gives_determinant_and_adjugate(a, x):
-    n = len(a)
-    coeffs, adj = faddeev_leverrier(a)
-    step = FMatrix.identity(n) * x - FMatrix(a)
+def test_faddeev_leverrier_gives_determinant_and_adjugate(na, x):
+    n, a = na
+    coeffs, adj = faddeev_leverrier(a, n)
+    step = FMatrix.identity(n) * x - _rows(a, n)
     chi = sum(c * x ** (n - k) for k, c in enumerate(coeffs))
     assert chi == det(step)
-    adj_x = FMatrix(
-        [
-            [sum(nk[i][j] * x ** (n - 1 - k) for k, nk in enumerate(adj)) for j in range(n)]
-            for i in range(n)
-        ]
-    )
+    adj_x = _rows([sum(e * x ** (n - 1 - k) for k, e in enumerate(es)) for es in zip(*adj)], n)
     assert step * adj_x == FMatrix.identity(n) * chi
     assert adj_x * step == FMatrix.identity(n) * chi
-    assert FMatrix(int_product(a, adj[-1])) == FMatrix(a) * FMatrix(adj[-1])
+    # the flat products on the same draws, both ways round
+    for left, right in ((a, adj[-1]), (adj[-1], a)):
+        expected = _rows(left, n) * _rows(right, n)
+        assert _rows(sparse_product(sparse_rows(left, n), right, n), n) == expected
+        assert _rows(dense_product(left, right, n), n) == expected
 
 
 def test_solver_over_rational_function_field():
