@@ -25,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
-from .golden import compare_series, compare_series_dual
+from .golden import compare_series
 from .kzmodel import (
     CONVENTIONS,
     DERIVED_TAYLOR,
@@ -79,7 +79,7 @@ _KNOWN_KEYS = {
 
 class SystemConfig(NamedTuple):
     mode: str
-    points: tuple[str, ...]
+    points: tuple[Fraction | str, ...]  # each a Fraction, or SYMBOLIC
     preset: str | None
     residues: tuple[FMatrix, ...] | None
     coupling: Fraction
@@ -93,22 +93,19 @@ class SystemConfig(NamedTuple):
         if self.preset == PRESET_KZ_S3:
             if len(self.points) != 2:
                 raise ConfigError("points: the kz-s3 preset needs exactly two points")
-            pts = [_point_value(p) for p in self.points]
             try:
-                return build_kz_s3(pts[0], pts[1], self.coupling)
+                return build_kz_s3(*self.points, self.coupling)
             except ValueError as exc:
                 raise ConfigError(f"points: {exc}") from exc
         try:
-            return kz_system(
-                [_point_value(p) for p in self.points], self.residues, self.coupling
-            )
+            return kz_system(self.points, self.residues, self.coupling)
         except ValueError as exc:
             raise ConfigError(f"residues/points: {exc}") from exc
 
     def echo(self) -> dict:
         out = {
             "mode": self.mode,
-            "points": list(self.points),
+            "points": [p if p == SYMBOLIC else format_scalar(p) for p in self.points],
             "coupling": format_scalar(self.coupling),
             "convention": self.convention,
             "order": self.order,
@@ -128,12 +125,6 @@ class SystemConfig(NamedTuple):
 def _is_int(value) -> bool:
     """A JSON integer; true and false are bools, which Python counts as ints."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _point_value(text: str):
-    if text == SYMBOLIC:
-        return SYMBOLIC
-    return parse_scalar(text)
 
 
 def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
@@ -160,13 +151,10 @@ def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
         isinstance(p, str) for p in points
     ):
         raise ConfigError("points: must be a non-empty list of strings")
-    for p in points:
-        if p == SYMBOLIC:
-            continue
-        try:
-            parse_scalar(p)
-        except ValueError as exc:
-            raise ConfigError(f"points: {exc}") from exc
+    try:
+        points = tuple(p if p == SYMBOLIC else parse_scalar(p) for p in points)
+    except ValueError as exc:
+        raise ConfigError(f"points: {exc}") from exc
     symbolic_flags = [p == SYMBOLIC for p in points]
     if mode == "symbolic":
         if not all(symbolic_flags) or len(points) != 2:
@@ -175,10 +163,8 @@ def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
             )
     elif any(symbolic_flags):
         raise ConfigError("points: numeric mode does not allow 'symbolic' points")
-    if mode == "numeric":
-        values = [parse_scalar(p) for p in points]
-        if len(set(values)) != len(values):
-            raise ConfigError("points: coincident points")
+    if mode == "numeric" and len(set(points)) != len(points):
+        raise ConfigError("points: coincident points")
 
     residues = doc.get("residues", PRESET_KZ_S3)
     preset = None
@@ -232,7 +218,7 @@ def parse_config(text: str, overrides: dict | None = None) -> SystemConfig:
 
     return SystemConfig(
         mode=mode,
-        points=tuple(points),
+        points=points,
         preset=preset,
         residues=matrices,
         coupling=coupling,
@@ -449,12 +435,13 @@ def _indicial_summary(doc: dict) -> str:
     return f"indicial: eigenvalues {eigs}; resonant levels {levels}"
 
 
-def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[int, dict | None]:
+def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, dict | None]:
     """Run `command` ("expand", "series" or "verify") through the pipeline.
 
-    `golden` is None, "golden" or "golden-dual".  Text goes to `out`, and
-    usage diagnostics to `err`.  Returns the exit code and the report, or
-    None for a usage error that writes no report.
+    `golden` adds the golden comparison to `series`; the config's convention
+    decides whether it goes through the d -> -d duality.  Text goes to
+    `out`, and usage diagnostics to `err`.  Returns the exit code and the
+    report, or None for a usage error that writes no report.
     """
     if command == "verify" and cfg.mode != "numeric":
         print("verify needs a numeric-mode config", file=err)
@@ -464,6 +451,9 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
         return EXIT_USAGE, None
     if golden and (cfg.mode != "symbolic" or cfg.preset != PRESET_KZ_S3):
         print("golden comparison needs the kz-s3 preset in symbolic mode", file=err)
+        return EXIT_USAGE, None
+    if golden and cfg.center != 1:
+        print("golden comparison needs --center 1", file=err)
         return EXIT_USAGE, None
     system = cfg.build_system()
     exp = local_expansion(system, cfg.center, cfg.convention, cfg.order)
@@ -507,10 +497,7 @@ def run(cfg: SystemConfig, command: str, golden: str | None, out, err) -> tuple[
             )
         if not golden:
             return EXIT_OK, report
-        if golden == "golden-dual" and cfg.convention == DERIVED_TAYLOR:
-            outcome = compare_series_dual(series, exp)
-        else:
-            outcome = compare_series(series, exp)
+        outcome = compare_series(series, exp)
         for line in outcome.lines:
             print(line, file=out)
         report["golden"] = {"matched": outcome.matched, "lines": list(outcome.lines)}
@@ -605,11 +592,6 @@ def main(argv=None) -> int:
         p.add_argument("--convention", choices=CONVENTIONS, help="override the convention")
         if name == "series":
             p.add_argument("--golden", action="store_true", help="compare against built-in reference values")
-            p.add_argument(
-                "--golden-dual",
-                action="store_true",
-                help="golden comparison through the d -> -d duality (derived-taylor)",
-            )
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -619,11 +601,7 @@ def main(argv=None) -> int:
         overrides["center"] = args.center
     if args.convention is not None:
         overrides["convention"] = args.convention
-    golden = None
-    if getattr(args, "golden_dual", False):
-        golden = "golden-dual"
-    elif getattr(args, "golden", False):
-        golden = "golden"
+    golden = getattr(args, "golden", False)
 
     try:
         cfg = load_config(args.config, overrides)

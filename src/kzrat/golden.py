@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .frobenius import SeriesSolution, convolution_rhs
-from .kzmodel import DERIVED_TAYLOR, LITERAL_PAPER, LocalExpansion
+from .kzmodel import DERIVED_TAYLOR, LocalExpansion
 from .matrix import FMatrix
 from .ratfunc import RatFunc
 
@@ -54,9 +54,11 @@ def _level2_normalized_rhs(series: SeriesSolution, exp: LocalExpansion) -> FMatr
     return convolution_rhs(exp, table, 2)
 
 
-def _require_comparable(series: SeriesSolution) -> str | None:
+def _require_comparable(series: SeriesSolution, exp: LocalExpansion) -> str | None:
     if not series.symbolic:
         return "golden comparison needs symbolic mode"
+    if exp.center_index != 1:
+        return f"golden comparison needs center 1, got center {exp.center_index}"
     if series.leading_exponent != -2:
         return f"golden comparison needs leading exponent -2, got {series.leading_exponent}"
     if series.order < 3:
@@ -65,8 +67,10 @@ def _require_comparable(series: SeriesSolution) -> str | None:
 
 
 def compare_series(series: SeriesSolution, exp: LocalExpansion) -> GoldenOutcome:
-    """Exact comparison against the reference tables (literal-paper series)."""
-    return _compare(series, exp, dual=False)
+    """Exact comparison against the reference tables: directly for a
+    literal-paper series, through the d -> -d duality (compare_series_dual)
+    for a derived-taylor one."""
+    return _compare(series, exp, dual=series.convention == DERIVED_TAYLOR)
 
 
 def compare_series_dual(series: SeriesSolution, exp: LocalExpansion) -> GoldenOutcome:
@@ -76,14 +80,11 @@ def compare_series_dual(series: SeriesSolution, exp: LocalExpansion) -> GoldenOu
 
 
 def _compare(series: SeriesSolution, exp: LocalExpansion, dual: bool) -> GoldenOutcome:
-    problem = _require_comparable(series)
-    if problem is None and series.convention != (DERIVED_TAYLOR if dual else LITERAL_PAPER):
+    problem = _require_comparable(series, exp)
+    if problem is None and dual and series.convention != DERIVED_TAYLOR:
         problem = (
             f"dual golden comparison needs the derived-taylor convention, "
             f"got {series.convention}"
-            if dual
-            else f"golden comparison is stated for the literal-paper convention, "
-            f"got {series.convention}; pass --golden-dual for the derived-taylor twin"
         )
     if problem is not None:
         return GoldenOutcome(matched=False, lines=(problem,))

@@ -14,7 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzrat import RatFunc
+from kzrat import (
+    LITERAL_PAPER,
+    SYMBOLIC,
+    RatFunc,
+    build_kz_s3,
+    compute_series,
+    format_scalar,
+    local_expansion,
+    parse_scalar,
+)
 from kzrat import cli
 from kzrat import poly as poly_module
 from kzrat.cli import (
@@ -24,6 +33,7 @@ from kzrat.cli import (
     parse_entry,
     report_to_json,
 )
+from kzrat.golden import compare_series
 
 S3_SYMBOLIC = {
     "mode": "symbolic",
@@ -87,6 +97,49 @@ def test_parse_config_coincident_points():
     doc = dict(S3_NUMERIC, points=["0", "0"])
     with pytest.raises(ConfigError, match="coincident"):
         parse_config(json.dumps(doc))
+
+
+@st.composite
+def _spellings(draw, value: Fraction) -> str:
+    """Another way to write `value` that parse_scalar reads as `value`:
+    a sign, leading zeros, surrounding spaces, a common factor, "/1"."""
+    k = draw(st.integers(1, 3))
+    num, den = value.numerator * k, value.denominator * k
+    sign = "-" if num < 0 else draw(st.sampled_from(["", "+", "-"] if num == 0 else ["", "+"]))
+    text = sign + "0" * draw(st.integers(0, 2)) + str(abs(num))
+    if den != 1 or draw(st.booleans()):
+        text += f"/{den}"
+    pad = draw(st.sampled_from(["", " "]))
+    return pad + text + pad
+
+
+@given(
+    values=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        min_size=2,
+        max_size=2,
+        unique=True,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_points_echo_in_canonical_form(values, data):
+    spelled = [data.draw(_spellings(v)) for v in values]
+    canonical = [format_scalar(v) for v in values]
+    doc = dict(S3_NUMERIC, order=3)
+    echoed = parse_config(json.dumps(dict(doc, points=spelled))).echo()["points"]
+    assert echoed == [format_scalar(parse_scalar(p)) for p in spelled] == canonical
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for points in (spelled, canonical):
+            cfg = Path(tmp) / "cfg.json"
+            report = Path(tmp) / "report.json"
+            cfg.write_text(json.dumps(dict(doc, points=points)), encoding="utf-8")
+            out = io.StringIO()
+            with redirect_stdout(out):
+                rc = main(["series", "--config", str(cfg), "--json", str(report)])
+            runs.append((rc, out.getvalue(), report.read_bytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize(
@@ -156,20 +209,22 @@ def test_series_golden_matches(tmp_path, capsys):
     assert "golden: match (4 coefficients + resonant RHS)" in out
 
 
-def test_series_golden_flags_derived_without_dual(tmp_path, capsys):
+def test_series_golden_dual_matches(tmp_path, capsys):
     path = write_config(tmp_path, dict(S3_SYMBOLIC, convention="derived-taylor"))
     rc = main(["series", "--config", path, "--golden"])
     out = capsys.readouterr().out
-    assert rc == 1
-    assert "golden-dual" in out
-
-
-def test_series_golden_dual_matches(tmp_path, capsys):
-    path = write_config(tmp_path, dict(S3_SYMBOLIC, convention="derived-taylor"))
-    rc = main(["series", "--config", path, "--golden-dual"])
-    out = capsys.readouterr().out
     assert rc == 0
     assert "golden: match up to d->-d duality" in out
+    # the convention picks the comparison; there is no second flag
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--config", path, "--golden-dual"])
+    assert exc.value.code == 2
+
+
+def test_compare_series_needs_center_one():
+    exp = local_expansion(build_kz_s3(SYMBOLIC, SYMBOLIC), 2, LITERAL_PAPER, 4)
+    series = compute_series(exp, Fraction(2), 4)
+    assert compare_series(series, exp) == (False, ("golden comparison needs center 1, got center 2",))
 
 
 def test_series_golden_needs_order_three(tmp_path, capsys):
@@ -189,8 +244,9 @@ def test_series_golden_needs_order_three(tmp_path, capsys):
             dict(S3_SYMBOLIC, residues=[[[0, 1, 0], [1, 0, 0], [0, 0, 1]]] * 2),
             "golden comparison needs the kz-s3 preset in symbolic mode",
         ),
+        (dict(S3_SYMBOLIC, center=2), "golden comparison needs --center 1"),
     ],
-    ids=("order-2", "order-2-no-integer-eigenvalue", "numeric", "custom-residues"),
+    ids=("order-2", "order-2-no-integer-eigenvalue", "numeric", "custom-residues", "center-2"),
 )
 def test_golden_usage_errors_are_decided_from_the_config(tmp_path, capsys, monkeypatch, cfg, message):
     def no_stage(*args):
@@ -644,9 +700,7 @@ _json_documents = st.recursive(
 # valid configs are listed twice so that about half the runs reach the solver
 @given(
     doc=st.one_of(_valid_configs(), _valid_configs(), _config_docs, _json_documents),
-    argv=st.sampled_from(
-        [["expand"], ["series"], ["series", "--golden"], ["series", "--golden-dual"], ["verify"]]
-    ),
+    argv=st.sampled_from([["expand"], ["series"], ["series", "--golden"], ["verify"]]),
 )
 @example(
     doc={"mode": "numeric", "points": ["0", "1"], "coupling": "10007", "order": 40},

@@ -81,7 +81,7 @@ EXIT_PATHS = {
     ),
     "golden-order-2": (["series", "--golden"], dict(S3_SYMBOLIC, order=2)),
     "golden-numeric": (["series", "--golden"], S3_NUMERIC),
-    "golden-derived-taylor": (["series", "--golden"], dict(S3_SYMBOLIC, convention="derived-taylor")),
+    "golden-center-2": (["series", "--golden"], dict(S3_SYMBOLIC, center=2)),
     "overrides-expand": (["expand", "--order", "2", "--center", "2"], S3_SYMBOLIC),
     "overrides-series": (
         ["series", "--order", "5", "--center", "2", "--convention", "derived-taylor"],
@@ -90,6 +90,8 @@ EXIT_PATHS = {
     "overrides-verify": (["verify", "--order", "20", "--center", "2"], S3_NUMERIC),
     "config-error-parse": (["series"], dict(S3_NUMERIC, order=-1)),
     "config-error-build": (["series"], dict(S3_NUMERIC, points=["0", "1", "2"])),
+    # S3_NUMERIC in other spellings: the report echoes each value canonically
+    "verify-noncanonical-points": (["verify"], dict(S3_NUMERIC, points=["-0", "2/2"], coupling="4/2")),
 }
 
 # Integers past CPython's 4,300-digit int <-> str cap, as JSON integer
@@ -124,7 +126,7 @@ LONG_INTEGERS = {
 
 def _cases():
     yield "golden", ["series", "--golden"], S3_SYMBOLIC
-    yield "golden-dual", ["series", "--golden-dual"], dict(
+    yield "golden-dual", ["series", "--golden"], dict(
         S3_SYMBOLIC, convention="derived-taylor"
     )
     for convention in ("literal-paper", "derived-taylor"):
@@ -219,11 +221,11 @@ PINNED = {
         "712e223901a4e72e3ab75bfbb322e33416faab6a09872c6d747a7cda97c60c66",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
-    "golden-derived-taylor": (
-        1,
-        "d423de51249822380a8dc69837f5a63560263759e714a98e955026c7732bc784",
-        "288c3945115f3481547a356c6b96f16160a32ff8f64f4a5413756a70a684fea8",
+    "golden-center-2": (
+        2,
+        None,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f3f1ce44ff775029eb064a219418f976aea804cc0ebcb37b5a3251e9302cd6b7",
     ),
     "golden-dual": (
         0,
@@ -466,6 +468,8 @@ PINNED = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
+# the same system as configs/kz-s3-numeric.json, so the same bytes
+PINNED["verify-noncanonical-points"] = PINNED["verify-kz-s3-numeric"]
 
 
 def _sha256(data: bytes) -> str:
