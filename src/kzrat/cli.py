@@ -11,13 +11,15 @@ the one place that writes the `--json` report.
 Configs are single JSON documents whose numbers are exact strings ("p/q");
 reports echo every value exactly, so serialize -> parse -> serialize is
 byte-identical.  Exit codes: 0 success/verified, 1 golden mismatch or
-unverified rationality, 2 usage or config error, 3 resonance obstruction.
+unverified rationality, 2 usage or config error or a closed stdout,
+3 resonance obstruction.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -64,19 +66,6 @@ class ConfigError(ValueError):
     """A malformed or inconsistent run configuration."""
 
 
-_KNOWN_KEYS = {
-    "mode",
-    "points",
-    "residues",
-    "coupling",
-    "convention",
-    "order",
-    "center",
-    "numerator_degree",
-    "denominator_exponents",
-}
-
-
 class SystemConfig(NamedTuple):
     mode: str
     points: tuple[Fraction | str, ...]  # each a Fraction, or SYMBOLIC
@@ -120,6 +109,10 @@ class SystemConfig(NamedTuple):
         if self.denominator_exponents is not None:
             out["denominator_exponents"] = list(self.denominator_exponents)
         return out
+
+
+# every field is a config key but `preset`, which parse_config derives from `residues`
+_KNOWN_KEYS = frozenset(SystemConfig._fields) - {"preset"}
 
 
 def _is_int(value) -> bool:
@@ -572,27 +565,31 @@ def load_config(path: str, overrides: dict) -> SystemConfig:
     return parse_config(text, overrides)
 
 
+_COMMANDS = {
+    "expand": "print the local expansion coefficients",
+    "series": "solve the recursion and print the Laurent coefficients",
+    "verify": "series -> rational reconstruction -> exact ODE check",
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kzrat",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Exact Frobenius series and rational solutions for "
         "KZ-type Fuchsian systems.",
+        epilog="commands:\n" + "".join(f"  {c:8}{text}\n" for c, text in _COMMANDS.items()),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("expand", "print the local expansion coefficients"),
-        ("series", "solve the recursion and print the Laurent coefficients"),
-        ("verify", "series -> rational reconstruction -> exact ODE check"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--json", dest="json_path", help="write the full report here")
-        p.add_argument("--order", type=int, help="override the config order")
-        p.add_argument("--center", type=int, help="override the expansion center (1-based)")
-        p.add_argument("--convention", choices=CONVENTIONS, help="override the convention")
-        if name == "series":
-            p.add_argument("--golden", action="store_true", help="compare against built-in reference values")
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands below")
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--json", dest="json_path", help="write the full report here")
+    parser.add_argument("--order", type=int, help="override the config order")
+    parser.add_argument("--center", type=int, help="override the expansion center (1-based)")
+    parser.add_argument("--convention", choices=CONVENTIONS, help="override the convention")
+    parser.add_argument("--golden", action="store_true", help="series: compare with built-in tables")
     args = parser.parse_args(argv)
+    if args.golden and args.command != "series":
+        parser.error("--golden needs the series command")
 
     overrides = {}
     if args.order is not None:
@@ -601,11 +598,19 @@ def main(argv=None) -> int:
         overrides["center"] = args.center
     if args.convention is not None:
         overrides["convention"] = args.convention
-    golden = getattr(args, "golden", False)
 
     try:
         cfg = load_config(args.config, overrides)
-        code, report = run(cfg, args.command, golden, sys.stdout, sys.stderr)
+        code, report = run(cfg, args.command, args.golden, sys.stdout, sys.stderr)
+        print(end="", flush=True)  # like run's prints, a no-op when there is no stdout
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed", file=sys.stderr)
+        return EXIT_USAGE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -187,13 +187,14 @@ class SolveResult(NamedTuple):
     certificate: tuple | None = None
 
 
-def _rref(mat: list[list], track: bool) -> tuple[list[list], list[list] | None, list[int]]:
+def _rref(mat: list[list], track: bool) -> tuple[list[list], list[list] | None, list[int], object]:
     """In-place reduced row echelon form with deterministic pivoting.
 
     Pivots are the first nonzero entry scanning top-to-bottom per column
     (magnitude-based pivoting is meaningless in exact arithmetic).  When
     ``track`` is set, the accumulated row transform T with T*A = rref(A)
-    is returned as well.
+    is returned as well.  Last comes the product of the pivots, negated
+    at each row swap: det(A) when every row of a square A gets a pivot.
     """
     nrows = len(mat)
     ncols = len(mat[0])
@@ -204,6 +205,7 @@ def _rref(mat: list[list], track: bool) -> tuple[list[list], list[list] | None, 
         ]
     pivot_cols: list[int] = []
     prow = 0
+    pivot_product = 1
     for col in range(ncols):
         pivot = None
         for r in range(prow, nrows):
@@ -216,6 +218,8 @@ def _rref(mat: list[list], track: bool) -> tuple[list[list], list[list] | None, 
             mat[prow], mat[pivot] = mat[pivot], mat[prow]
             if track:
                 transform[prow], transform[pivot] = transform[pivot], transform[prow]
+            pivot_product = -pivot_product
+        pivot_product = pivot_product * mat[prow][col]
         inv = 1 / mat[prow][col]
         if mat[prow][col] != 1:
             mat[prow] = [e * inv for e in mat[prow]]
@@ -233,7 +237,7 @@ def _rref(mat: list[list], track: bool) -> tuple[list[list], list[list] | None, 
         prow += 1
         if prow == nrows:
             break
-    return mat, transform, pivot_cols
+    return mat, transform, pivot_cols, pivot_product
 
 
 def _canonical_kernel(vectors: list[list]) -> tuple[tuple, ...]:
@@ -242,7 +246,7 @@ def _canonical_kernel(vectors: list[list]) -> tuple[tuple, ...]:
     if not vectors:
         return ()
     rows = [list(v) for v in vectors]
-    reduced, _, _ = _rref(rows, track=False)
+    reduced, _, _, _ = _rref(rows, track=False)
     keep = []
     for row in reduced:
         if any(e for e in row):
@@ -266,16 +270,9 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
     n = a.rows
     m = b.cols
     work = [list(row) for row in a.entries]
-    work, transform, pivot_cols = _rref(work, track=True)
+    work, transform, pivot_cols, _ = _rref(work, track=True)
     rank = len(pivot_cols)
-
-    tb = [
-        [
-            _dot(transform[i], [b.entries[k][j] for k in range(n)])
-            for j in range(m)
-        ]
-        for i in range(n)
-    ]
+    tb = (FMatrix(transform) * b).entries
 
     for r in range(rank, n):
         if any(e for e in tb[r]):
@@ -304,13 +301,6 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
     return SolveResult(kind=SolveKind.AFFINE, particular=part, kernel_basis=kernel)
 
 
-def _dot(xs, ys):
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
-
-
 def inverse(a: FMatrix) -> FMatrix:
     """Exact inverse; raises SingularMatrixError instead of ever being wrong."""
     if a.rows != a.cols:
@@ -322,33 +312,12 @@ def inverse(a: FMatrix) -> FMatrix:
 
 
 def det(a: FMatrix):
-    """Determinant by forward elimination over the entry field."""
+    """Determinant: the signed pivot product of ``_rref``, or a zero of the
+    entry type when some row gets no pivot."""
     if a.rows != a.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    work = [list(row) for row in a.entries]
-    sign = 1
-    result = None
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            zero = work[0][0] - work[0][0]
-            return zero
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        result = p if result is None else result * p
-        inv = 1 / p
-        for r in range(col + 1, n):
-            f = work[r][col] * inv
-            if f:
-                work[r] = [e - f * q for e, q in zip(work[r], work[col])]
-    return result if sign > 0 else -result
+    _, _, pivot_cols, pivot_product = _rref([list(row) for row in a.entries], track=False)
+    return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:

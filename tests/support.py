@@ -8,7 +8,8 @@ divisions for series matching, and convolutions by raw nested loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import combinations, permutations
+from math import gcd, isqrt, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -449,6 +450,17 @@ def division_reconstruct(
     if first_bad is not None:
         raise NotRepresentable(first_bad)
     return rational_matrix(FMatrix(rows), denominator)
+
+
+def leibniz_det(rows) -> Fraction:
+    """Oracle for det: the sum over all permutations p of
+    sign(p) * prod_i rows[i][p(i)], with the sign from the inversions of p."""
+    n = len(rows)
+    total = Fraction(0)
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(rows[i][p[i]] for i in range(n))
+    return total
 
 
 def fraction_det_is_zero(m: FMatrix) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -34,6 +35,7 @@ from kzrat.cli import (
     report_to_json,
 )
 from kzrat.golden import compare_series
+from test_pinned_reports import PINNED
 
 S3_SYMBOLIC = {
     "mode": "symbolic",
@@ -752,3 +754,73 @@ def test_python_m_kzrat_exit_status(tmp_path, code, argv, doc):
     assert "Traceback" not in proc.stderr
     if code == 2:
         assert proc.stderr.startswith("config error: cannot read config: ")
+
+
+@pytest.mark.parametrize("command", ["expand", "verify"])
+def test_golden_needs_the_series_command(tmp_path, capsys, command):
+    # the argument parser refuses it before the config (here a missing file) is read
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(tmp_path / "absent.json"), "--golden"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("kzrat: error: --golden needs the series command\n")
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    config = REPO / "configs" / "kz-s3-numeric.json"
+    rc = main(["--config", str(config), "--json", str(report), "verify"])
+    out, err = capsys.readouterr()
+    digests = [hashlib.sha256(b).hexdigest() for b in (report.read_bytes(), out.encode(), err.encode())]
+    assert (rc, *digests) == PINNED["verify-kz-s3-numeric"]
+
+
+def test_help_lists_the_commands_and_golden(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for line in (
+        "expand  print the local expansion coefficients",
+        "series  solve the recursion and print the Laurent coefficients",
+        "verify  series -> rational reconstruction -> exact ODE check",
+        "--golden",
+    ):
+        assert line in out
+
+
+def _run_with_stdout(tmp_path, argv, stdout, env=None, **kwargs):
+    env = dict(env or os.environ, PYTHONPATH=str(REPO / "src"))
+    config = REPO / "configs" / "kz-s3-numeric.json"
+    return subprocess.run(
+        [sys.executable, "-m", "kzrat", *argv, "--config", str(config),
+         "--json", str(tmp_path / "report.json")],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["series", "--order", "300"]], ids=" ".join)
+@pytest.mark.parametrize("unbuffered", [True, False], ids=("unbuffered", "buffered"))
+def test_closed_stdout_exits_two_with_one_line(tmp_path, argv, unbuffered):
+    """A reader that closes stdout (`kzrat ... | head`) ends the run with
+    exit 2, one stderr line and no report, whatever the buffering."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_with_stdout(tmp_path, argv, write_end, env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output closed\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_no_stdout_at_all_still_writes_the_report(tmp_path):
+    # fd 1 closed from the start: Python sets sys.stdout to None, and print
+    # then writes nothing
+    proc = _run_with_stdout(tmp_path, ["verify"], None, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == PINNED["verify-kz-s3-numeric"][1]

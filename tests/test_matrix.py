@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from kzrat import (
     FMatrix,
     Poly,
+    RatFunc,
     SingularMatrixError,
     SolveKind,
     charpoly,
@@ -23,7 +24,7 @@ from kzrat.matrix import (
     sparse_rows,
     stripped,
 )
-from support import I3, P1, P2, FieldRatFunc, coefficients, fraction_charpoly
+from support import I3, P1, P2, FieldRatFunc, coefficients, fraction_charpoly, leibniz_det
 
 
 def columns_of(vectors, n):
@@ -146,6 +147,29 @@ def test_det():
     assert det(P1) == -1
     assert det(I3 - P1) == 0
     assert det(FMatrix([[2]])) == 2
+
+
+# three draws in four from entries that make row swaps and singular matrices common
+det_small = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2)))
+det_entries = st.one_of(det_small, det_small, det_small, coefficients).map(Fraction)
+
+
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(det_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    k=st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_det_matches_leibniz_oracle(rows, k):
+    n = len(rows)
+    expected = leibniz_det(rows)
+    value = det(FMatrix(rows))
+    assert type(value) is Fraction and value == expected
+    # homogeneous graded entries c * d^k: det is the monomial of degree n * k
+    graded = det(FMatrix([[RatFunc(c, k) for c in row] for row in rows]))
+    assert type(graded) is RatFunc
+    assert (graded.coeff, graded.power) == (expected, n * k if expected else 0)
 
 
 def test_charpoly_of_doubled_transposition():
