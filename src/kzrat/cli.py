@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
@@ -38,7 +38,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix
+from .matrix import FMatrix, integer_form
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -52,7 +52,7 @@ from .reconstruct import (
     reconstruct,
     verify_ode,
 )
-from .scalars import _int_of, format_scalar, parse_scalar
+from .scalars import _int_of, format_ratio, format_scalar, parse_scalar
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -274,6 +274,14 @@ def parse_entry(obj):
 
 
 def _matrix_json(m: FMatrix):
+    form = integer_form(m)
+    if form is not None:  # a series coefficient: format its integers, no Fraction
+        ints, den, cols = form
+        cells = []
+        for e in ints:
+            g = gcd(e, den)
+            cells.append(format_ratio(e // g, den // g))
+        return [cells[i : i + cols] for i in range(0, len(cells), cols)]
     # a Fraction entry, the common case, is formatted without the dispatch
     return [
         [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
@@ -587,19 +595,25 @@ def main(argv=None) -> int:
     parser.add_argument("--center", type=int, help="override the expansion center (1-based)")
     parser.add_argument("--convention", choices=CONVENTIONS, help="override the convention")
     parser.add_argument("--golden", action="store_true", help="series: compare with built-in tables")
-    args = parser.parse_args(argv)
-    if args.golden and args.command != "series":
-        parser.error("--golden needs the series command")
-
-    overrides = {}
-    if args.order is not None:
-        overrides["order"] = args.order
-    if args.center is not None:
-        overrides["center"] = args.center
-    if args.convention is not None:
-        overrides["convention"] = args.convention
-
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # --help has written to stdout: flush it while a closed stdout
+            # is still handled below
+            print(end="", flush=True)
+            raise
+        if args.golden and args.command != "series":
+            parser.error("--golden needs the series command")
+
+        overrides = {}
+        if args.order is not None:
+            overrides["order"] = args.order
+        if args.center is not None:
+            overrides["center"] = args.center
+        if args.convention is not None:
+            overrides["convention"] = args.convention
+
         cfg = load_config(args.config, overrides)
         code, report = run(cfg, args.command, args.golden, sys.stdout, sys.stderr)
         print(end="", flush=True)  # like run's prints, a no-op when there is no stdout

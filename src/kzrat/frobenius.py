@@ -18,9 +18,12 @@ kzrat.matrix: each n x n matrix is a row-major list of n^2 ints over one
 positive denominator, multiplied with its products.  With -coupling
 R_i = w_i / w_den_i cleared, the state is T_i = w_i S_i, and the right
 side is sum_i T_i / w_den_i; T_i and b_q have their content gcd stripped
-once per level, and one Fraction is built per output entry.  Steps are
-solved with the resolvent of M = coupling * a_{-1}: Faddeev-LeVerrier on
-the cleared integer matrix, the routine behind charpoly, gives
+once per level.  Each b_q is returned as FMatrix.from_cleared of its
+integers, which builds its n^2 Fractions only when something reads its
+entries: the CLI formats and reconstructs the series from the integers
+and builds none.  Steps are solved with the resolvent of
+M = coupling * a_{-1}: Faddeev-LeVerrier on the cleared integer matrix,
+the routine behind charpoly, gives
 chi(x) = det(xI - M) and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each
 level takes one Horner evaluation of chi and of the adjugate, one integer
 product with the right side and a division by chi(level).  A level is

@@ -10,7 +10,9 @@ systems the engine grades.  ``charpoly`` takes Fraction entries only.
 The one integer matrix form is flat: an n x n matrix is n^2 row-major
 ints over one positive denominator, made by ``flat``, reduced by
 ``stripped``, multiplied by ``sparse_product`` and ``dense_product`` and
-read back by ``FMatrix.from_cleared``, one Fraction per entry.
+read back by ``FMatrix.from_cleared``.  That matrix keeps the integers and
+builds its Fraction entries on their first read, so a caller that only
+formats or re-clears it (``integer_form``, ``flat``) builds none.
 Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
 engine's resolvent.
 """
@@ -60,10 +62,10 @@ class FMatrix:
 
     @classmethod
     def from_cleared(cls, ints: list[int], den: int, cols: int) -> FMatrix:
-        """ints / den for flat row-major ints, cols per row; nothing checked."""
-        ents = [Fraction(e, den) for e in ints]
-        m = object.__new__(cls)
-        m.entries = tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
+        """ints / den for flat row-major ints, cols per row, den > 0; nothing
+        checked.  The Fraction entries are built on first read, once."""
+        m = object.__new__(_ClearedMatrix)
+        m._flat = (tuple(ints), den, cols)
         return m
 
     @property
@@ -165,6 +167,26 @@ class FMatrix:
     def __repr__(self) -> str:
         rows = ", ".join("[" + ", ".join(repr(e) for e in row) + "]" for row in self.entries)
         return f"FMatrix([{rows}])"
+
+
+class _ClearedMatrix(FMatrix):
+    """An FMatrix that holds ints / den until its entries are first read.
+
+    A subclass, so that only these matrices have a __getattr__: on FMatrix
+    itself it would slow every attribute read of every matrix (CPython
+    does not specialize attribute reads on a type that defines it).
+    """
+
+    __slots__ = ("_flat",)
+
+    def __getattr__(self, name: str):
+        # reached only while the entries slot is unset
+        if name != "entries":
+            raise AttributeError(name)
+        ints, den, cols = self._flat
+        ents = [Fraction(e, den) for e in ints]
+        self.entries = tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
+        return self.entries
 
 
 class SolveKind(str, Enum):
@@ -320,9 +342,19 @@ def det(a: FMatrix):
     return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
+def integer_form(m: FMatrix) -> tuple[tuple[int, ...], int, int] | None:
+    """(ints, den, cols) as given to FMatrix.from_cleared, not reduced;
+    None for a matrix made any other way."""
+    return m._flat if isinstance(m, _ClearedMatrix) else None
+
+
 def flat(m: FMatrix) -> tuple[list[int], int]:
-    """m as one flat row-major int list over its least common denominator."""
-    return cleared([e for row in m.entries for e in row])
+    """m as one flat row-major int list over its least common denominator;
+    a from_cleared matrix gives its own integers, stripped."""
+    form = integer_form(m)
+    if form is None:
+        return cleared([e for row in m.entries for e in row])
+    return stripped(list(form[0]), form[1])
 
 
 def stripped(ints: list[int], den: int) -> tuple[list[int], int]:

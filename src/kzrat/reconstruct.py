@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import FMatrix, charpoly
+from .matrix import FMatrix, charpoly, flat
 from .poly import (
     Poly,
     cleared,
@@ -365,9 +365,11 @@ def reconstruct(
     coefficient of D W (one cut off), if t - v <= rho + have - 1.
 
     All of it runs on integer vectors: D(u) is the integer Taylor shift of
-    D, each entry of W is cleared once, and the numerators are shifted back
-    to z over one common denominator.  `roots` are known rational roots of
-    the denominator with their multiplicities, as for `rational_matrix`.
+    D, each level of W is taken in its flat integer form (`flat`, which
+    builds no Fraction for a level compute_series made) and scaled to the
+    lcm of the level denominators, and the numerators are shifted back to z
+    over that common denominator.  `roots` are known rational roots of the
+    denominator with their multiplicities, as for `rational_matrix`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -389,43 +391,37 @@ def reconstruct(
     # D = den / L of degree deg; in u = z - r/s, D(u) = g(u) / (L s^deg)
     g = taylor_shift(den, r, s)
     v = next(t for t, x in enumerate(g) if x)
-    levels = [m.entries for m in series.coeffs]
+    # every level over the lcm of the level denominators, read from its
+    # integer form; q[t] / (L s^deg common) is the coefficient of
+    # u^(t + rho) of an entry of D W
+    levels = [flat(m) for m in series.coeffs]
+    common = lcm(*(level_den for _, level_den in levels))
+    levels = [[e * (common // level_den) for e in ints] for ints, level_den in levels]
     products = []
     bad_levels = []
-    for i in range(len(levels[0])):
-        row = []
-        for j in range(len(levels[0][0])):
-            f, f_den = cleared([m[i][j] for m in levels])
-            # q[t] / (L s^deg f_den) is the coefficient of u^(t + rho) in D W
-            q = int_convolve(g, f)
-            row.append((q, f_den))
-            for t, x in enumerate(q[: v + have]):
-                if x and not 0 <= t + rho <= max_num_degree:
-                    bad_levels.append(t + rho - v)
-                    break
-        products.append(row)
+    for k in range(len(levels[0])):
+        q = int_convolve(g, [ints[k] for ints in levels])
+        products.append(q)
+        for t, x in enumerate(q[: v + have]):
+            if x and not 0 <= t + rho <= max_num_degree:
+                bad_levels.append(t + rho - v)
+                break
     if bad_levels:
         raise NotRepresentable(min(bad_levels))
 
-    # With nu the cut of q over the common denominator of the entries,
-    # N(u) = nu(u) / (L s^deg common) and N(z) = N(u = z - r/s) is
-    # taylor_shift(nu, -r, s)(z) / (L s^(deg + max_num_degree) common),
-    # so N/D = taylor_shift(nu, -r, s) / (s^(deg + max_num_degree) common den).
-    common = lcm(*(f_den for row in products for _, f_den in row))
+    # With nu the cut of q, N(u) = nu(u) / (L s^deg common) and
+    # N(z) = N(u = z - r/s) is taylor_shift(nu, -r, s)(z) / (L s^(deg +
+    # max_num_degree) common), so N/D = taylor_shift(nu, -r, s) /
+    # (s^(deg + max_num_degree) common den).
     num = []
-    for row in products:
-        out_row = []
-        for q, f_den in row:
-            scale = common // f_den
-            nu = [
-                q[t - rho] * scale if 0 <= t - rho < len(q) else 0
-                for t in range(max_num_degree + 1)
-            ]
-            f = taylor_shift(nu, -r, s) if any(nu) else []
-            while f and not f[-1]:
-                f.pop()
-            out_row.append(f)
-        num.append(out_row)
+    for q in products:
+        nu = [q[t - rho] if 0 <= t - rho < len(q) else 0 for t in range(max_num_degree + 1)]
+        f = taylor_shift(nu, -r, s) if any(nu) else []
+        while f and not f[-1]:
+            f.pop()
+        num.append(f)
+    n = series.coeffs[0].cols
+    num = [num[i : i + n] for i in range(0, len(num), n)]
     num_den = common * s ** (len(den) - 1 + max_num_degree)
     return _normalized(num, num_den, den, 1, roots)
 

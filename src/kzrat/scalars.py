@@ -31,13 +31,16 @@ def parse_scalar(text: str) -> Fraction:
 
 def format_scalar(x: Fraction) -> str:
     """Canonical string form: ``p`` for integers, ``p/q`` otherwise."""
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_scalar of num / den, given in lowest terms with den > 0."""
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # a part runs past CPython's int -> str digit cap
-        num = _decimal(x.numerator)
-        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator)}"
+        text = _decimal(num)
+        return text if den == 1 else f"{text}/{_decimal(den)}"
 
 
 # CPython (3.10.7 and later) caps int <-> decimal str conversion at 4300

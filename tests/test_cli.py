@@ -817,6 +817,23 @@ def test_closed_stdout_exits_two_with_one_line(tmp_path, argv, unbuffered):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_help_into_closed_stdout_exits_two_with_one_line():
+    """argparse writes --help into the stdout buffer and exits; the flush
+    into a closed pipe is handled like a run's, not at interpreter exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzrat", "--help"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output closed\n")
+
+
 def test_no_stdout_at_all_still_writes_the_report(tmp_path):
     # fd 1 closed from the start: Python sets sys.stdout to None, and print
     # then writes nothing

@@ -460,14 +460,20 @@ def test_nonresonant_level_builds_one_fraction_per_entry(monkeypatch, points, re
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
 
-    def fractions_built(n_levels):
+    def fractions_built(action):
         nonlocal built
         built = 0
-        compute_series(exp, coupling, n_levels)
-        return built
+        result = action()
+        return built, result
 
-    # one more non-resonant level is one Fraction per output entry
-    assert fractions_built(order + 1) - fractions_built(order) == exp.n**2
+    # one more non-resonant level builds no Fraction: the level stays in
+    # integer form until its entries are read, one Fraction per entry
+    shorter, _ = fractions_built(lambda: compute_series(exp, coupling, order))
+    longer, series = fractions_built(lambda: compute_series(exp, coupling, order + 1))
+    assert longer == shorter
+    last = series.coeffs[-1]
+    assert fractions_built(lambda: last.entries)[0] == exp.n**2
+    assert fractions_built(lambda: last.entries)[0] == 0
 
 
 @pytest.mark.parametrize(

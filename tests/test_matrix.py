@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kzrat import (
     FMatrix,
+    format_scalar,
     Poly,
     RatFunc,
     SingularMatrixError,
@@ -16,10 +17,12 @@ from kzrat import (
     inverse,
     solve_linear,
 )
+from kzrat.cli import _matrix_json
 from kzrat.matrix import (
     dense_product,
     faddeev_leverrier,
     flat,
+    integer_form,
     sparse_product,
     sparse_rows,
     stripped,
@@ -191,6 +194,52 @@ def test_charpoly_matches_fraction_oracle(a):
     assert FMatrix.from_cleared(ints, den, a.cols) == a
     ints, den = stripped([3 * e for e in ints], 3 * den)
     assert den > 0 and FMatrix.from_cleared(ints, den, a.cols) == a
+
+
+@st.composite
+def cleared_forms(draw):
+    """(ints, den, cols) for from_cleared: zero and negative entries, den 1,
+    input not in lowest terms, and at times one entry past CPython's
+    int -> str digit cap."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.just(0) | st.integers(-60, 60)
+    ints = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    if draw(st.booleans()):
+        ints[draw(st.integers(0, len(ints) - 1))] = -(10**4400) - 7
+    den = draw(st.sampled_from((1, 1, 2, 12, 35, 10**30)))
+    scale = draw(st.sampled_from((1, 1, 6, 10**25)))
+    return [e * scale for e in ints], den * scale, cols
+
+
+def _outcome(fn):
+    """fn() or, when it raises ValueError (a digit cap), that type."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc)
+
+
+@given(cleared_forms())
+@settings(max_examples=150, deadline=None)
+def test_from_cleared_cannot_be_told_from_its_fractions(form):
+    ints, den, cols = form
+    eager = FMatrix(
+        [[Fraction(e, den) for e in ints[i : i + cols]] for i in range(0, len(ints), cols)]
+    )
+    # the integer readers first, while no entry has been built
+    lazy = FMatrix.from_cleared(ints, den, cols)
+    assert _matrix_json(lazy) == [[format_scalar(e) for e in row] for row in eager.entries]
+    assert flat(lazy) == flat(eager)
+    assert integer_form(eager) is None
+    assert FMatrix.from_cleared(ints, den, cols) == eager
+    assert eager == FMatrix.from_cleared(ints, den, cols)
+    assert FMatrix.from_cleared(ints, den, cols).transpose() == eager.transpose()
+    fresh_repr = _outcome(lambda: repr(FMatrix.from_cleared(ints, den, cols)))
+    assert fresh_repr == _outcome(lambda: repr(eager))
+    assert lazy.entries == eager.entries
+    assert all(type(e) is Fraction for row in lazy.entries for e in row)
+    assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
+    assert _matrix_json(lazy) == _matrix_json(eager) and flat(lazy) == flat(eager)
 
 
 small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))

@@ -32,6 +32,8 @@ from kzrat import (
     transposition_matrix,
     verify_ode,
 )
+from kzrat.cli import load_config
+from kzrat.matrix import integer_form
 from kzrat.reconstruct import (
     _cleared_entries,
     _det_is_zero,
@@ -731,6 +733,20 @@ def _reconstruction_outcome(solve):
     return ("ok", w.denominator, w.numerator)
 
 
+def _eager_copy(series):
+    """The series with each coefficient an FMatrix of its Fraction entries."""
+    return series._replace(coeffs=tuple(FMatrix(m.entries) for m in series.coeffs))
+
+
+def _typed_outcome(solve):
+    """_reconstruction_outcome, with the type of every output coefficient."""
+    got = _reconstruction_outcome(solve)
+    if got[0] != "ok":
+        return got
+    polys = [got[1], *(p for row in got[2].entries for p in row)]
+    return got + (type(got[2]), [type(c) for p in polys for c in p.coeffs])
+
+
 @given(perturbed_reconstructions())
 @settings(max_examples=150, deadline=None)
 def test_reconstruct_matches_division_oracle_on_perturbed_series(case):
@@ -738,3 +754,43 @@ def test_reconstruct_matches_division_oracle_on_perturbed_series(case):
     got = _reconstruction_outcome(lambda: reconstruct(series, den, degree))
     event(str(got[0]))
     assert got == _reconstruction_outcome(lambda: division_reconstruct(series, den, degree))
+    # the same from the integer form of the levels and from their Fractions
+    eager = _eager_copy(series)
+    assert _typed_outcome(lambda: reconstruct(series, den, degree)) == _typed_outcome(
+        lambda: reconstruct(eager, den, degree)
+    )
+
+
+NUMERIC_CONFIGS = [
+    path
+    for path in sorted(CONFIGS.glob("*.json"))
+    if json.loads(path.read_text(encoding="utf-8"))["mode"] == "numeric"
+]
+
+
+@pytest.mark.parametrize("path", NUMERIC_CONFIGS, ids=lambda path: path.stem)
+def test_reconstruct_is_independent_of_the_coefficient_form(path):
+    """Levels compute_series keeps in integer form and Fraction copies of
+    them reconstruct alike, and alike report the first unmatched level once
+    the top level, which is over-checked, is changed."""
+    cfg = load_config(str(path), {})
+    sys_ = cfg.build_system()
+    exponents = cfg.denominator_exponents or denominator_exponents(sys_)
+    den = denominator_from_exponents(sys_.points, exponents)
+    degree = cfg.numerator_degree
+    if degree is None:
+        degree = den.degree + numerator_growth(sys_)
+    exp = local_expansion(sys_, cfg.center, cfg.convention, cfg.order)
+    series = compute_series(exp, cfg.coupling, cfg.order)
+    changed = _with_entry_changed(series, cfg.order, 0, 0, Fraction(1, 3))
+    outcomes = []
+    for lazy in (series, changed):
+        eager = _eager_copy(lazy)
+        assert any(integer_form(m) for m in lazy.coeffs)
+        assert not any(integer_form(m) for m in eager.coeffs)
+        got = _typed_outcome(lambda: reconstruct(lazy, den, degree, zip(sys_.points, exponents)))
+        assert got == _typed_outcome(
+            lambda: reconstruct(eager, den, degree, zip(sys_.points, exponents))
+        )
+        outcomes.append(got[0])
+    assert outcomes == ["ok", "not-representable"]
