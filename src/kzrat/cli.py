@@ -458,7 +458,8 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
         return EXIT_USAGE, None
     system = cfg.build_system()
     exp = local_expansion(system, cfg.center, cfg.convention, cfg.order)
-    ind = indicial_data(exp, cfg.coupling)
+    spectra: dict = {}  # characteristic polynomials factored in this run
+    ind = indicial_data(exp, cfg.coupling, spectra)
     report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
     if command == "expand":
         expansion = report["expansion"] = _expansion_json(exp)
@@ -509,7 +510,7 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
     try:
         exponents = cfg.denominator_exponents
         if exponents is None:
-            exponents = denominator_exponents(system)
+            exponents = denominator_exponents(system, spectra)
         den_degree = sum(exponents)
         degree = cfg.numerator_degree
         if degree is None:
@@ -580,8 +581,16 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own write ignores an OSError, so --help into a closed
+        # unbuffered stdout would exit 0; print raises it, and main handles
+        # it like a run's closed stdout
+        print(self.format_help(), end="", file=file)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kzrat",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Exact Frobenius series and rational solutions for "

@@ -13,15 +13,27 @@ series costs O(m N) matrix products.  verify_recursion re-derives every
 level by the direct O(N^2) convolution over Fraction, as an independent
 check, reading a_0 .. a_(N-1) from a table it builds once.
 
+The recursion runs on the seed's column basis.  Every b_q is L_q b_rho
+for a left factor L_q, so every level obeys the constant relations among
+the columns of b_rho: with `pivots` its pivot columns and C the nonzero
+rows of its reduced row echelon form (r x n, the identity at the
+pivots), b_q = b_q[:, pivots] C.  The engine carries the n x r pivot
+columns only; r is 1 for the projector seed of kz-s3.  Each b_q is
+returned as FMatrix.from_basis of them, which builds its full n x n
+integers only when something reads them (the report, the golden check)
+and its Fractions only when something reads its entries: reconstruct and
+verify_ode work on the pivot columns, and the CLI builds no Fraction.  A
+resonant step solves the n x r right side.  The row transform of that
+elimination does not depend on the right side, and C has full row rank,
+so an obstruction reports the full right side rhs C with the
+certificate of the full step.
+
 The recursion state runs on integers, in the flat matrix form of
-kzrat.matrix: each n x n matrix is a row-major list of n^2 ints over one
+kzrat.matrix: each n x r matrix is a row-major list of n r ints over one
 positive denominator, multiplied with its products.  With -coupling
 R_i = w_i / w_den_i cleared, the state is T_i = w_i S_i, and the right
 side is sum_i T_i / w_den_i; T_i and b_q have their content gcd stripped
-once per level.  Each b_q is returned as FMatrix.from_cleared of its
-integers, which builds its n^2 Fractions only when something reads its
-entries: the CLI formats and reconstructs the series from the integers
-and builds none.  Steps are solved with the resolvent of
+once per level.  Steps are solved with the resolvent of
 M = coupling * a_{-1}: Faddeev-LeVerrier on the cleared integer matrix,
 the routine behind charpoly, gives
 chi(x) = det(xI - M) and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each
@@ -56,6 +68,7 @@ from .matrix import (
     FMatrix,
     SolveKind,
     charpoly,
+    column_relations,
     dense_product,
     det,
     faddeev_leverrier,
@@ -65,7 +78,7 @@ from .matrix import (
     sparse_rows,
     stripped,
 )
-from .poly import Poly, eval_int, rational_roots
+from .poly import Poly, cleared, eval_int, rational_roots
 from .ratfunc import RatFunc
 from .scalars import format_scalar
 
@@ -131,10 +144,22 @@ class SeriesSolution(NamedTuple):
         return None
 
 
-def indicial_data(exp: LocalExpansion, coupling: Fraction) -> IndicialData:
-    """Exact eigenvalues of coupling * a_{-1} via rational root extraction."""
-    m = exp.residue * Fraction(coupling)
-    roots, remainder = rational_roots(charpoly(m))
+def indicial_data(
+    exp: LocalExpansion, coupling: Fraction, spectra: dict | None = None
+) -> IndicialData:
+    """Exact eigenvalues of coupling * a_{-1} via rational root extraction.
+
+    `spectra` maps characteristic polynomials, by coefficient tuple, to
+    their `rational_roots`: a polynomial found there is not factored
+    again, and one factored here is added, so that one run can share it
+    with `denominator_exponents`.
+    """
+    chi = charpoly(exp.residue * Fraction(coupling))
+    if spectra is None:
+        spectra = {}
+    if chi.coeffs not in spectra:
+        spectra[chi.coeffs] = rational_roots(chi)
+    roots, remainder = spectra[chi.coeffs]
     resonant = frozenset(int(r) for r, _ in roots if r.denominator == 1)
     return IndicialData(
         eigenvalues=roots,
@@ -241,22 +266,27 @@ def compute_series(
     chi_low = chi[::-1]
     plus = [[m_den * e for e in nk] for nk in adj]
     minus = [[-e for e in nk] for nk in plus]
-    coeffs = [_seed(exp, coupling, leading_exponent)]
-    b, b_den = flat(coeffs[0])
+    # every b_q is L_q b_rho, so the recursion runs on the pivot columns
+    # of b_rho, r of them, and each level is b_q[:, pivots] * C
+    seed = _seed(exp, coupling, leading_exponent)
+    relations = column_relations(seed)
+    r = len(relations.pivots)
+    b, b_den = cleared([row[j] for row in seed.entries for j in relations.pivots])
+    coeffs = [FMatrix.from_basis(b, b_den, relations)]
     # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q)
     weights = []
     for u, res in exp.poles:
         w, w_den = flat(res * -coupling)
         weights.append((sparse_rows(w, n), w_den, u.numerator, u.denominator))
-    terms = [([0] * (n * n), 1)] * len(exp.poles)
+    terms = [([0] * (n * r), 1)] * len(exp.poles)
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
         level = leading_exponent + step
-        rhs, rhs_den = [0] * (n * n), 1
+        rhs, rhs_den = [0] * (n * r), 1
         for i, ((rows, w_den, p, q), (t, t_den)) in enumerate(zip(weights, terms)):
             g = gcd(t_den, b_den)
             ft, fb = b_den // g, t_den // g
-            t = [(e * ft + f * fb) * p for e, f in zip(t, sparse_product(rows, b, n))]
+            t = [(e * ft + f * fb) * p for e, f in zip(t, sparse_product(rows, b, r))]
             t, t_den = stripped(t, t_den * ft * q)
             terms[i] = t, t_den
             d = t_den * w_den
@@ -268,24 +298,28 @@ def compute_series(
         det_x = eval_int(chi_low, x)
         if det_x:
             resolvent = plus if det_x > 0 else minus
-            r = resolvent[0]
+            adj_x = resolvent[0]
             for nk in resolvent[1:]:
-                r = [e * x + f for e, f in zip(r, nk)]
-            b, b_den = stripped(dense_product(r, rhs, n), rhs_den * abs(det_x))
-            coeffs.append(FMatrix.from_cleared(b, b_den, n))
+                adj_x = [e * x + f for e, f in zip(adj_x, nk)]
+            b, b_den = stripped(dense_product(adj_x, rhs, r), rhs_den * abs(det_x))
+            coeffs.append(FMatrix.from_basis(b, b_den, relations))
             continue
         # chi(level) == 0: a resonant step, classified once by elimination
         # over graded values.  The step matrix has d-degree 0 and the right
         # side -step, so the pivots are those at d = 1: the kernel and the
         # certificate keep the entry types that reports encode, and the
-        # particular solution read back at d = 1 is the engine's.
-        rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den, n), -step)
-        res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), rhs)
+        # particular solution read back at d = 1 is the engine's.  The row
+        # transform of the elimination does not depend on the right side
+        # and C has full row rank, so the n x r right side gives the
+        # certificate of the full one, and the particular solution times C.
+        basis_rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den, r), -step)
+        res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), basis_rhs)
         if res.kind is SolveKind.INCONSISTENT:
-            raise ResonanceObstruction(level, res.certificate, rhs)
+            full_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, relations), -step)
+            raise ResonanceObstruction(level, res.certificate, full_rhs)
         records.append(ResonanceRecord(level=level, kind=res.kind, kernel=res.kernel_basis))
-        coeffs.append(res.particular.map(_at_unit))
-        b, b_den = flat(coeffs[-1])
+        b, b_den = flat(res.particular.map(_at_unit))
+        coeffs.append(FMatrix.from_basis(b, b_den, relations))
 
     return SeriesSolution(
         leading_exponent=leading_exponent,

@@ -7,7 +7,7 @@ and with int/Fraction: Fraction, and the graded monomials c * d^k
 only at equal d-degree, which holds for the homogeneous matrices and
 systems the engine grades.  ``charpoly`` takes Fraction entries only.
 
-The one integer matrix form is flat: an n x n matrix is n^2 row-major
+The one integer matrix form is flat: an n x c matrix is n c row-major
 ints over one positive denominator, made by ``flat``, reduced by
 ``stripped``, multiplied by ``sparse_product`` and ``dense_product`` and
 read back by ``FMatrix.from_cleared``.  That matrix keeps the integers and
@@ -15,6 +15,14 @@ builds its Fraction entries on their first read, so a caller that only
 formats or re-clears it (``integer_form``, ``flat``) builds none.
 Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
 engine's resolvent.
+
+A matrix M of column rank r can also be held on a column basis: its r
+pivot columns B = M[:, pivots] and the constant relations C, the nonzero
+rows of the reduced row echelon form of M, with M = B C
+(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B in flat form and
+builds the full integers only when they are read; ``basis_form`` hands B
+and C to a caller that works on the pivot columns alone.  Any other
+matrix counts as its own basis: every column a pivot, C = I.
 """
 
 from __future__ import annotations
@@ -64,8 +72,23 @@ class FMatrix:
     def from_cleared(cls, ints: list[int], den: int, cols: int) -> FMatrix:
         """ints / den for flat row-major ints, cols per row, den > 0; nothing
         checked.  The Fraction entries are built on first read, once."""
+        return cls.from_basis(ints, den, ColumnRelations.trivial(cols))
+
+    @classmethod
+    def from_basis(cls, ints: list[int], den: int, relations: ColumnRelations) -> FMatrix:
+        """(ints / den) * C for the flat pivot columns ints, r per row, and
+        the relations C, den > 0; nothing checked.  The full integers are
+        built on first read, once, and the Fraction entries from them."""
         m = object.__new__(_ClearedMatrix)
-        m._flat = (tuple(ints), den, cols)
+        m.relations = relations
+        m._basis = (tuple(ints), den)
+        return m
+
+    @classmethod
+    def with_relations(cls, rows: Sequence[Sequence], relations: ColumnRelations) -> FMatrix:
+        """The matrix of rows, whose columns are known to obey relations."""
+        m = _RelatedMatrix(rows)
+        m.relations = relations
         return m
 
     @property
@@ -169,18 +192,74 @@ class FMatrix:
         return f"FMatrix([{rows}])"
 
 
-class _ClearedMatrix(FMatrix):
-    """An FMatrix that holds ints / den until its entries are first read.
+class ColumnRelations(NamedTuple):
+    """Constant relations M = M[:, pivots] * C / den among the columns of a
+    matrix M: C, r x n with r = len(pivots), is given by its integer rows
+    and is den times the identity at the pivot columns."""
+
+    pivots: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+
+    @classmethod
+    def trivial(cls, cols: int) -> ColumnRelations:
+        """Every column a pivot: C = I."""
+        return cls(
+            tuple(range(cols)),
+            tuple(tuple(int(i == j) for j in range(cols)) for i in range(cols)),
+            1,
+        )
+
+    @property
+    def cols(self) -> int:
+        return len(self.rows[0])
+
+    def columns(self) -> list[list[tuple[int, int]]]:
+        """Per column j of C, its nonzero entries as (k, C_kj)."""
+        return [[(k, c) for k, c in enumerate(col) if c] for col in zip(*self.rows)]
+
+    def expand(self, basis: list[int]) -> list[int]:
+        """basis * C, flat, for flat rows of r pivot-column entries: one
+        outer product per pivot column, summed."""
+        r = len(self.rows)
+        parts = [[x * c for x in basis[k::r] for c in row] for k, row in enumerate(self.rows)]
+        return parts[0] if r == 1 else [sum(t) for t in zip(*parts)]
+
+
+def column_relations(m: FMatrix) -> ColumnRelations:
+    """The relations among the columns of m, from its reduced row echelon form."""
+    reduced, _, pivots, _ = _rref([list(row) for row in m.entries], track=False)
+    r = len(pivots)
+    ints, den = cleared([e for row in reduced[:r] for e in row])
+    n = m.cols
+    rows = tuple(tuple(ints[i : i + n]) for i in range(0, r * n, n))
+    return ColumnRelations(tuple(pivots), rows, den)
+
+
+class _RelatedMatrix(FMatrix):
+    """An FMatrix that carries known relations among its columns."""
+
+    __slots__ = ("relations",)
+
+
+class _ClearedMatrix(_RelatedMatrix):
+    """An FMatrix that holds its pivot columns ints / den and their
+    relations until its full integers or its entries are first read.
 
     A subclass, so that only these matrices have a __getattr__: on FMatrix
     itself it would slow every attribute read of every matrix (CPython
     does not specialize attribute reads on a type that defines it).
     """
 
-    __slots__ = ("_flat",)
+    __slots__ = ("_basis", "_flat")
 
     def __getattr__(self, name: str):
-        # reached only while the entries slot is unset
+        # reached only while the slot asked for is unset
+        if name == "_flat":
+            ints, den = self._basis
+            rel = self.relations
+            self._flat = (tuple(rel.expand(ints)), den * rel.den, rel.cols)
+            return self._flat
         if name != "entries":
             raise AttributeError(name)
         ints, den, cols = self._flat
@@ -343,14 +422,28 @@ def det(a: FMatrix):
 
 
 def integer_form(m: FMatrix) -> tuple[tuple[int, ...], int, int] | None:
-    """(ints, den, cols) as given to FMatrix.from_cleared, not reduced;
-    None for a matrix made any other way."""
+    """(ints, den, cols) of a from_cleared or from_basis matrix, all its
+    columns, not reduced; None for a matrix made any other way."""
     return m._flat if isinstance(m, _ClearedMatrix) else None
+
+
+def basis_form(m: FMatrix) -> tuple[list[int], int, ColumnRelations]:
+    """(ints, den, relations) with m = (ints / den) * relations: for a
+    from_basis or from_cleared matrix its own pivot columns, stripped; for
+    any other, flat(m) with every column a pivot."""
+    if isinstance(m, _ClearedMatrix):
+        return (*stripped(list(m._basis[0]), m._basis[1]), m.relations)
+    return (*flat(m), ColumnRelations.trivial(m.cols))
+
+
+def known_relations(m: FMatrix) -> ColumnRelations:
+    """The relations m carries; every column a pivot when it carries none."""
+    return m.relations if isinstance(m, _RelatedMatrix) else ColumnRelations.trivial(m.cols)
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:
     """m as one flat row-major int list over its least common denominator;
-    a from_cleared matrix gives its own integers, stripped."""
+    a from_cleared or from_basis matrix gives its own integers, stripped."""
     form = integer_form(m)
     if form is None:
         return cleared([e for row in m.entries for e in row])
@@ -367,26 +460,29 @@ def stripped(ints: list[int], den: int) -> tuple[list[int], int]:
 
 def sparse_rows(a: list[int], n: int) -> list[list[tuple[int, int]]]:
     """A flat n x n int matrix given per row by its nonzero entries as
-    (k * n, a_ik), the left factor of sparse_product."""
-    return [[(k * n, x) for k, x in enumerate(a[i : i + n]) if x] for i in range(0, n * n, n)]
+    (k, a_ik), the left factor of sparse_product."""
+    return [[(k, x) for k, x in enumerate(a[i : i + n]) if x] for i in range(0, n * n, n)]
 
 
-def sparse_product(rows: list[list[tuple[int, int]]], b: list[int], n: int) -> list[int]:
-    """a * b for a flat n x n int matrix b and a given by sparse_rows(a, n):
+def sparse_product(rows: list[list[tuple[int, int]]], b: list[int], cols: int) -> list[int]:
+    """a * b for a flat n x cols int matrix b and a given by sparse_rows(a, n):
     KZ residues have one nonzero per row."""
     out = []
     for row in rows:
-        acc = [0] * n
+        acc = [0] * cols
         for k, x in row:
-            acc = [s + x * y for s, y in zip(acc, b[k : k + n])]
+            lo = k * cols
+            acc = [s + x * y for s, y in zip(acc, b[lo : lo + cols])]
         out += acc
     return out
 
 
-def dense_product(a: list[int], b: list[int], n: int) -> list[int]:
-    """a * b for flat n x n int matrices, by rows of a against columns of b."""
-    cols = [b[j::n] for j in range(n)]
-    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in cols]
+def dense_product(a: list[int], b: list[int], cols: int) -> list[int]:
+    """a * b for a flat n x n int matrix a and a flat n x cols int matrix b,
+    by rows of a against columns of b."""
+    n = len(b) // cols
+    columns = [b[j::cols] for j in range(cols)]
+    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in columns]
 
 
 def faddeev_leverrier(a: list[int], n: int) -> tuple[list[int], list[list[int]]]:

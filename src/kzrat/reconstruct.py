@@ -6,11 +6,20 @@ share one prescribed scalar denominator D, so each numerator is the
 product D W cut to the allowed degrees, and the excess coefficients of the
 same product, those cut off, over-check it against every series level.
 
-Everything after the series runs on integer vectors.  `reconstruct` clears
-each series entry once, convolves it with the cleared D(u), reads the
-numerator and the over-check from that integer product, shifts the
-numerators back to z by an integer Taylor shift, and normalizes the
-integer matrix directly; one Fraction is built per output coefficient.
+Everything after the series runs on integer vectors, and on the pivot
+columns of the series' seed (kzrat.frobenius): every level, and so W, is
+its pivot columns times the constant relations C.  `reconstruct` takes
+each level's pivot columns in their integer form, convolves them with
+the cleared D(u), reads the numerator and the over-check from that
+integer product, shifts the numerators back to z by an integer Taylor
+shift, normalizes them, and only then builds the other columns as N C;
+one Fraction is built per output coefficient.  The over-check and the
+normalization find what they find on all columns, since the pivot
+columns are columns of W and the others constant combinations of them.
+A series whose levels do not all carry the same relations (built by
+hand, changed, or copied from Fractions) counts every column a pivot,
+C = I.  The numerator carries C on to `verify_ode`, which checks the
+pivot columns only: the residual is linear in N and C is constant.
 
 Normalisation works on the factored denominator.  Callers that know
 rational roots of D with their multiplicities (the CLI knows all of
@@ -20,9 +29,10 @@ r = p/q cancels as often as (q z - p) divides every entry, by exact
 integer division; only the root-free rest goes through `poly_gcd`.
 `verify_ode` writes D = E prod (z - z_i)^(e_i) over the system's points
 and forms (dW/dz - coupling A W) D pi E from the log-derivative of D,
-with no D or D^2 products (see `verify_ode`).  Its det(W) flag is decided
-by one integer rank test: on the stacked coefficient matrices, and only
-when that finds no constant kernel, at integer points (see `_det_is_zero`).
+with no D or D^2 products (see `verify_ode`).  Its det(W) flag is true at
+once when C has fewer rows than columns; otherwise it is decided by one
+integer rank test: on the stacked coefficient matrices, and only when
+that finds no constant kernel, at integer points (see `_det_is_zero`).
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import FMatrix, charpoly, flat
+from .matrix import ColumnRelations, FMatrix, basis_form, charpoly, flat, known_relations
 from .poly import (
     Poly,
     cleared,
@@ -176,14 +186,22 @@ def rational_matrix(
         raise ZeroDivisionError("rational matrix function with zero denominator")
     num, num_den = _cleared_entries(numerator)
     den, den_den = cleared(denominator.coeffs)
-    return _normalized(num, num_den, den, den_den, roots)
+    return _normalized(
+        num, num_den, den, den_den, roots, ColumnRelations.trivial(numerator.cols)
+    )
 
 
 def _normalized(
-    num: list[list[list[int]]], num_den: int, den: list[int], den_den: int, roots
+    num: list[list[list[int]]],
+    num_den: int,
+    den: list[int],
+    den_den: int,
+    roots,
+    relations: ColumnRelations,
 ) -> RationalMatrixFunction:
-    """(num / num_den) / (den / den_den), normalized, for integer vectors
-    without trailing zeros; one Fraction is built per output coefficient.
+    """(num C / num_den) / (den / den_den), normalized, for integer vectors
+    without trailing zeros, num the pivot columns and C the relations;
+    one Fraction is built per output coefficient.
 
     The denominator is factored as c * prod (q z - p)^m * E with E free of
     rational roots.  Each hinted root is divided out of den first, by exact
@@ -192,6 +210,11 @@ def _normalized(
     cancels as often as (q z - p) divides every entry, tested by exact
     division (Gauss's lemma: over Z as over Q, since q z - p is
     primitive); only E is matched against the entries by poly_gcd.
+
+    The other columns are constant combinations of the pivot columns, so
+    a factor divides every entry exactly when it divides every pivot
+    entry: the pivot columns are normalized and the others built from
+    them.  The numerator carries the relations, for `verify_ode`.
     """
     mults: dict = {}
     rest = den
@@ -207,9 +230,7 @@ def _normalized(
                 )
         mults[root] = mults.get(root, 0) + m
     if not any(f for row in num for f in row):
-        return RationalMatrixFunction(
-            numerator=FMatrix([[Poly() for _ in row] for row in num]), denominator=Poly.one()
-        )
+        return _zero_function(len(num), relations.cols)
     rest_free = Poly()  # what rational_roots leaves; none when rest is constant
     if len(rest) > 1:
         found, rest_free = rational_roots(Poly(rest))
@@ -234,13 +255,44 @@ def _normalized(
             num = _divided(num, g_ints)
             den = exact_quotient(den, g_ints)
     lead = den[-1]
-    scale = num_den * lead
+    scale = num_den * lead * relations.den
+    columns = relations.columns()
     return RationalMatrixFunction(
-        numerator=FMatrix(
-            [[Poly([Fraction(x * den_den, scale) for x in f]) for f in row] for row in num]
+        numerator=FMatrix.with_relations(
+            [
+                [
+                    Poly([Fraction(x * den_den, scale) for x in _combination(row, terms)])
+                    for terms in columns
+                ]
+                for row in num
+            ],
+            relations,
         ),
         denominator=Poly([Fraction(x, lead) for x in den]),
     )
+
+
+def _zero_function(rows: int, cols: int) -> RationalMatrixFunction:
+    return RationalMatrixFunction(
+        numerator=FMatrix([[Poly() for _ in range(cols)] for _ in range(rows)]),
+        denominator=Poly.one(),
+    )
+
+
+def _combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int]:
+    """sum c * row[k] over the (k, c) terms, without trailing zeros."""
+    if len(terms) == 1:
+        k, c = terms[0]
+        return row[k] if c == 1 else [c * x for x in row[k]]
+    acc: list[int] = []
+    for k, c in terms:
+        f = row[k]
+        acc += [0] * (len(f) - len(acc))
+        for t, x in enumerate(f):
+            acc[t] += c * x
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
 
 def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] | None:
@@ -258,13 +310,15 @@ def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] 
     return out
 
 
-def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
+def _cleared_entries(m: FMatrix, columns=None) -> tuple[list[list[list[int]]], int]:
     """(ints, den) with entry (i, j) of the Poly matrix m equal to
-    ints[i][j] / den, den the least common denominator of all coefficients."""
-    flat, den = cleared([c for row in m.entries for p in row for c in p.coeffs])
+    ints[i][j] / den, den the least common denominator of all coefficients;
+    only the given columns, when given."""
+    rows = m.entries if columns is None else [[row[j] for j in columns] for row in m.entries]
+    flat, den = cleared([c for row in rows for p in row for c in p.coeffs])
     out = []
     pos = 0
-    for row in m.entries:
+    for row in rows:
         out_row = []
         for p in row:
             out_row.append(flat[pos : pos + len(p.coeffs)])
@@ -287,18 +341,24 @@ def _derivative(f: list[int]) -> list[int]:
     return [k * x for k, x in enumerate(f)][1:]
 
 
-def denominator_exponents(sys: KZSystem) -> tuple[int, ...]:
+def denominator_exponents(sys: KZSystem, spectra: dict | None = None) -> tuple[int, ...]:
     """m_i = max(0, -rho_i) per singular point, with rho_i the minimal
-    integer eigenvalue of coupling * residue_i."""
+    integer eigenvalue of coupling * residue_i.
+
+    KZ residues often share one characteristic polynomial, which is
+    factored once.  `spectra` maps characteristic polynomials, by
+    coefficient tuple, to their `rational_roots` found before, as
+    `indicial_data` leaves them, and receives those found here.
+    """
     if sys.is_symbolic:
         raise ValueError("a denominator proposal needs a numeric-mode system")
     exponents = []
-    roots_of = {}  # KZ residues often share one characteristic polynomial
+    roots_of = {} if spectra is None else spectra
     for point, residue in zip(sys.points, sys.residues):
         chi = charpoly(residue * sys.coupling)
         if chi.coeffs not in roots_of:
-            roots_of[chi.coeffs] = rational_roots(chi)[0]
-        integer_eigs = [r for r, _ in roots_of[chi.coeffs] if r.denominator == 1]
+            roots_of[chi.coeffs] = rational_roots(chi)
+        integer_eigs = [r for r, _ in roots_of[chi.coeffs][0] if r.denominator == 1]
         if not integer_eigs:
             raise NoPolynomialDenominator(
                 f"coupling * residue at z = {format_scalar(point)} has no integer eigenvalue; "
@@ -364,12 +424,14 @@ def reconstruct(
     from W at level t - v, t the lowest degree of a nonzero excess
     coefficient of D W (one cut off), if t - v <= rho + have - 1.
 
-    All of it runs on integer vectors: D(u) is the integer Taylor shift of
-    D, each level of W is taken in its flat integer form (`flat`, which
-    builds no Fraction for a level compute_series made) and scaled to the
-    lcm of the level denominators, and the numerators are shifted back to z
-    over that common denominator.  `roots` are known rational roots of the
-    denominator with their multiplicities, as for `rational_matrix`.
+    All of it runs on integer vectors and on the pivot columns of the
+    levels: D(u) is the integer Taylor shift of D, each level of W is taken
+    in its integer basis form (`basis_form`, which builds no Fraction and
+    no full matrix for a level compute_series made) and scaled to the lcm
+    of the level denominators, and the numerators are shifted back to z
+    over that common denominator; the other columns are built after
+    normalization.  `roots` are known rational roots of the denominator
+    with their multiplicities, as for `rational_matrix`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -391,12 +453,17 @@ def reconstruct(
     # D = den / L of degree deg; in u = z - r/s, D(u) = g(u) / (L s^deg)
     g = taylor_shift(den, r, s)
     v = next(t for t, x in enumerate(g) if x)
-    # every level over the lcm of the level denominators, read from its
-    # integer form; q[t] / (L s^deg common) is the coefficient of
-    # u^(t + rho) of an entry of D W
-    levels = [flat(m) for m in series.coeffs]
-    common = lcm(*(level_den for _, level_den in levels))
-    levels = [[e * (common // level_den) for e in ints] for ints, level_den in levels]
+    # the pivot columns of every level, over the lcm of the level
+    # denominators, read from their integer form; q[t] / (L s^deg common)
+    # is the coefficient of u^(t + rho) of a pivot entry of D W
+    forms = [basis_form(m) for m in series.coeffs]
+    relations = forms[0][2]
+    if any(form[2] != relations for form in forms):
+        # levels that share no relations: every column is a pivot
+        relations = ColumnRelations.trivial(relations.cols)
+        forms = [(*flat(m), relations) for m in series.coeffs]
+    common = lcm(*(level_den for _, level_den, _ in forms))
+    levels = [[e * (common // level_den) for e in ints] for ints, level_den, _ in forms]
     products = []
     bad_levels = []
     for k in range(len(levels[0])):
@@ -420,10 +487,10 @@ def reconstruct(
         while f and not f[-1]:
             f.pop()
         num.append(f)
-    n = series.coeffs[0].cols
-    num = [num[i : i + n] for i in range(0, len(num), n)]
+    r = len(relations.pivots)
+    num = [num[i : i + r] for i in range(0, len(num), r)]
     num_den = common * s ** (len(den) - 1 + max_num_degree)
-    return _normalized(num, num_den, den, 1, roots)
+    return _normalized(num, num_den, den, 1, roots, relations)
 
 
 class OdeVerdict(NamedTuple):
@@ -446,14 +513,19 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
             = E (pi N' - sum_i c_i (e_i I + coupling R_i) N) - pi E' N,
 
     a polynomial matrix formed on integer vectors with no D or D^2
-    products.  The residual is that matrix over D pi E, normalized.
+    products, for the pivot columns of N only (`known_relations`); the
+    other columns of the residual are the same combinations of them.  The
+    residual is that matrix over D pi E, normalized; a zero one needs no
+    normalizing.
     """
     if sys.is_symbolic:
         raise ValueError("verify_ode needs a numeric-mode system")
     n = w.n
     if sys.n != n:
         raise ValueError(f"dimension mismatch: W is {n}x{n}, the system {sys.n}x{sys.n}")
-    num, num_den = _cleared_entries(w.numerator)
+    relations = known_relations(w.numerator)
+    r = len(relations.pivots)
+    num, num_den = _cleared_entries(w.numerator, relations.pivots)
     d_ints, d_den = cleared(w.denominator.coeffs)
     e_ints = d_ints
     lines = [[-z.numerator, z.denominator] for z in sys.points]
@@ -491,25 +563,30 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     pi = [shift_den * x for x in pi]
     pi_de = int_convolve(pi, _derivative(e_ints))
     residual_ints = []
-    for r in range(n):
+    for i in range(n):
         row = []
-        for c in range(n):
-            acc = int_convolve(pi, _derivative(num[r][c]))
+        for c in range(r):
+            acc = int_convolve(pi, _derivative(num[i][c]))
             for k in range(n):
-                acc = _sub(acc, int_convolve(s[r][k], num[k][c]))
-            row.append(_sub(int_convolve(e_ints, acc), int_convolve(pi_de, num[r][c])))
+                acc = _sub(acc, int_convolve(s[i][k], num[k][c]))
+            row.append(_sub(int_convolve(e_ints, acc), int_convolve(pi_de, num[i][c])))
         residual_ints.append(row)
-    residual = _normalized(
-        residual_ints,
-        num_den,
-        int_convolve(int_convolve(d_ints, pi), e_ints),
-        d_den,
-        [(z, e + 1) for z, e in zip(sys.points, exponents)],
-    )
+    satisfied = not any(f for row in residual_ints for f in row)
+    if satisfied:
+        residual = _zero_function(n, n)
+    else:
+        residual = _normalized(
+            residual_ints,
+            num_den,
+            int_convolve(int_convolve(d_ints, pi), e_ints),
+            d_den,
+            [(z, e + 1) for z, e in zip(sys.points, exponents)],
+            relations,
+        )
     return OdeVerdict(
-        satisfied=not any(f for row in residual_ints for f in row),
+        satisfied=satisfied,
         residual=residual,
-        det_identically_zero=_det_is_zero(num),
+        det_identically_zero=r < n or _det_is_zero(num),
     )
 
 

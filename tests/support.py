@@ -14,6 +14,9 @@ from math import gcd, isqrt, lcm, prod
 from hypothesis import strategies as st
 
 from kzrat import (
+    CONVENTIONS,
+    DERIVED_TAYLOR,
+    SYMBOLIC,
     FMatrix,
     OdeVerdict,
     Poly,
@@ -24,6 +27,7 @@ from kzrat import (
     SeriesSolution,
     SolveKind,
     convolution_rhs,
+    kz_system,
     leading_coefficient,
     poly_gcd,
     rational_roots,
@@ -375,6 +379,26 @@ def integer_residues(draw, n: int, coupling: Fraction) -> FMatrix:
         e_inv = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(n)] for r in range(n)]
         u, u_inv = u * FMatrix(e), FMatrix(e_inv) * u_inv
     return u * t * u_inv
+
+
+@st.composite
+def kz_systems(draw, symbolic: bool):
+    """(system, center, convention, order) for an integer-residue system
+    with n <= 4.  The center's residue comes from integer_residues, so the
+    seed's column rank runs from 1 to n."""
+    n = draw(st.integers(1, 4))
+    coupling = draw(couplings)
+    if symbolic:
+        pts = [SYMBOLIC, SYMBOLIC]
+        convention = draw(st.sampled_from(CONVENTIONS))
+    else:
+        pts = draw(st.lists(points, min_size=1, max_size=4, unique=True))
+        convention = DERIVED_TAYLOR
+    center = draw(st.integers(1, len(pts)))
+    residues = [draw(pole_residues(n)) for _ in pts]
+    residues[center - 1] = draw(integer_residues(n, coupling))
+    order = draw(st.integers(0, 10))
+    return kz_system(pts, residues, coupling), center, convention, order
 
 
 @st.composite

@@ -26,6 +26,7 @@ from kzrat import (
     parse_scalar,
 )
 from kzrat import cli
+from kzrat import frobenius as frobenius_module
 from kzrat import poly as poly_module
 from kzrat.cli import (
     ConfigError,
@@ -36,6 +37,8 @@ from kzrat.cli import (
 )
 from kzrat.golden import compare_series
 from test_pinned_reports import PINNED
+
+reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
 
 S3_SYMBOLIC = {
     "mode": "symbolic",
@@ -546,6 +549,21 @@ def test_golden_series_calls_poly_gcd_once_from_indicial_data(tmp_path, monkeypa
     assert set(callers) <= {("rational_roots", "indicial_data")}
 
 
+@pytest.mark.parametrize("config", ["kz-s3-numeric.json", "s5-permutation.json"])
+def test_verify_run_factors_each_characteristic_polynomial_once(tmp_path, monkeypatch, config):
+    # indicial_data and denominator_exponents share the center's spectrum;
+    # numerator_growth factors that of the residue sum
+    factored = []
+    for module in (frobenius_module, reconstruct_module):
+        original = module.rational_roots
+        monkeypatch.setattr(
+            module, "rational_roots", lambda p, f=original: factored.append(p.coeffs) or f(p)
+        )
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--config", str(REPO / "configs" / config)]) == 0
+    assert len(factored) == len(set(factored))
+
+
 def test_cli_overrides(tmp_path, capsys):
     path = write_config(tmp_path, S3_SYMBOLIC)
     rc = main(["series", "--config", path, "--order", "5", "--convention", "derived-taylor"])
@@ -822,6 +840,22 @@ def test_help_into_closed_stdout_exits_two_with_one_line():
     into a closed pipe is handled like a run's, not at interpreter exit."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(REPO / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzrat", "--help"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: standard output closed\n")
+
+
+def test_unbuffered_help_into_closed_stdout_exits_two_with_one_line():
+    """Unbuffered, argparse's own write of --help would ignore the closed
+    pipe and exit 0; the help text goes through a write that raises."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=str(REPO / "src"))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

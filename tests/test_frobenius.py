@@ -5,7 +5,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
-    CONVENTIONS,
     DERIVED_TAYLOR,
     LITERAL_PAPER,
     SYMBOLIC,
@@ -25,18 +24,16 @@ from kzrat import (
     verify_recursion,
 )
 from kzrat import frobenius
+from kzrat.matrix import column_relations
 from support import (
     I3,
     OBSTRUCTED_RESIDUE2,
     P1,
     P2,
-    couplings,
     direct_series,
     fraction_compute_series,
-    integer_residues,
+    kz_systems,
     level2_convolution_oracle,
-    points,
-    pole_residues,
     table_matrix,
 )
 
@@ -545,28 +542,36 @@ def assert_matches_fraction_engine(exp, coupling, order):
     )
 
 
-@st.composite
-def kz_cases(draw, symbolic: bool):
+def kz_cases(symbolic: bool):
     """(expansion, coupling, order) for an integer-residue system with n <= 4."""
-    n = draw(st.integers(1, 4))
-    coupling = draw(couplings)
-    if symbolic:
-        pts = [SYMBOLIC, SYMBOLIC]
-        convention = draw(st.sampled_from(CONVENTIONS))
-    else:
-        pts = draw(st.lists(points, min_size=1, max_size=4, unique=True))
-        convention = DERIVED_TAYLOR
-    center = draw(st.integers(1, len(pts)))
-    residues = [draw(pole_residues(n)) for _ in pts]
-    residues[center - 1] = draw(integer_residues(n, coupling))
-    order = draw(st.integers(0, 10))
-    exp = local_expansion(kz_system(pts, residues, coupling), center, convention, order)
-    return exp, coupling, order
+    return kz_systems(symbolic).map(
+        lambda case: (local_expansion(*case), case[0].coupling, case[3])
+    )
 
 
 def obstructed_case(pts, convention):
     exp = local_expansion(kz_system(pts, [P1, OBSTRUCTED_RESIDUE2], TWO), 1, convention, 8)
     return exp, TWO, 8
+
+
+@pytest.mark.parametrize(
+    "pts, convention",
+    [((0, 1), DERIVED_TAYLOR), ((SYMBOLIC, SYMBOLIC), LITERAL_PAPER)],
+    ids=("numeric", "symbolic"),
+)
+def test_obstruction_on_a_rank_one_seed_reports_the_full_step(pts, convention):
+    # The recursion runs on the one pivot column of the projector seed; the
+    # obstruction still reports the full 3 x 3 right side, and the
+    # certificate of the full step, as computed on all columns
+    exp, coupling, order = obstructed_case(pts, convention)
+    assert column_relations(frobenius._seed(exp, coupling, -2)).pivots == (0,)
+    with pytest.raises(ResonanceObstruction) as ei:
+        compute_series(exp, coupling, order)
+    rhs = FMatrix([[22, -22, 0], [-4, 4, 0], [14, -14, 0]]) * Fraction(1, 9)
+    assert ei.value.level == 2
+    assert same_matrix(ei.value.rhs, exp.grade(rhs, -4))
+    certificate = exp.grade(FMatrix([[1, 1, 0]]), 0).row(0)
+    assert typed([ei.value.certificate]) == typed([certificate])
 
 
 @given(case=kz_cases(symbolic=False))

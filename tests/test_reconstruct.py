@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
@@ -20,6 +20,7 @@ from kzrat import (
     PoleError,
     Poly,
     RationalMatrixFunction,
+    ResonanceObstruction,
     build_kz_s3,
     compute_series,
     kz_system,
@@ -33,7 +34,7 @@ from kzrat import (
     verify_ode,
 )
 from kzrat.cli import load_config
-from kzrat.matrix import integer_form
+from kzrat.matrix import integer_form, known_relations
 from kzrat.reconstruct import (
     _cleared_entries,
     _det_is_zero,
@@ -52,6 +53,7 @@ from support import (
     fmatrix_verify_ode,
     fraction_det_is_zero,
     fraction_series_of_ratio,
+    kz_systems,
     matrix_expansion_matches,
     points,
 )
@@ -794,3 +796,80 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
         )
         outcomes.append(got[0])
     assert outcomes == ["ok", "not-representable"]
+
+
+# kz-s3 conjugated by diag(1, 2, 1): the projector seed's relations have
+# denominator 2, column 2 = -1/2 column 1
+_SCALE = FMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
+_SCALE_INV = FMatrix([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
+SCALED_KZ_S3 = kz_system([0, 1], [_SCALE * p * _SCALE_INV for p in (P1, P2)], TWO)
+# (perturb, level, row, column, delta, degree pick)
+UNPERTURBED_CLI_DEGREE = (False, 0, 0, 0, 1, 10**6)
+
+
+@given(
+    case=kz_systems(symbolic=False),
+    choice=st.tuples(
+        st.booleans(),
+        st.integers(0, 10**6),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 5)), st.integers(1, 4)),
+        st.integers(0, 10**6),
+    ),
+)
+@example(case=(build_kz_s3(0, 1, TWO), 1, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
+@example(case=(SCALED_KZ_S3, 1, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
+@example(case=(dict(BASES)["four-point"](), 3, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
+@settings(max_examples=150, deadline=None)
+def test_column_basis_path_matches_the_all_columns_path(case, choice):
+    """reconstruct and verify_ode on the pivot columns of the seed give the
+    function, the first unmatched level, the verdict and the det flag that
+    they give on eager copies of the levels, where every column is a
+    pivot; a perturbed level leaves no relations shared by all levels."""
+    sys_, center, convention, _ = case
+    perturb, level, row, column, delta, pick = choice
+    try:
+        exponents = denominator_exponents(sys_)
+    except NoPolynomialDenominator:
+        exponents = (0,) * len(sys_.points)
+    den = denominator_from_exponents(sys_.points, exponents)
+    # at most the CLI's numerator degree
+    degree = min(pick, den.degree + numerator_growth(sys_))
+    order = degree + den.degree + 1 + pick % 3
+    try:
+        exp = local_expansion(sys_, center, convention, order)
+        series = compute_series(exp, sys_.coupling, order)
+    except ResonanceObstruction:
+        return
+    event(f"column rank {len(known_relations(series.coeffs[0]).pivots)} of {sys_.n}")
+    if perturb:
+        n = sys_.n
+        series = _with_entry_changed(series, level % (order + 1), row % n, column % n, delta)
+    roots = list(zip(sys_.points, exponents))
+    eager = _eager_copy(series)
+    got = _typed_outcome(lambda: reconstruct(series, den, degree, roots))
+    event(str(got[0]))
+    assert got == _typed_outcome(lambda: reconstruct(eager, den, degree, roots))
+    if got[0] != "ok":
+        return
+    w = reconstruct(series, den, degree, roots)
+    w_eager = reconstruct(eager, den, degree, roots)
+    for system in (sys_, sys_._replace(coupling=sys_.coupling + 1)):
+        verdict = verify_ode(w, system)
+        event(f"satisfied {verdict.satisfied}")
+        _assert_same_verdict(verdict, verify_ode(w_eager, system))
+
+
+def test_satisfied_ode_check_normalizes_no_residual(monkeypatch):
+    # the residual of a satisfied check is zero: nothing to normalize
+    sys_, w = real_reconstruction("three-point")
+    calls = []
+    original = reconstruct_module._normalized
+    monkeypatch.setattr(
+        reconstruct_module, "_normalized", lambda *args: calls.append(args) or original(*args)
+    )
+    verdict = verify_ode(w, sys_)
+    assert verdict.satisfied and verdict.residual.is_zero()
+    assert verdict.residual.denominator == Poly.one()
+    assert calls == []
