@@ -45,9 +45,7 @@ from .reconstruct import (
     InsufficientSeriesError,
     NoPolynomialDenominator,
     NotRepresentable,
-    check_series_length,
     denominator_exponents,
-    denominator_from_exponents,
     numerator_growth,
     reconstruct,
     verify_ode,
@@ -505,23 +503,14 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
         report["golden"] = {"matched": outcome.matched, "lines": list(outcome.lines)}
         return (EXIT_OK if outcome.matched else EXIT_MISMATCH), report
 
-    # Exponents and the series length come first: a large exponent makes
-    # the expanded denominator huge, and a short series cannot use it.
     try:
         exponents = cfg.denominator_exponents
         if exponents is None:
             exponents = denominator_exponents(system, spectra)
-        den_degree = sum(exponents)
         degree = cfg.numerator_degree
         if degree is None:
-            degree = den_degree + numerator_growth(system)
-        check_series_length(series, degree, den_degree)
-        w = reconstruct(
-            series,
-            denominator_from_exponents(system.points, exponents),
-            degree,
-            roots=zip(system.points, exponents),
-        )
+            degree = sum(exponents) + numerator_growth(system)
+        w = reconstruct(series, zip(system.points, exponents), degree)
     except NoPolynomialDenominator as exc:
         print(f"reconstruction impossible: {exc}", file=out)
         report["reconstruction"] = {"status": "no-polynomial-denominator", "detail": str(exc)}

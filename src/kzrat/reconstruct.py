@@ -10,7 +10,7 @@ Everything after the series runs on integer vectors, and on the pivot
 columns of the series' seed (kzrat.frobenius): every level, and so W, is
 its pivot columns times the constant relations C.  `reconstruct` takes
 each level's pivot columns in their integer form, convolves them with
-the cleared D(u), reads the numerator and the over-check from that
+the integer D(u), reads the numerator and the over-check from that
 integer product, shifts the numerators back to z by an integer Taylor
 shift, normalizes them, and only then builds the other columns as N C;
 one Fraction is built per output coefficient.  The over-check and the
@@ -21,24 +21,27 @@ hand, changed, or copied from Fractions) counts every column a pivot,
 C = I.  The numerator carries C on to `verify_ode`, which checks the
 pivot columns only: the residual is linear in N and C is constant.
 
-Normalisation works on the factored denominator.  Callers that know
-rational roots of D with their multiplicities (the CLI knows all of
-them: D = prod (z - z_i)^(m_i)) pass them; each is divided out of D
-exactly, and only what is left goes through `rational_roots`.  Each root
-r = p/q cancels as often as (q z - p) divides every entry, by exact
-integer division; only the root-free rest goes through `poly_gcd`.
-`verify_ode` writes D = E prod (z - z_i)^(e_i) over the system's points
-and forms (dW/dz - coupling A W) D pi E from the log-derivative of D,
-with no D or D^2 products (see `verify_ode`).  Its det(W) flag is true at
-once when C has fewer rows than columns; otherwise it is decided by one
-integer rank test: on the stacked coefficient matrices, and only when
-that finds no constant kernel, at integer points (see `_det_is_zero`).
+A denominator D is carried factored, as its rational roots p/q with
+their multiplicities m and a rest E with no rational root.  `reconstruct`
+takes D as (point, exponent) pairs, as the CLI builds it (E = 1), or as a
+Poly, factored once by `rational_roots`; D(u) is built from the factors by
+binomials, and only E is Taylor-shifted.  `_normalized` cancels a root as
+often as (q z - p) divides every entry, by lowering its multiplicity, and
+only E goes through `poly_gcd`; it expands the monic denominator once, at
+the end, and that Poly carries its factors on to `verify_ode`, which reads
+D = E prod (z - z_i)^(e_i) over the system's points from them.  It forms
+(dW/dz - coupling A W) D pi E from the log-derivative of D, with no D or
+D^2 products.  Its det(W) flag is true at once when C has fewer rows than
+columns; otherwise it is decided by one integer rank test: on the stacked
+coefficient matrices, and only when that finds no constant kernel, at
+integer points (see `_det_is_zero`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .frobenius import SeriesSolution
@@ -172,80 +175,84 @@ class RationalMatrixFunction(NamedTuple):
         return all(p.is_zero() for row in self.numerator.entries for p in row)
 
 
-def rational_matrix(
-    numerator: FMatrix, denominator: Poly, roots=()
-) -> RationalMatrixFunction:
+def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
     """Normalize: strip the common factor of all entries and the denominator,
-    then make the denominator monic.
-
-    `roots` are known rational roots of the denominator, as (root,
-    multiplicity) pairs; they save factoring it and never change the
-    result (see `_normalized`).
-    """
-    if denominator.is_zero():
-        raise ZeroDivisionError("rational matrix function with zero denominator")
+    then make the denominator monic."""
     num, num_den = _cleared_entries(numerator)
-    den, den_den = cleared(denominator.coeffs)
+    lead, mults, rest = _factored(denominator)
     return _normalized(
-        num, num_den, den, den_den, roots, ColumnRelations.trivial(numerator.cols)
+        num, Fraction(num_den, lead), mults, rest, ColumnRelations.trivial(numerator.cols)
     )
 
 
-def _normalized(
-    num: list[list[list[int]]],
-    num_den: int,
-    den: list[int],
-    den_den: int,
-    roots,
-    relations: ColumnRelations,
-) -> RationalMatrixFunction:
-    """(num C / num_den) / (den / den_den), normalized, for integer vectors
-    without trailing zeros, num the pivot columns and C the relations;
-    one Fraction is built per output coefficient.
+class _FactoredPoly(Poly):
+    """A Poly that carries its factors, as `_factored` returns them."""
 
-    The denominator is factored as c * prod (q z - p)^m * E with E free of
-    rational roots.  Each hinted root is divided out of den first, by exact
-    integer division, and a hint that does not divide raises ValueError;
-    `rational_roots` factors only what is left.  Each root r = p/q then
-    cancels as often as (q z - p) divides every entry, tested by exact
-    division (Gauss's lemma: over Z as over Q, since q z - p is
-    primitive); only E is matched against the entries by poly_gcd.
+    __slots__ = ("factors",)
+
+
+def _factored(den: Poly) -> tuple:
+    """(L, mults, rest) with den = prod (q z - p)^m * rest / L over the
+    rational roots p/q of den, mults mapping each to its multiplicity m,
+    and rest a primitive integer vector with no rational root: the factors
+    den carries, or else those `rational_roots` finds."""
+    if isinstance(den, _FactoredPoly):
+        return den.factors
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    roots, rest_monic = rational_roots(den)
+    rest, lead = cleared(rest_monic.coeffs)  # lead == rest[-1]
+    lead *= prod(root.denominator**m for root, m in roots)
+    return lead / den.leading, dict(roots), rest
+
+
+def _expanded(mults: dict, rest: list[int], r: int = 0, s: int = 1) -> list[int]:
+    """s^deg P(u + r/s) for P = prod (q z - p)^m * rest: each
+    s (q z - p) = b u + a is raised to its power by the running binomial
+    c_(k+1) = c_k (m - k) b / ((k + 1) a), which divides exactly, and only
+    rest is Taylor-shifted."""
+    out = taylor_shift(rest, r, s)
+    for root, m in mults.items():
+        b, a = root.denominator * s, root.denominator * r - root.numerator * s
+        power = [a**m] if a else [0] * m + [b**m]
+        for k in range(m if a else 0):
+            power.append(power[-1] * (m - k) * b // ((k + 1) * a))
+        out = int_convolve(power, out)
+    return out
+
+
+def _normalized(
+    num: list[list[list[int]]], scale, mults: dict, rest: list[int], relations: ColumnRelations
+) -> RationalMatrixFunction:
+    """(num C) / (scale P), normalized, for integer vectors without
+    trailing zeros, num the pivot columns and C the relations, and
+    P = prod (q z - p)^m * rest as `_factored` gives it; one Fraction is
+    built per output coefficient.
+
+    Each root r = p/q cancels as often as (q z - p) divides every entry,
+    tested by exact division (Gauss's lemma: over Z as over Q, since
+    q z - p is primitive), and its multiplicity drops by as much; only
+    rest, free of rational roots, is matched against the entries by
+    poly_gcd.  What is left of P is expanded once, at the end.
 
     The other columns are constant combinations of the pivot columns, so
     a factor divides every entry exactly when it divides every pivot
     entry: the pivot columns are normalized and the others built from
-    them.  The numerator carries the relations, for `verify_ode`.
+    them.  The numerator carries the relations, and the denominator its
+    factors, for `verify_ode`.
     """
-    mults: dict = {}
-    rest = den
-    for root, m in roots:
-        if m < 0:
-            raise ValueError(f"root {format_scalar(root)}: negative multiplicity {m}")
-        line = [-root.numerator, root.denominator]
-        for _ in range(m):
-            rest = exact_quotient(rest, line)
-            if rest is None:
-                raise ValueError(
-                    f"z = {format_scalar(root)} is no root of multiplicity {m} of the denominator"
-                )
-        mults[root] = mults.get(root, 0) + m
     if not any(f for row in num for f in row):
         return _zero_function(len(num), relations.cols)
-    rest_free = Poly()  # what rational_roots leaves; none when rest is constant
-    if len(rest) > 1:
-        found, rest_free = rational_roots(Poly(rest))
-        for root, m in found:
-            mults[root] = mults.get(root, 0) + m
+    left = {}
     for root, m in mults.items():
         line = [-root.numerator, root.denominator]
-        for _ in range(m):
-            quotients = _divided(num, line)
-            if quotients is None:
-                break
+        while m and (quotients := _divided(num, line)) is not None:
             num = quotients
-            den = exact_quotient(den, line)
-    if rest_free.degree >= 1:
-        g = rest_free
+            m -= 1
+        if m:
+            left[root] = m
+    if len(rest) > 1:
+        g = Poly(rest)
         for f in (f for row in num for f in row):
             g = poly_gcd(g, Poly(f))
             if g.degree == 0:
@@ -253,22 +260,26 @@ def _normalized(
         if g.degree >= 1:
             g_ints, _ = cleared(g.coeffs)  # primitive, as g is monic
             num = _divided(num, g_ints)
-            den = exact_quotient(den, g_ints)
+            rest = exact_quotient(rest, g_ints)
+    den = _expanded(left, rest)
     lead = den[-1]
-    scale = num_den * lead * relations.den
+    denominator = _FactoredPoly([Fraction(x, lead) for x in den])
+    denominator.factors = (lead, left, rest)
+    over = scale.denominator
+    under = scale.numerator * lead * relations.den
     columns = relations.columns()
     return RationalMatrixFunction(
         numerator=FMatrix.with_relations(
             [
                 [
-                    Poly([Fraction(x * den_den, scale) for x in _combination(row, terms)])
+                    Poly([Fraction(x * over, under) for x in _combination(row, terms)])
                     for terms in columns
                 ]
                 for row in num
             ],
             relations,
         ),
-        denominator=Poly([Fraction(x, lead) for x in den]),
+        denominator=denominator,
     )
 
 
@@ -296,17 +307,13 @@ def _combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int
 
 
 def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] | None:
-    """Every entry of num divided exactly by g, or None as soon as one is
-    not divisible."""
+    """Every entry of num divided exactly by g, or None as soon as a row
+    holds one that is not divisible."""
     out = []
     for row in num:
-        out_row = []
-        for f in row:
-            quo = exact_quotient(f, g)
-            if quo is None:
-                return None
-            out_row.append(quo)
-        out.append(out_row)
+        out.append([exact_quotient(f, g) for f in row])
+        if None in out[-1]:
+            return None
     return out
 
 
@@ -316,15 +323,8 @@ def _cleared_entries(m: FMatrix, columns=None) -> tuple[list[list[list[int]]], i
     only the given columns, when given."""
     rows = m.entries if columns is None else [[row[j] for j in columns] for row in m.entries]
     flat, den = cleared([c for row in rows for p in row for c in p.coeffs])
-    out = []
-    pos = 0
-    for row in rows:
-        out_row = []
-        for p in row:
-            out_row.append(flat[pos : pos + len(p.coeffs)])
-            pos += len(p.coeffs)
-        out.append(out_row)
-    return out, den
+    ints = iter(flat)
+    return [[list(islice(ints, len(p.coeffs))) for p in row] for row in rows], den
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
@@ -369,12 +369,20 @@ def denominator_exponents(sys: KZSystem, spectra: dict | None = None) -> tuple[i
 
 
 def denominator_from_exponents(points, exponents) -> Poly:
-    """prod (z - z_i)^{m_i}."""
-    den = Poly.one()
-    for point, m in zip(points, exponents):
+    """prod (z - z_i)^{m_i}, expanded by binomials."""
+    ints = _expanded(_exponent_mults(zip(points, exponents)), [1])
+    return Poly([Fraction(x, ints[-1]) for x in ints])
+
+
+def _exponent_mults(pairs) -> dict:
+    """{z_i: m_i} for (point, exponent) pairs, zero exponents left out."""
+    mults = {}
+    for point, m in pairs:
+        if m < 0:
+            raise ValueError(f"z = {format_scalar(point)}: negative exponent {format_scalar(m)}")
         if m:
-            den = den * Poly((-Fraction(point), Fraction(1))) ** m
-    return den
+            mults[point] = mults.get(point, 0) + m
+    return mults
 
 
 def propose_denominator(sys: KZSystem) -> Poly:
@@ -414,7 +422,7 @@ def check_series_length(series: SeriesSolution, max_num_degree: int, den_degree:
 
 
 def reconstruct(
-    series: SeriesSolution, denominator: Poly, max_num_degree: int, roots=()
+    series: SeriesSolution, denominator, max_num_degree: int
 ) -> RationalMatrixFunction:
     """Solve for numerator polynomials matching every series coefficient.
 
@@ -424,14 +432,15 @@ def reconstruct(
     from W at level t - v, t the lowest degree of a nonzero excess
     coefficient of D W (one cut off), if t - v <= rho + have - 1.
 
-    All of it runs on integer vectors and on the pivot columns of the
-    levels: D(u) is the integer Taylor shift of D, each level of W is taken
+    D is given as (point, exponent) pairs, D = prod (z - z_i)^(m_i), or as
+    a Poly, which `rational_roots` factors once.  All of it runs on integer
+    vectors and on the pivot columns of the levels: D(u) is built from the
+    factors of D, each level of W is taken
     in its integer basis form (`basis_form`, which builds no Fraction and
     no full matrix for a level compute_series made) and scaled to the lcm
     of the level denominators, and the numerators are shifted back to z
     over that common denominator; the other columns are built after
-    normalization.  `roots` are known rational roots of the denominator
-    with their multiplicities, as for `rational_matrix`.
+    normalization.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -441,17 +450,22 @@ def reconstruct(
         raise ValueError("reconstruction needs a numeric-mode series")
     if max_num_degree < 0:
         raise ValueError("max_num_degree must be >= 0")
-    if denominator.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    check_series_length(series, max_num_degree, denominator.degree)
+    if isinstance(denominator, Poly):
+        if denominator.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        check_series_length(series, max_num_degree, denominator.degree)
+        _, mults, rest = _factored(denominator)
+    else:
+        mults, rest = _exponent_mults(denominator), [1]
+        check_series_length(series, max_num_degree, sum(mults.values()))
     have = series.order + 1
 
     center = series.center_point
     r, s = center.numerator, center.denominator
     rho = series.leading_exponent
-    den, _ = cleared(denominator.coeffs)
-    # D = den / L of degree deg; in u = z - r/s, D(u) = g(u) / (L s^deg)
-    g = taylor_shift(den, r, s)
+    # D = P / L for P = prod (q z - p)^m * rest of degree deg; in
+    # u = z - r/s, D(u) = g(u) / (L s^deg)
+    g = _expanded(mults, rest, r, s)
     v = next(t for t, x in enumerate(g) if x)
     # the pivot columns of every level, over the lcm of the level
     # denominators, read from their integer form; q[t] / (L s^deg common)
@@ -479,7 +493,7 @@ def reconstruct(
     # With nu the cut of q, N(u) = nu(u) / (L s^deg common) and
     # N(z) = N(u = z - r/s) is taylor_shift(nu, -r, s)(z) / (L s^(deg +
     # max_num_degree) common), so N/D = taylor_shift(nu, -r, s) /
-    # (s^(deg + max_num_degree) common den).
+    # (s^(deg + max_num_degree) common P).
     num = []
     for q in products:
         nu = [q[t - rho] if 0 <= t - rho < len(q) else 0 for t in range(max_num_degree + 1)]
@@ -489,8 +503,8 @@ def reconstruct(
         num.append(f)
     r = len(relations.pivots)
     num = [num[i : i + r] for i in range(0, len(num), r)]
-    num_den = common * s ** (len(den) - 1 + max_num_degree)
-    return _normalized(num, num_den, den, 1, roots, relations)
+    num_den = common * s ** (len(g) - 1 + max_num_degree)
+    return _normalized(num, num_den, mults, rest, relations)
 
 
 class OdeVerdict(NamedTuple):
@@ -505,7 +519,8 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     """Test dW/dz - coupling * A(z) * W(z) for identical vanishing, exactly;
     also flag det(W) identically zero.
 
-    With W = N / D, D = E * prod (z - z_i)^(e_i) over the system's points,
+    With W = N / D, D = E * prod (z - z_i)^(e_i) over the system's points
+    (read from the factors of D, see `_factored`),
     pi = prod (z - z_i) and c_i = pi / (z - z_i), the log-derivative
     D'/D = E'/E + sum e_i / (z - z_i) gives
 
@@ -526,16 +541,11 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     relations = known_relations(w.numerator)
     r = len(relations.pivots)
     num, num_den = _cleared_entries(w.numerator, relations.pivots)
-    d_ints, d_den = cleared(w.denominator.coeffs)
-    e_ints = d_ints
+    lead, mults, rest = _factored(w.denominator)
+    exponents = [mults.get(z, 0) for z in sys.points]
+    extra = {root: m for root, m in mults.items() if root not in sys.points}
+    e_ints = _expanded(extra, rest)
     lines = [[-z.numerator, z.denominator] for z in sys.points]
-    exponents = []
-    for line in lines:
-        e = 0
-        while (quo := exact_quotient(e_ints, line)) is not None:
-            e_ints = quo
-            e += 1
-        exponents.append(e)
 
     # pi and the c_i, both times prod q_i for z_i = p_i / q_i
     pi = [1]
@@ -575,14 +585,11 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     if satisfied:
         residual = _zero_function(n, n)
     else:
-        residual = _normalized(
-            residual_ints,
-            num_den,
-            int_convolve(int_convolve(d_ints, pi), e_ints),
-            d_den,
-            [(z, e + 1) for z, e in zip(sys.points, exponents)],
-            relations,
-        )
+        # over D pi E = prod (z - z_i)^(e_i + 1) E^2 / L, pi times shift_den
+        roots = {z: e + 1 for z, e in zip(sys.points, exponents)}
+        roots.update((root, 2 * m) for root, m in extra.items())
+        scale = Fraction(num_den * shift_den, lead)
+        residual = _normalized(residual_ints, scale, roots, int_convolve(rest, rest), relations)
     return OdeVerdict(
         satisfied=satisfied,
         residual=residual,

@@ -437,6 +437,16 @@ def euclid_rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMat
     return RationalMatrixFunction(numerator=num, denominator=den)
 
 
+def power_product_denominator(points, exponents) -> Poly:
+    """Oracle for denominator_from_exponents: prod (z - z_i)^(m_i) as a
+    product of Poly powers."""
+    den = Poly.one()
+    for point, m in zip(points, exponents):
+        if m:
+            den = den * Poly((-Fraction(point), Fraction(1))) ** m
+    return den
+
+
 def division_reconstruct(
     series: SeriesSolution, denominator: Poly, max_num_degree: int
 ) -> RationalMatrixFunction:

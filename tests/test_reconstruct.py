@@ -2,9 +2,11 @@ import functools
 import io
 import json
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,7 @@ from kzrat.matrix import integer_form, known_relations
 from kzrat.reconstruct import (
     _cleared_entries,
     _det_is_zero,
+    _factored,
     _series_of_ratio,
     denominator_exponents,
     denominator_from_exponents,
@@ -56,6 +59,7 @@ from support import (
     kz_systems,
     matrix_expansion_matches,
     points,
+    power_product_denominator,
 )
 
 poly_module = sys.modules["kzrat.poly"]
@@ -86,6 +90,38 @@ def test_propose_denominator_examples():
     assert propose_denominator(build_kz_s3(0, 1, Fraction(1))) == Z * (Z - 1)
     with pytest.raises(NoPolynomialDenominator):
         propose_denominator(build_kz_s3(0, 1, Fraction(2, 3)))
+
+
+def test_propose_denominator_at_large_coupling():
+    # z^k (z - 1)^k at k = 10007, of degree 20014: the binomials of each
+    # factor come from a running recurrence, not from powers of a Poly
+    k = 10007
+    start = time.perf_counter()
+    den = propose_denominator(build_kz_s3(0, 1, Fraction(k)))
+    elapsed = time.perf_counter() - start
+    assert den.degree == 2 * k
+    assert den.leading == 1
+    assert den.coeff(k + k // 2) == comb(k, k // 2) * (-1) ** (k - k // 2)
+    assert den.coeff(k) == -1
+    assert not any(den.coeffs[:k])
+    assert elapsed < 2.0, f"propose_denominator took {elapsed:.2f} s"
+
+
+@given(pairs=st.lists(st.tuples(points, st.integers(0, 5)), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_denominator_from_exponents_matches_power_product(pairs):
+    pts, exponents = [p for p, _ in pairs], [m for _, m in pairs]
+    den = denominator_from_exponents(pts, exponents)
+    assert den == power_product_denominator(pts, exponents)
+    assert all(isinstance(c, Fraction) for c in den.coeffs)
+
+
+def test_negative_exponents_are_rejected():
+    with pytest.raises(ValueError, match="z = 1: negative exponent -1"):
+        denominator_from_exponents([0, 1], [2, -1])
+    _, series = paper_numeric_series(14)
+    with pytest.raises(ValueError, match="z = 0: negative exponent -2"):
+        reconstruct(series, [(Fraction(0), -2), (Fraction(1), 2)], 8)
 
 
 def test_denominator_exponents_finds_roots_once_per_characteristic_polynomial(monkeypatch):
@@ -219,6 +255,15 @@ def test_verify_ode_det_flag_on_polynomial_entries(build, singular):
     assert verify_ode(w, build_kz_s3(0, 1, TWO)).det_identically_zero is singular
 
 
+def test_zero_denominators_are_rejected():
+    numerator = I3.map(lambda e: Poly((e,)))
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        rational_matrix(numerator, Poly())
+    w = RationalMatrixFunction(numerator=numerator, denominator=Poly())
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        verify_ode(w, build_kz_s3(0, 1, TWO))
+
+
 def test_verify_ode_identity_with_zero_coupling():
     sys0 = build_kz_s3(0, 1, Fraction(0))
     w = rational_matrix(I3.map(lambda e: Poly((e,))), Poly.one())
@@ -257,16 +302,6 @@ BIG = Fraction(10**5000)
             lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly((-BIG, 1))).evaluate(BIG),
             PoleError,
             "z = 1{zeros} is a pole of the denominator",
-        ),
-        (
-            lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly.one(), [(BIG, 1)]),
-            ValueError,
-            "z = 1{zeros} is no root of multiplicity 1 of the denominator",
-        ),
-        (
-            lambda: rational_matrix(FMatrix([[Poly.one()]]), Poly.one(), [(BIG, -1)]),
-            ValueError,
-            "root 1{zeros}: negative multiplicity -1",
         ),
     ],
 )
@@ -488,36 +523,6 @@ def test_rational_matrix_matches_euclid_oracle(data, count):
     _assert_same_function(rational_matrix(numerator, den), euclid_rational_matrix(numerator, den))
 
 
-@given(data=st.data(), count=st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_rational_matrix_root_hints_never_change_the_result(data, count):
-    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
-    den, roots = data.draw(rooted_denominators(pts))
-    shared = Poly.one()
-    for p in pts + [Fraction(-7, 2)]:
-        shared = shared * (Z - p) ** data.draw(st.integers(0, 2))
-    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    entries = [[shared * data.draw(small_polys) for _ in range(cols)] for _ in range(rows)]
-    numerator = FMatrix(entries)
-    partial = [(p, data.draw(st.integers(0, e))) for p, e in roots]
-    want = euclid_rational_matrix(numerator, den)
-    for hint in (roots, partial, ()):
-        _assert_same_function(rational_matrix(numerator, den, hint), want)
-
-
-@given(data=st.data(), count=st.integers(1, 4))
-@settings(max_examples=50, deadline=None)
-def test_rational_matrix_rejects_a_root_hint_that_does_not_divide(data, count):
-    pts = data.draw(st.lists(points, min_size=count, max_size=count, unique=True))
-    den, roots = data.draw(rooted_denominators(pts))
-    k = data.draw(st.integers(0, len(roots) - 1))
-    root, e = roots[k]
-    wrong = roots[:k] + [(root, e + data.draw(st.integers(1, 2)))] + roots[k + 1 :]
-    numerator = FMatrix([[data.draw(small_polys)]])
-    with pytest.raises(ValueError, match="no root"):
-        rational_matrix(numerator, den, wrong)
-
-
 @given(n=st.integers(1, 4), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_det_flag_matches_fraction_bareiss(n, data):
@@ -621,7 +626,7 @@ def test_reconstruct_at_a_rational_center_matches_division_oracle():
     order = degree + den.degree + 1
     series = compute_series(local_expansion(sys_, 2, DERIVED_TAYLOR, order), sys_.coupling, order)
     assert series.center_point == Fraction(2, 3)
-    got = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
+    got = reconstruct(series, zip(sys_.points, exponents), degree)
     _assert_same_function(got, division_reconstruct(series, den, degree))
     assert verify_ode(got, sys_).satisfied
     with pytest.raises(NotRepresentable) as ei:
@@ -653,7 +658,7 @@ def test_reconstruct_builds_one_fraction_per_output_coefficient(monkeypatch):
             return original_coprime(*args)
 
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-    w = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
+    w = reconstruct(series, zip(sys_.points, exponents), degree)
     monkeypatch.undo()
     outputs = sum(len(p.coeffs) for row in w.numerator.entries for p in row)
     assert built["fractions"] <= outputs + len(w.denominator.coeffs)
@@ -677,8 +682,8 @@ def test_verify_path_runs_no_matrix_products_and_no_gcd(monkeypatch):
 
     monkeypatch.setattr(poly_module, "poly_gcd", counting("rational_roots", poly_module.poly_gcd))
     monkeypatch.setattr(reconstruct_module, "poly_gcd", counting("reconstruct", poly_gcd))
-    # the hint the CLI passes: every root of the denominator is known
-    w = reconstruct(series, den, degree, roots=zip(sys_.points, exponents))
+    # the pairs the CLI passes: the denominator in factored form
+    w = reconstruct(series, zip(sys_.points, exponents), degree)
     monkeypatch.setattr(FMatrix, "__mul__", counting("mul", FMatrix.__mul__))
     verdict = verify_ode(w, sys_)
     assert verdict.satisfied
@@ -693,11 +698,12 @@ gaps = st.builds(Fraction, st.integers(1, 20), st.integers(1, 9))
 
 @st.composite
 def perturbed_reconstructions(draw):
-    """(series, denominator, degree): kz-s3 (coupling 2) or the three-point
-    transposition system (coupling 6) at random distinct points, a random
-    center and order, the system's denominator exponents each offset by
-    -1 .. +1, a numerator degree 0 .. 14, and, in half the draws, one
-    entry of one level changed, often the top level, the last one
+    """(series, denominator, degree, pairs): kz-s3 (coupling 2) or the
+    three-point transposition system (coupling 6) at random distinct
+    points, a random center and order, the system's denominator exponents
+    each offset by -1 .. +1, with the denominator expanded and as (point,
+    exponent) pairs, a numerator degree 0 .. 14, and, in half the draws,
+    one entry of one level changed, often the top level, the last one
     over-checked."""
     count = draw(st.sampled_from((2, 3)))
     pts = [draw(small_points)]
@@ -722,7 +728,7 @@ def perturbed_reconstructions(draw):
             draw(st.integers(0, 2)),
             draw(st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 4))),
         )
-    return series, den, degree
+    return series, den, degree, list(zip(sys_.points, exponents))
 
 
 def _reconstruction_outcome(solve):
@@ -752,10 +758,12 @@ def _typed_outcome(solve):
 @given(perturbed_reconstructions())
 @settings(max_examples=150, deadline=None)
 def test_reconstruct_matches_division_oracle_on_perturbed_series(case):
-    series, den, degree = case
+    series, den, degree, pairs = case
     got = _reconstruction_outcome(lambda: reconstruct(series, den, degree))
     event(str(got[0]))
     assert got == _reconstruction_outcome(lambda: division_reconstruct(series, den, degree))
+    # the same from the factored denominator the CLI passes
+    assert got == _reconstruction_outcome(lambda: reconstruct(series, pairs, degree))
     # the same from the integer form of the levels and from their Fractions
     eager = _eager_copy(series)
     assert _typed_outcome(lambda: reconstruct(series, den, degree)) == _typed_outcome(
@@ -790,9 +798,9 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
         eager = _eager_copy(lazy)
         assert any(integer_form(m) for m in lazy.coeffs)
         assert not any(integer_form(m) for m in eager.coeffs)
-        got = _typed_outcome(lambda: reconstruct(lazy, den, degree, zip(sys_.points, exponents)))
+        got = _typed_outcome(lambda: reconstruct(lazy, zip(sys_.points, exponents), degree))
         assert got == _typed_outcome(
-            lambda: reconstruct(eager, den, degree, zip(sys_.points, exponents))
+            lambda: reconstruct(eager, zip(sys_.points, exponents), degree)
         )
         outcomes.append(got[0])
     assert outcomes == ["ok", "not-representable"]
@@ -848,13 +856,13 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
         series = _with_entry_changed(series, level % (order + 1), row % n, column % n, delta)
     roots = list(zip(sys_.points, exponents))
     eager = _eager_copy(series)
-    got = _typed_outcome(lambda: reconstruct(series, den, degree, roots))
+    got = _typed_outcome(lambda: reconstruct(series, roots, degree))
     event(str(got[0]))
-    assert got == _typed_outcome(lambda: reconstruct(eager, den, degree, roots))
+    assert got == _typed_outcome(lambda: reconstruct(eager, roots, degree))
     if got[0] != "ok":
         return
-    w = reconstruct(series, den, degree, roots)
-    w_eager = reconstruct(eager, den, degree, roots)
+    w = reconstruct(series, roots, degree)
+    w_eager = reconstruct(eager, roots, degree)
     for system in (sys_, sys_._replace(coupling=sys_.coupling + 1)):
         verdict = verify_ode(w, system)
         event(f"satisfied {verdict.satisfied}")
@@ -873,3 +881,84 @@ def test_satisfied_ode_check_normalizes_no_residual(monkeypatch):
     assert verdict.satisfied and verdict.residual.is_zero()
     assert verdict.residual.denominator == Poly.one()
     assert calls == []
+
+
+def test_verify_divides_no_denominator_to_find_its_factors(monkeypatch, tmp_path):
+    # kz-s3 at points 1000, 1001 and coupling 100, D = (z - 1000)^100
+    # (z - 1001)^100: the denominator goes from the exponents to the ODE
+    # check in factored form.  Dividing D by the roots it was built from
+    # took about 4 * coupling exact divisions; what is left is the
+    # spectra in rational_roots and one trial cancellation per root.
+    from kzrat.cli import main
+
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    quotient = counting("exact_quotient", poly_module.exact_quotient)
+    monkeypatch.setattr(poly_module, "exact_quotient", quotient)
+    monkeypatch.setattr(reconstruct_module, "exact_quotient", quotient)
+    monkeypatch.setattr(Poly, "__pow__", counting("pow", Poly.__pow__))
+    shifted = []
+    original_shift = reconstruct_module.taylor_shift
+    monkeypatch.setattr(
+        reconstruct_module,
+        "taylor_shift",
+        lambda ints, r, s: shifted.append(len(ints)) or original_shift(ints, r, s),
+    )
+    config = tmp_path / "kz-s3-1000.json"
+    config.write_text(
+        json.dumps({"mode": "numeric", "points": ["1000", "1001"], "coupling": "100", "order": 601}),
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--config", str(config), "--json", str(report)]) == 0
+    written = json.loads(report.read_text())
+    assert written["ode"]["satisfied"] is True
+    assert calls["exact_quotient"] <= 20
+    assert calls["pow"] == 0
+    # the numerators are shifted back to z; of D only the root-free rest
+    # E = 1 is
+    assert set(shifted) == {1, written["reconstruction"]["numerator_degree_bound"] + 1}
+
+
+def test_a_replaced_denominator_is_checked_by_its_own_factors():
+    # The denominator carries its factors, so one put in its place, by
+    # _replace or by arithmetic on it, is factored anew
+    sys_, w = real_reconstruction("three-point")
+    den = w.denominator
+    point = sys_.points[1]
+    replacements = {
+        "copy": Poly(den.coeffs),
+        "times a point": den * (Z - point),
+        "times another root": den * EXTRA_ROOT,
+        "over a point": den // (Z - point),
+        "irreducible": den * SQRT2_MINIMAL,
+        "other function": real_reconstruction("kz-s3")[1].denominator,
+    }
+    for name, replaced in replacements.items():
+        changed = w._replace(denominator=replaced)
+        verdict = verify_ode(changed, sys_)
+        _assert_same_verdict(verdict, fmatrix_verify_ode(changed, sys_))
+        assert verdict.satisfied is (name == "copy"), name
+
+
+def test_the_normalized_denominator_carries_what_is_left_after_cancelling():
+    # each exponent proposed one too high: normalization cancels one power
+    # of every root, and W carries the factors of its own denominator
+    sys_, want = real_reconstruction("three-point")
+    exponents = denominator_exponents(sys_)
+    pairs = [(z, e + 1) for z, e in zip(sys_.points, exponents)]
+    degree = sum(e for _, e in pairs) + numerator_growth(sys_)
+    order = degree + sum(e for _, e in pairs) + 1
+    series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, order), sys_.coupling, order)
+    w = reconstruct(series, pairs, degree)
+    _assert_same_function(w, want)
+    assert w.denominator.factors == _factored(Poly(w.denominator.coeffs))
+    assert verify_ode(w, sys_).satisfied
