@@ -38,7 +38,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, integer_form
+from .matrix import FMatrix, basis_form
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -272,11 +272,13 @@ def parse_entry(obj):
 
 
 def _matrix_json(m: FMatrix):
-    form = integer_form(m)
+    form = basis_form(m)
     if form is not None:  # a series coefficient: format its integers, no Fraction
-        ints, den, cols = form
+        ints, den, relations = form
+        den *= relations.den
+        cols = relations.cols
         cells = []
-        for e in ints:
+        for e in relations.expand(ints):
             g = gcd(e, den)
             cells.append(format_ratio(e // g, den // g))
         return [cells[i : i + cols] for i in range(0, len(cells), cols)]

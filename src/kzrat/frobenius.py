@@ -19,10 +19,11 @@ the columns of b_rho: with `pivots` its pivot columns and C the nonzero
 rows of its reduced row echelon form (r x n, the identity at the
 pivots), b_q = b_q[:, pivots] C.  The engine carries the n x r pivot
 columns only; r is 1 for the projector seed of kz-s3.  Each b_q is
-returned as FMatrix.from_basis of them, which builds its full n x n
-integers only when something reads them (the report, the golden check)
-and its Fractions only when something reads its entries: reconstruct and
-verify_ode work on the pivot columns, and the CLI builds no Fraction.  A
+returned as FMatrix.from_basis of them, whose pivot columns are the only
+integers it holds; it builds its Fractions from them only when something
+reads its entries (the golden check, symbolic grading).  The report
+formats the pivot columns times C, and reconstruct and verify_ode work
+on the pivot columns, so a numeric CLI run builds no Fraction.  A
 resonant step solves the n x r right side.  The row transform of that
 elimination does not depend on the right side, and C has full row rank,
 so an obstruction reports the full right side rhs C with the
@@ -65,6 +66,7 @@ from typing import NamedTuple
 
 from .kzmodel import LocalExpansion
 from .matrix import (
+    ColumnRelations,
     FMatrix,
     SolveKind,
     charpoly,
@@ -312,7 +314,7 @@ def compute_series(
         # transform of the elimination does not depend on the right side
         # and C has full row rank, so the n x r right side gives the
         # certificate of the full one, and the particular solution times C.
-        basis_rhs = exp.grade(FMatrix.from_cleared(rhs, rhs_den, r), -step)
+        basis_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, ColumnRelations.trivial(r)), -step)
         res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), basis_rhs)
         if res.kind is SolveKind.INCONSISTENT:
             full_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, relations), -step)

@@ -60,10 +60,8 @@ def kz_system(points, residues, coupling=Fraction(2)) -> KZSystem:
     if any(symbolic):
         if len(pts) != 2 or not all(symbolic):
             raise ValueError("symbolic mode requires exactly two points, both symbolic")
-    else:
-        numeric = [p for p in pts]
-        if len(set(numeric)) != len(numeric):
-            raise ValueError("singular points must be pairwise distinct")
+    elif len(set(pts)) != len(pts):
+        raise ValueError("singular points must be pairwise distinct")
     return KZSystem(points=pts, residues=res, coupling=Fraction(coupling))
 
 

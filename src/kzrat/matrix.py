@@ -9,20 +9,17 @@ systems the engine grades.  ``charpoly`` takes Fraction entries only.
 
 The one integer matrix form is flat: an n x c matrix is n c row-major
 ints over one positive denominator, made by ``flat``, reduced by
-``stripped``, multiplied by ``sparse_product`` and ``dense_product`` and
-read back by ``FMatrix.from_cleared``.  That matrix keeps the integers and
-builds its Fraction entries on their first read, so a caller that only
-formats or re-clears it (``integer_form``, ``flat``) builds none.
+``stripped`` and multiplied by ``sparse_product`` and ``dense_product``.
 Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
 engine's resolvent.
 
 A matrix M of column rank r can also be held on a column basis: its r
 pivot columns B = M[:, pivots] and the constant relations C, the nonzero
 rows of the reduced row echelon form of M, with M = B C
-(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B in flat form and
-builds the full integers only when they are read; ``basis_form`` hands B
-and C to a caller that works on the pivot columns alone.  Any other
-matrix counts as its own basis: every column a pivot, C = I.
+(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B in flat form, the
+only integers it holds, and builds its Fraction entries from B C on their
+first read; ``basis_form`` hands B and C to a caller that works on the
+pivot columns alone, so a caller that only formats them builds none.
 """
 
 from __future__ import annotations
@@ -69,16 +66,10 @@ class FMatrix:
         return cls([[col[i] for col in columns] for i in range(rows)])
 
     @classmethod
-    def from_cleared(cls, ints: list[int], den: int, cols: int) -> FMatrix:
-        """ints / den for flat row-major ints, cols per row, den > 0; nothing
-        checked.  The Fraction entries are built on first read, once."""
-        return cls.from_basis(ints, den, ColumnRelations.trivial(cols))
-
-    @classmethod
     def from_basis(cls, ints: list[int], den: int, relations: ColumnRelations) -> FMatrix:
         """(ints / den) * C for the flat pivot columns ints, r per row, and
-        the relations C, den > 0; nothing checked.  The full integers are
-        built on first read, once, and the Fraction entries from them."""
+        the relations C, den > 0; nothing checked.  The Fraction entries
+        are built on first read, once."""
         m = object.__new__(_ClearedMatrix)
         m.relations = relations
         m._basis = (tuple(ints), den)
@@ -244,26 +235,24 @@ class _RelatedMatrix(FMatrix):
 
 class _ClearedMatrix(_RelatedMatrix):
     """An FMatrix that holds its pivot columns ints / den and their
-    relations until its full integers or its entries are first read.
+    relations until its entries are first read.
 
     A subclass, so that only these matrices have a __getattr__: on FMatrix
     itself it would slow every attribute read of every matrix (CPython
     does not specialize attribute reads on a type that defines it).
     """
 
-    __slots__ = ("_basis", "_flat")
+    __slots__ = ("_basis",)
 
     def __getattr__(self, name: str):
         # reached only while the slot asked for is unset
-        if name == "_flat":
-            ints, den = self._basis
-            rel = self.relations
-            self._flat = (tuple(rel.expand(ints)), den * rel.den, rel.cols)
-            return self._flat
         if name != "entries":
             raise AttributeError(name)
-        ints, den, cols = self._flat
-        ents = [Fraction(e, den) for e in ints]
+        ints, den = self._basis
+        rel = self.relations
+        den *= rel.den
+        cols = rel.cols
+        ents = [Fraction(e, den) for e in rel.expand(ints)]
         self.entries = tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
         return self.entries
 
@@ -421,19 +410,10 @@ def det(a: FMatrix):
     return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
-def integer_form(m: FMatrix) -> tuple[tuple[int, ...], int, int] | None:
-    """(ints, den, cols) of a from_cleared or from_basis matrix, all its
-    columns, not reduced; None for a matrix made any other way."""
-    return m._flat if isinstance(m, _ClearedMatrix) else None
-
-
-def basis_form(m: FMatrix) -> tuple[list[int], int, ColumnRelations]:
-    """(ints, den, relations) with m = (ints / den) * relations: for a
-    from_basis or from_cleared matrix its own pivot columns, stripped; for
-    any other, flat(m) with every column a pivot."""
-    if isinstance(m, _ClearedMatrix):
-        return (*stripped(list(m._basis[0]), m._basis[1]), m.relations)
-    return (*flat(m), ColumnRelations.trivial(m.cols))
+def basis_form(m: FMatrix) -> tuple[tuple[int, ...], int, ColumnRelations] | None:
+    """(ints, den, relations) of a from_basis matrix, m = (ints / den) *
+    relations, as given; None for a matrix made any other way."""
+    return (*m._basis, m.relations) if isinstance(m, _ClearedMatrix) else None
 
 
 def known_relations(m: FMatrix) -> ColumnRelations:
@@ -442,12 +422,8 @@ def known_relations(m: FMatrix) -> ColumnRelations:
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:
-    """m as one flat row-major int list over its least common denominator;
-    a from_cleared or from_basis matrix gives its own integers, stripped."""
-    form = integer_form(m)
-    if form is None:
-        return cleared([e for row in m.entries for e in row])
-    return stripped(list(form[0]), form[1])
+    """m as one flat row-major int list over its least common denominator."""
+    return cleared([e for row in m.entries for e in row])
 
 
 def stripped(ints: list[int], den: int) -> tuple[list[int], int]:

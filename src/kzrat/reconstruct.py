@@ -435,12 +435,13 @@ def reconstruct(
     D is given as (point, exponent) pairs, D = prod (z - z_i)^(m_i), or as
     a Poly, which `rational_roots` factors once.  All of it runs on integer
     vectors and on the pivot columns of the levels: D(u) is built from the
-    factors of D, each level of W is taken
-    in its integer basis form (`basis_form`, which builds no Fraction and
-    no full matrix for a level compute_series made) and scaled to the lcm
-    of the level denominators, and the numerators are shifted back to z
-    over that common denominator; the other columns are built after
-    normalization.
+    factors of D, each level of W is taken on the pivot columns that
+    compute_series stored (`basis_form`, no Fraction built) and scaled to
+    the lcm of the level denominators, and the numerators are shifted back
+    to z over that common denominator; the other columns are built after
+    normalization.  When some level has no pivot columns stored, or the
+    levels do not share their relations, every column is a pivot and each
+    level is read by `flat`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -471,11 +472,10 @@ def reconstruct(
     # denominators, read from their integer form; q[t] / (L s^deg common)
     # is the coefficient of u^(t + rho) of a pivot entry of D W
     forms = [basis_form(m) for m in series.coeffs]
+    if None in forms or any(form[2] != forms[0][2] for form in forms):
+        # levels made otherwise, or sharing no relations: every column a pivot
+        forms = [(*flat(m), ColumnRelations.trivial(m.cols)) for m in series.coeffs]
     relations = forms[0][2]
-    if any(form[2] != relations for form in forms):
-        # levels that share no relations: every column is a pivot
-        relations = ColumnRelations.trivial(relations.cols)
-        forms = [(*flat(m), relations) for m in series.coeffs]
     common = lcm(*(level_den for _, level_den, _ in forms))
     levels = [[e * (common // level_den) for e in ints] for ints, level_den, _ in forms]
     products = []

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
@@ -19,10 +19,12 @@ from kzrat import (
 )
 from kzrat.cli import _matrix_json
 from kzrat.matrix import (
+    ColumnRelations,
+    basis_form,
+    column_relations,
     dense_product,
     faddeev_leverrier,
     flat,
-    integer_form,
     sparse_product,
     sparse_rows,
     stripped,
@@ -190,25 +192,36 @@ def test_charpoly_of_doubled_transposition():
 def test_charpoly_matches_fraction_oracle(a):
     a = FMatrix(a)
     assert charpoly(a) == fraction_charpoly(a)
+    every = ColumnRelations.trivial(a.cols)
     ints, den = flat(a)
-    assert FMatrix.from_cleared(ints, den, a.cols) == a
+    assert FMatrix.from_basis(ints, den, every) == a
     ints, den = stripped([3 * e for e in ints], 3 * den)
-    assert den > 0 and FMatrix.from_cleared(ints, den, a.cols) == a
+    assert den > 0 and FMatrix.from_basis(ints, den, every) == a
 
 
 @st.composite
 def cleared_forms(draw):
-    """(ints, den, cols) for from_cleared: zero and negative entries, den 1,
+    """(ints, den, relations) for from_basis: relations with every column a
+    pivot, or those of a drawn seed (denominator > 1, columns of several
+    terms, zero columns); pivot-column entries zero and negative, den 1,
     input not in lowest terms, and at times one entry past CPython's
     int -> str digit cap."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    relations = ColumnRelations.trivial(cols)
+    if draw(st.booleans()):
+        seed_entries = st.sampled_from((0, 0, 1, -1, 2, 3, Fraction(1, 2)))
+        row = st.lists(seed_entries, min_size=cols, max_size=cols)
+        seed = draw(st.lists(row, min_size=rows, max_size=rows))
+        seed[0][draw(st.integers(0, cols - 1))] = 1
+        relations = column_relations(FMatrix(seed))
+    size = rows * len(relations.pivots)
     entries = st.just(0) | st.integers(-60, 60)
-    ints = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    ints = draw(st.lists(entries, min_size=size, max_size=size))
     if draw(st.booleans()):
         ints[draw(st.integers(0, len(ints) - 1))] = -(10**4400) - 7
     den = draw(st.sampled_from((1, 1, 2, 12, 35, 10**30)))
     scale = draw(st.sampled_from((1, 1, 6, 10**25)))
-    return [e * scale for e in ints], den * scale, cols
+    return [e * scale for e in ints], den * scale, relations
 
 
 def _outcome(fn):
@@ -220,21 +233,26 @@ def _outcome(fn):
 
 
 @given(cleared_forms())
+# the seed relations of kz-s3 conjugated by diag(1, 2, 1), (2, -1, 0) / 2,
+# and of a rank-2 projector seed, column 3 = -column 1 - column 2
+@example(([3, -6, 1], 5, ColumnRelations((0,), ((2, -1, 0),), 2)))
+@example(([1, 0, 2, -3, 0, 4], 3, ColumnRelations((0, 1), ((1, 0, -1), (0, 1, -1)), 1)))
 @settings(max_examples=150, deadline=None)
-def test_from_cleared_cannot_be_told_from_its_fractions(form):
-    ints, den, cols = form
-    eager = FMatrix(
-        [[Fraction(e, den) for e in ints[i : i + cols]] for i in range(0, len(ints), cols)]
-    )
+def test_from_basis_cannot_be_told_from_its_fractions(form):
+    ints, den, relations = form
+    r = len(relations.pivots)
+    basis = FMatrix([[Fraction(e, den) for e in ints[i : i + r]] for i in range(0, len(ints), r)])
+    eager = basis * FMatrix(relations.rows) * Fraction(1, relations.den)
     # the integer readers first, while no entry has been built
-    lazy = FMatrix.from_cleared(ints, den, cols)
+    lazy = FMatrix.from_basis(ints, den, relations)
     assert _matrix_json(lazy) == [[format_scalar(e) for e in row] for row in eager.entries]
+    assert basis_form(lazy) == (tuple(ints), den, relations)
+    assert basis_form(eager) is None
     assert flat(lazy) == flat(eager)
-    assert integer_form(eager) is None
-    assert FMatrix.from_cleared(ints, den, cols) == eager
-    assert eager == FMatrix.from_cleared(ints, den, cols)
-    assert FMatrix.from_cleared(ints, den, cols).transpose() == eager.transpose()
-    fresh_repr = _outcome(lambda: repr(FMatrix.from_cleared(ints, den, cols)))
+    assert FMatrix.from_basis(ints, den, relations) == eager
+    assert eager == FMatrix.from_basis(ints, den, relations)
+    assert FMatrix.from_basis(ints, den, relations).transpose() == eager.transpose()
+    fresh_repr = _outcome(lambda: repr(FMatrix.from_basis(ints, den, relations)))
     assert fresh_repr == _outcome(lambda: repr(eager))
     assert lazy.entries == eager.entries
     assert all(type(e) is Fraction for row in lazy.entries for e in row)
@@ -247,7 +265,7 @@ small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))
 
 def _rows(ints, n):
     """A flat n x n int matrix as an FMatrix."""
-    return FMatrix.from_cleared(ints, 1, n)
+    return FMatrix.from_basis(ints, 1, ColumnRelations.trivial(n))
 
 
 @given(

@@ -54,6 +54,24 @@ S3_FAR = {
     "center": 2,
 }
 
+# Seeds whose column relations are more than one column times an integer:
+# kz-s3 conjugated by diag(1, 2, 1), relations (2, -1, 0) / 2, and a rank-2
+# projector seed, column 3 = -column 1 - column 2 (det of W is 0).
+S3_SCALED = {
+    "mode": "numeric",
+    "points": ["0", "1"],
+    "residues": [[["0", "1/2", "0"], ["2", "0", "0"], ["0", "0", "1"]], T13],
+    "coupling": "2",
+    "order": 14,
+}
+RANK_TWO_SEED = {
+    "mode": "numeric",
+    "points": ["0", "1"],
+    "residues": [[["-1/3", "2/3", "2/3"], ["2/3", "-1/3", "2/3"], ["2/3", "2/3", "-1/3"]], T12],
+    "coupling": "2",
+    "order": 13,
+}
+
 SYMBOLIC_OBSTRUCTED = dict(
     S3_SYMBOLIC,
     residues=[[[str(e) for e in row] for row in m.entries] for m in (P1, OBSTRUCTED_RESIDUE2)],
@@ -142,6 +160,9 @@ def _cases():
             THREE_POINT_FAR, center=center
         )
     yield "verify-kz-s3-far", ["verify"], S3_FAR
+    for command in ("series", "verify"):
+        yield f"{command}-kz-s3-scaled", [command], S3_SCALED
+        yield f"{command}-rank-two-seed", [command], RANK_TWO_SEED
     # a numeric series printout whose entries run to about 520 bits
     yield "series-kz-s3-coupling-10007", ["series"], dict(S3_NUMERIC, coupling="10007", order=40)
     for path in sorted(CONFIGS.glob("*.json")):
@@ -311,6 +332,12 @@ PINNED = {
         "bac20fdf564b8e727935dd7e0c1f59a0240bd331e574c4bdc1432e265ba92033",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "series-kz-s3-scaled": (
+        0,
+        "8c911acb5df6f5cc5dbf368b29db51d5f26b1e5edc51e1d8cc6f00ea03ded515",
+        "a4f931bcef6da0ab58bea478e17f73da13869026f985058b90016cc1eab80e17",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "series-kz-s3-symbolic-literal": (
         0,
         "009f355851f37852adb9c87ecbeaf620a151b6c280a3216006b65da7cfa3b2b5",
@@ -347,6 +374,12 @@ PINNED = {
         "636ee4b4dedf7c19009e046e3a22696080d9e34a81c3123d250da857604e4e4f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "series-rank-two-seed": (
+        0,
+        "99515f8ee61fc30e4ce0099bb1321b8b81976a173d7492775a3ceb8a678b8f8e",
+        "920a803bcbf3bd087167868b789e20012565cef04a967894b3fbbd7f47dc6c7b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "series-s5-permutation": (
         0,
         "f1c3e513b44883513e7113644da709faf81f1397fe2c63ff51c388de65e27bef",
@@ -381,6 +414,12 @@ PINNED = {
         0,
         "2555277b9473cfff2e555875142c37d27067e21ef691382c82ec8340823003d9",
         "fce3715bee667d028130798e8ffe1c266687a9fa69e1bb3aa1eae30e64628162",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify-kz-s3-scaled": (
+        0,
+        "b9a30fe92bc5054d895f4c22085ec43a688a51ea7511c3991a923df728b0f7b6",
+        "cf860bc66c9a0227fd2268ec940c2336033721814ff6aa67b0c8daee8f634d11",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify-kz-s3-symbolic-literal": (
@@ -435,6 +474,12 @@ PINNED = {
         3,
         "22cba568ae57bd4c22b5cf5d1316aac49ffe6157d236d06533242bffe82f2224",
         "636ee4b4dedf7c19009e046e3a22696080d9e34a81c3123d250da857604e4e4f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify-rank-two-seed": (
+        0,
+        "9b27be9f99d1c2c7ef45d922b98166e8b9ff6d8f38e153e3145f2ee3914a102b",
+        "3090a425db71b08a0327925f6a13392cb8e4797231e35c1adbf7a18f578341ec",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "verify-s5-permutation": (

@@ -36,7 +36,7 @@ from kzrat import (
     verify_ode,
 )
 from kzrat.cli import load_config
-from kzrat.matrix import integer_form, known_relations
+from kzrat.matrix import basis_form, known_relations
 from kzrat.reconstruct import (
     _cleared_entries,
     _det_is_zero,
@@ -796,8 +796,8 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
     outcomes = []
     for lazy in (series, changed):
         eager = _eager_copy(lazy)
-        assert any(integer_form(m) for m in lazy.coeffs)
-        assert not any(integer_form(m) for m in eager.coeffs)
+        assert any(basis_form(m) for m in lazy.coeffs)
+        assert not any(basis_form(m) for m in eager.coeffs)
         got = _typed_outcome(lambda: reconstruct(lazy, zip(sys_.points, exponents), degree))
         assert got == _typed_outcome(
             lambda: reconstruct(eager, zip(sys_.points, exponents), degree)
@@ -811,6 +811,9 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
 _SCALE = FMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 1]])
 _SCALE_INV = FMatrix([[1, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
 SCALED_KZ_S3 = kz_system([0, 1], [_SCALE * p * _SCALE_INV for p in (P1, P2)], TWO)
+# a rank-2 projector seed: pivots (0, 1), column 3 = -column 1 - column 2
+_J = FMatrix([[1] * 3] * 3)
+RANK_TWO_SEED = kz_system([0, 1], [_J * Fraction(2, 3) - I3, P1], TWO)
 # (perturb, level, row, column, delta, degree pick)
 UNPERTURBED_CLI_DEGREE = (False, 0, 0, 0, 1, 10**6)
 
@@ -828,6 +831,7 @@ UNPERTURBED_CLI_DEGREE = (False, 0, 0, 0, 1, 10**6)
 )
 @example(case=(build_kz_s3(0, 1, TWO), 1, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
 @example(case=(SCALED_KZ_S3, 1, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
+@example(case=(RANK_TWO_SEED, 1, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
 @example(case=(dict(BASES)["four-point"](), 3, DERIVED_TAYLOR, 0), choice=UNPERTURBED_CLI_DEGREE)
 @settings(max_examples=150, deadline=None)
 def test_column_basis_path_matches_the_all_columns_path(case, choice):
