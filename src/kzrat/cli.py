@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from typing import NamedTuple
@@ -38,7 +39,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, basis_form
+from .matrix import FMatrix, basis_form, combination
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -271,17 +272,70 @@ def parse_entry(obj):
     raise ValueError(f"unrecognized entry encoding: {obj!r}")
 
 
+def _ratio_json(x: int, den: int) -> str:
+    """format_scalar(Fraction(x, den)) for den > 0."""
+    g = gcd(x, den)
+    return format_ratio(x // g, den // g)
+
+
+def _negated_json(cell):
+    """The report cell of -x, from that of x: a string, or a polynomial's
+    list of them."""
+    if type(cell) is list:
+        return [_negated_json(t) for t in cell]
+    return cell[1:] if cell[0] == "-" else cell if cell == "0" else "-" + cell
+
+
+def _scalar_combination(row, terms) -> int:
+    return sum(c * row[k] for k, c in terms)
+
+
+def _poly_cells(f: list[int], den: int) -> list[str]:
+    return [_ratio_json(x, den) for x in f]
+
+
+@lru_cache(maxsize=64)
+def _column_plan(relations) -> list:
+    """Per column of the relations C: k when it is pivot column k, ~k when
+    it is that column negated, the terms to combine otherwise, or None
+    for a zero column."""
+    plan = []
+    for terms in relations.columns():
+        if len(terms) == 1 and abs(terms[0][1]) == relations.den:
+            k, c = terms[0]
+            plan.append(k if c > 0 else ~k)
+        else:
+            plan.append(terms or None)
+    return plan
+
+
+def _derived_cells(rows, den: int, relations, cell, combine, zero) -> list[list]:
+    """The report cells of (rows / den) C / relations.den, for rows of r
+    pivot entries and the relations C.  cell(x, den) formats each pivot
+    entry once; a column that is a pivot column or its negation is derived
+    from those cells, a zero column is `zero`, and any other column is
+    formatted from combine(row, terms) over den * relations.den."""
+    plan = _column_plan(relations)
+    out = []
+    for row in rows:
+        cells = [cell(x, den) for x in row]
+        line = []
+        for p in plan:
+            if type(p) is int:
+                line.append(cells[p] if p >= 0 else _negated_json(cells[~p]))
+            else:
+                line.append(cell(combine(row, p), den * relations.den) if p else zero)
+        out.append(line)
+    return out
+
+
 def _matrix_json(m: FMatrix):
     form = basis_form(m)
     if form is not None:  # a series coefficient: format its integers, no Fraction
         ints, den, relations = form
-        den *= relations.den
-        cols = relations.cols
-        cells = []
-        for e in relations.expand(ints):
-            g = gcd(e, den)
-            cells.append(format_ratio(e // g, den // g))
-        return [cells[i : i + cols] for i in range(0, len(cells), cols)]
+        r = len(relations.pivots)
+        rows = [ints[i : i + r] for i in range(0, len(ints), r)]
+        return _derived_cells(rows, den, relations, _ratio_json, _scalar_combination, "0")
     # a Fraction entry, the common case, is formatted without the dispatch
     return [
         [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
@@ -295,6 +349,14 @@ def _vector_json(v):
 
 def _poly_json(p: Poly):
     return [format_scalar(c) for c in p.coeffs]
+
+
+def _numerator_json(m: FMatrix):
+    form = basis_form(m)
+    if form is None:
+        return [[_poly_json(p) for p in row] for row in m.entries]
+    rows, den, relations = form  # a reconstructed numerator: no Poly built
+    return _derived_cells(rows, den, relations, _poly_cells, combination, [])
 
 
 def report_to_json(report: dict) -> str:
@@ -399,8 +461,8 @@ def _series_json(series: SeriesSolution) -> dict:
         "leading_exponent": series.leading_exponent,
         "convention": series.convention,
         "coefficients": [
-            {"level": p, "matrix": _matrix_json(series.coefficient(p))}
-            for p in series.levels()
+            {"level": p, "matrix": _matrix_json(m)}
+            for p, m in zip(series.levels(), series.coeffs)
         ],
         "resonances": [
             {
@@ -533,7 +595,7 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
     recon = report["reconstruction"] = {
         "status": "ok",
         "denominator": _poly_json(w.denominator),
-        "numerator": [[_poly_json(p) for p in row] for row in w.numerator.entries],
+        "numerator": _numerator_json(w.numerator),
         "numerator_degree_bound": degree,
     }
     report["ode"] = {

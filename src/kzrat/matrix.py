@@ -20,6 +20,9 @@ rows of the reduced row echelon form of M, with M = B C
 only integers it holds, and builds its Fraction entries from B C on their
 first read; ``basis_form`` hands B and C to a caller that works on the
 pivot columns alone, so a caller that only formats them builds none.
+``FMatrix.from_poly_basis`` does the same for a matrix of polynomials,
+B's entries integer coefficient vectors over one denominator, and builds
+its Poly entries on their first read.
 """
 
 from __future__ import annotations
@@ -76,10 +79,14 @@ class FMatrix:
         return m
 
     @classmethod
-    def with_relations(cls, rows: Sequence[Sequence], relations: ColumnRelations) -> FMatrix:
-        """The matrix of rows, whose columns are known to obey relations."""
-        m = _RelatedMatrix(rows)
+    def from_poly_basis(cls, rows: list, den: int, relations: ColumnRelations) -> FMatrix:
+        """(rows / den) * C for the pivot columns rows, each row r integer
+        coefficient vectors without trailing zeros, and the relations C,
+        den > 0; nothing checked.  The Poly entries are built on first
+        read, once; the shape is read without them."""
+        m = object.__new__(_ClearedPolyMatrix)
         m.relations = relations
+        m._basis = (rows, den)
         return m
 
     @property
@@ -227,13 +234,24 @@ def column_relations(m: FMatrix) -> ColumnRelations:
     return ColumnRelations(tuple(pivots), rows, den)
 
 
-class _RelatedMatrix(FMatrix):
-    """An FMatrix that carries known relations among its columns."""
+def combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int]:
+    """sum c * row[k] over the (k, c) terms, for integer vectors, without
+    trailing zeros."""
+    if len(terms) == 1:
+        k, c = terms[0]
+        return row[k] if c == 1 else [c * x for x in row[k]]
+    acc: list[int] = []
+    for k, c in terms:
+        f = row[k]
+        acc += [0] * (len(f) - len(acc))
+        for t, x in enumerate(f):
+            acc[t] += c * x
+    while acc and not acc[-1]:
+        acc.pop()
+    return acc
 
-    __slots__ = ("relations",)
 
-
-class _ClearedMatrix(_RelatedMatrix):
+class _ClearedMatrix(FMatrix):
     """An FMatrix that holds its pivot columns ints / den and their
     relations until its entries are first read.
 
@@ -242,19 +260,46 @@ class _ClearedMatrix(_RelatedMatrix):
     does not specialize attribute reads on a type that defines it).
     """
 
-    __slots__ = ("_basis",)
+    __slots__ = ("relations", "_basis")
 
     def __getattr__(self, name: str):
         # reached only while the slot asked for is unset
         if name != "entries":
             raise AttributeError(name)
+        self.entries = self._built()
+        return self.entries
+
+    def _built(self) -> tuple:
         ints, den = self._basis
         rel = self.relations
         den *= rel.den
         cols = rel.cols
         ents = [Fraction(e, den) for e in rel.expand(ints)]
-        self.entries = tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
-        return self.entries
+        return tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
+
+
+class _ClearedPolyMatrix(_ClearedMatrix):
+    """A _ClearedMatrix of polynomials: each pivot entry an integer
+    coefficient vector over the one den."""
+
+    __slots__ = ()
+
+    @property
+    def rows(self) -> int:
+        return len(self._basis[0])
+
+    @property
+    def cols(self) -> int:
+        return self.relations.cols
+
+    def _built(self) -> tuple:
+        rows, den = self._basis
+        den *= self.relations.den
+        columns = self.relations.columns()
+        return tuple(
+            tuple(Poly([Fraction(x, den) for x in combination(row, terms)]) for terms in columns)
+            for row in rows
+        )
 
 
 class SolveKind(str, Enum):
@@ -410,15 +455,11 @@ def det(a: FMatrix):
     return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
-def basis_form(m: FMatrix) -> tuple[tuple[int, ...], int, ColumnRelations] | None:
+def basis_form(m: FMatrix) -> tuple[tuple, int, ColumnRelations] | None:
     """(ints, den, relations) of a from_basis matrix, m = (ints / den) *
-    relations, as given; None for a matrix made any other way."""
+    relations, or (rows, den, relations) of a from_poly_basis one, as
+    given; None for a matrix made any other way."""
     return (*m._basis, m.relations) if isinstance(m, _ClearedMatrix) else None
-
-
-def known_relations(m: FMatrix) -> ColumnRelations:
-    """The relations m carries; every column a pivot when it carries none."""
-    return m.relations if isinstance(m, _RelatedMatrix) else ColumnRelations.trivial(m.cols)
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:

@@ -12,14 +12,16 @@ its pivot columns times the constant relations C.  `reconstruct` takes
 each level's pivot columns in their integer form, convolves them with
 the integer D(u), reads the numerator and the over-check from that
 integer product, shifts the numerators back to z by an integer Taylor
-shift, normalizes them, and only then builds the other columns as N C;
-one Fraction is built per output coefficient.  The over-check and the
-normalization find what they find on all columns, since the pivot
-columns are columns of W and the others constant combinations of them.
-A series whose levels do not all carry the same relations (built by
-hand, changed, or copied from Fractions) counts every column a pivot,
-C = I.  The numerator carries C on to `verify_ode`, which checks the
-pivot columns only: the residual is linear in N and C is constant.
+shift and normalizes them over one denominator.  The numerator keeps
+those pivot columns and C (`FMatrix.from_poly_basis`); its Poly entries,
+the other columns as N C, are built only when something reads them.  The
+over-check and the normalization find what they find on all columns,
+since the pivot columns are columns of W and the others constant
+combinations of them.  A series whose levels do not all carry the same
+relations (built by hand, changed, or copied from Fractions) counts every
+column a pivot, C = I.  `verify_ode` reads the numerator's pivot columns
+as they are and checks them only: the residual is linear in N and C is
+constant.
 
 A denominator D is carried factored, as its rational roots p/q with
 their multiplicities m and a rest E with no rational root.  `reconstruct`
@@ -46,7 +48,7 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import ColumnRelations, FMatrix, basis_form, charpoly, flat, known_relations
+from .matrix import ColumnRelations, FMatrix, basis_form, charpoly, flat
 from .poly import (
     Poly,
     cleared,
@@ -226,8 +228,9 @@ def _normalized(
 ) -> RationalMatrixFunction:
     """(num C) / (scale P), normalized, for integer vectors without
     trailing zeros, num the pivot columns and C the relations, and
-    P = prod (q z - p)^m * rest as `_factored` gives it; one Fraction is
-    built per output coefficient.
+    P = prod (q z - p)^m * rest as `_factored` gives it.  The numerator
+    holds the pivot columns over one positive denominator, content
+    stripped, and builds no Fraction until its entries are read.
 
     Each root r = p/q cancels as often as (q z - p) divides every entry,
     tested by exact division (Gauss's lemma: over Z as over Q, since
@@ -237,9 +240,10 @@ def _normalized(
 
     The other columns are constant combinations of the pivot columns, so
     a factor divides every entry exactly when it divides every pivot
-    entry: the pivot columns are normalized and the others built from
-    them.  The numerator carries the relations, and the denominator its
-    factors, for `verify_ode`.
+    entry: the pivot columns are normalized, and the others are built
+    from them with the numerator's entries.  The numerator carries the
+    pivot columns and the relations, and the denominator its factors, for
+    `verify_ode`.
     """
     if not any(f for row in num for f in row):
         return _zero_function(len(num), relations.cols)
@@ -265,20 +269,17 @@ def _normalized(
     lead = den[-1]
     denominator = _FactoredPoly([Fraction(x, lead) for x in den])
     denominator.factors = (lead, left, rest)
-    over = scale.denominator
-    under = scale.numerator * lead * relations.den
-    columns = relations.columns()
+    # num * over / under, over one positive denominator with the content stripped
+    over, under = scale.denominator, scale.numerator * lead
+    if under < 0:
+        over, under = -over, -under
+    if over != 1:
+        num = [[[x * over for x in f] for f in row] for row in num]
+    g = gcd(under, *(x for row in num for f in row for x in f))
+    if g > 1:
+        num = [[[x // g for x in f] for f in row] for row in num]
     return RationalMatrixFunction(
-        numerator=FMatrix.with_relations(
-            [
-                [
-                    Poly([Fraction(x * over, under) for x in _combination(row, terms)])
-                    for terms in columns
-                ]
-                for row in num
-            ],
-            relations,
-        ),
+        numerator=FMatrix.from_poly_basis(num, under // g, relations),
         denominator=denominator,
     )
 
@@ -288,22 +289,6 @@ def _zero_function(rows: int, cols: int) -> RationalMatrixFunction:
         numerator=FMatrix([[Poly() for _ in range(cols)] for _ in range(rows)]),
         denominator=Poly.one(),
     )
-
-
-def _combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int]:
-    """sum c * row[k] over the (k, c) terms, without trailing zeros."""
-    if len(terms) == 1:
-        k, c = terms[0]
-        return row[k] if c == 1 else [c * x for x in row[k]]
-    acc: list[int] = []
-    for k, c in terms:
-        f = row[k]
-        acc += [0] * (len(f) - len(acc))
-        for t, x in enumerate(f):
-            acc[t] += c * x
-    while acc and not acc[-1]:
-        acc.pop()
-    return acc
 
 
 def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] | None:
@@ -317,14 +302,12 @@ def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] 
     return out
 
 
-def _cleared_entries(m: FMatrix, columns=None) -> tuple[list[list[list[int]]], int]:
+def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
     """(ints, den) with entry (i, j) of the Poly matrix m equal to
-    ints[i][j] / den, den the least common denominator of all coefficients;
-    only the given columns, when given."""
-    rows = m.entries if columns is None else [[row[j] for j in columns] for row in m.entries]
-    flat, den = cleared([c for row in rows for p in row for c in p.coeffs])
+    ints[i][j] / den, den the least common denominator of all coefficients."""
+    flat, den = cleared([c for row in m.entries for p in row for c in p.coeffs])
     ints = iter(flat)
-    return [[list(islice(ints, len(p.coeffs))) for p in row] for row in rows], den
+    return [[list(islice(ints, len(p.coeffs))) for p in row] for row in m.entries], den
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
@@ -438,10 +421,10 @@ def reconstruct(
     factors of D, each level of W is taken on the pivot columns that
     compute_series stored (`basis_form`, no Fraction built) and scaled to
     the lcm of the level denominators, and the numerators are shifted back
-    to z over that common denominator; the other columns are built after
-    normalization.  When some level has no pivot columns stored, or the
-    levels do not share their relations, every column is a pivot and each
-    level is read by `flat`.
+    to z over that common denominator; the numerator keeps the normalized
+    pivot columns (see `_normalized`).  When some level has no pivot
+    columns stored, or the levels do not share their relations, every
+    column is a pivot and each level is read by `flat`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -528,19 +511,24 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
             = E (pi N' - sum_i c_i (e_i I + coupling R_i) N) - pi E' N,
 
     a polynomial matrix formed on integer vectors with no D or D^2
-    products, for the pivot columns of N only (`known_relations`); the
-    other columns of the residual are the same combinations of them.  The
-    residual is that matrix over D pi E, normalized; a zero one needs no
-    normalizing.
+    products, for the pivot columns of N only, read as the numerator
+    holds them (`basis_form`; a Poly matrix made otherwise is cleared to
+    integers, every column a pivot); the other columns of the residual
+    are the same combinations of them.  The residual is that matrix over
+    D pi E, normalized; a zero one needs no normalizing.
     """
     if sys.is_symbolic:
         raise ValueError("verify_ode needs a numeric-mode system")
     n = w.n
     if sys.n != n:
         raise ValueError(f"dimension mismatch: W is {n}x{n}, the system {sys.n}x{sys.n}")
-    relations = known_relations(w.numerator)
+    form = basis_form(w.numerator)
+    if form is None:  # a Poly matrix made otherwise: every column a pivot
+        num, num_den = _cleared_entries(w.numerator)
+        relations = ColumnRelations.trivial(n)
+    else:
+        num, num_den, relations = form
     r = len(relations.pivots)
-    num, num_den = _cleared_entries(w.numerator, relations.pivots)
     lead, mults, rest = _factored(w.denominator)
     exponents = [mults.get(z, 0) for z in sys.points]
     extra = {root: m for root, m in mults.items() if root not in sys.points}

@@ -36,6 +36,8 @@ from kzrat.cli import (
     report_to_json,
 )
 from kzrat.golden import compare_series
+from kzrat.matrix import ColumnRelations, FMatrix
+from kzrat.scalars import format_ratio
 from test_pinned_reports import PINNED
 
 reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
@@ -505,6 +507,42 @@ def test_main_leaves_the_int_str_digit_cap_as_it_found_it(tmp_path):
         assert main(["verify", "--config", str(path), "--json", str(report)]) == 2
     assert f'"{big}"' in report.read_text()
     assert sys.get_int_max_str_digits() == before
+
+
+def test_derived_report_cells_at_the_edges():
+    # one pivot column f over 2: a copy, a negation with zero coefficients
+    # inside, a zero column, and single terms that are a multiple other
+    # than +-den of the pivot column (2 f, and -f / 2 for relations over 2),
+    # which are formatted, not derived
+    f = [3, 0, -4, 0, 5]
+    m = FMatrix.from_poly_basis([[f]], 2, ColumnRelations((0,), ((1, -1, 0, 2),), 1))
+    assert cli._numerator_json(m) == [[
+        ["3/2", "0", "-2", "0", "5/2"],
+        ["-3/2", "0", "2", "0", "-5/2"],
+        [],
+        ["3", "0", "-4", "0", "5"],
+    ]]
+    m = FMatrix.from_poly_basis([[f]], 2, ColumnRelations((0,), ((2, -1, 0),), 2))
+    assert cli._numerator_json(m) == [
+        [["3/2", "0", "-2", "0", "5/2"], ["-3/4", "0", "1", "0", "-5/4"], []]
+    ]
+    level = FMatrix.from_basis([3, -4], 2, ColumnRelations((0,), ((2, -1, 0, -2),), 2))
+    assert cli._matrix_json(level) == [["3/2", "-3/4", "0", "-3/2"], ["-2", "1", "0", "2"]]
+    # a negation past CPython's int -> str digit cap, in a level and in a
+    # numerator, with the cap as it was
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    x = 10**4400 + 7
+    negation = ColumnRelations((0,), ((1, -1),), 1)
+    level = FMatrix.from_basis([x, 1], 1, negation)
+    assert cli._matrix_json(level) == [[format_ratio(x, 1), format_ratio(-x, 1)], ["1", "-1"]]
+    m = FMatrix.from_poly_basis([[[0, x]]], 3, negation)
+    assert cli._numerator_json(m) == [[["0", format_ratio(x, 3)], ["0", format_ratio(-x, 3)]]]
+    assert cli._numerator_json(m) == [[cli._poly_json(p) for p in row] for row in m.entries]
+    if cap is not None:
+        assert sys.get_int_max_str_digits() == cap
+    if cap and cap < 4400:
+        with pytest.raises(ValueError):
+            str(x)
 
 
 def test_library_round_trips_long_entries_in_a_fresh_process():

@@ -6,7 +6,7 @@ import time
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -35,12 +35,13 @@ from kzrat import (
     transposition_matrix,
     verify_ode,
 )
-from kzrat.cli import load_config
-from kzrat.matrix import basis_form, known_relations
+from kzrat.cli import _numerator_json, _poly_json, load_config
+from kzrat.matrix import ColumnRelations, _ClearedPolyMatrix, basis_form, column_relations
 from kzrat.reconstruct import (
     _cleared_entries,
     _det_is_zero,
     _factored,
+    _normalized,
     _series_of_ratio,
     denominator_exponents,
     denominator_from_exponents,
@@ -393,7 +394,12 @@ BASES = (
 @functools.cache
 def real_reconstruction(name):
     """(system, W) for one of BASES, computed once."""
-    sys_ = dict(BASES)[name]()
+    return least_order_reconstruction(dict(BASES)[name]())
+
+
+def least_order_reconstruction(sys_):
+    """(system, W) at center 1 with the proposed denominator, the CLI's
+    numerator degree and the least order that over-checks them."""
     den = denominator_from_exponents(sys_.points, denominator_exponents(sys_))
     degree = den.degree + numerator_growth(sys_)
     order = degree + den.degree + 1
@@ -854,7 +860,7 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
         series = compute_series(exp, sys_.coupling, order)
     except ResonanceObstruction:
         return
-    event(f"column rank {len(known_relations(series.coeffs[0]).pivots)} of {sys_.n}")
+    event(f"column rank {len(basis_form(series.coeffs[0])[2].pivots)} of {sys_.n}")
     if perturb:
         n = sys_.n
         series = _with_entry_changed(series, level % (order + 1), row % n, column % n, delta)
@@ -871,6 +877,89 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
         verdict = verify_ode(w, system)
         event(f"satisfied {verdict.satisfied}")
         _assert_same_verdict(verdict, verify_ode(w_eager, system))
+
+
+def _entries_built(m) -> bool:
+    """Whether m's entries are set, read without building them."""
+    try:
+        FMatrix.entries.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
+def _trimmed(f: list[int]) -> list[int]:
+    while f and not f[-1]:
+        f = f[:-1]
+    return f
+
+
+@st.composite
+def carried_numerators(draw):
+    """(system, arguments of `_normalized`) for a W whose numerator is
+    held on its pivot columns: relations with every column a pivot, or
+    those of a drawn seed (denominator > 1, columns of several terms, zero
+    columns); pivot entries with zero and negative coefficients, at times
+    one past CPython's int -> str digit cap; a scale not in lowest terms."""
+    n = draw(st.integers(1, 3))
+    relations = ColumnRelations.trivial(n)
+    if draw(st.booleans()):
+        seed_entries = st.sampled_from((0, 0, 1, -1, 2, 3, Fraction(1, 2)))
+        row = st.lists(seed_entries, min_size=n, max_size=n)
+        seed = draw(st.lists(row, min_size=n, max_size=n))
+        seed[0][draw(st.integers(0, n - 1))] = 1
+        relations = column_relations(FMatrix(seed))
+    coefficient = st.sampled_from((0, 0, 1, -1, 2, -3, 10**20))
+    vectors = st.lists(coefficient, max_size=4).map(_trimmed)
+    num = [[draw(vectors) for _ in relations.pivots] for _ in range(n)]
+    num[0][0] = num[0][0] or [1]
+    if draw(st.booleans()):
+        num[-1][-1] = [5, 0, -(10**4400) - 7]
+    pts = draw(st.lists(points, min_size=1, max_size=3, unique=True))
+    entries = st.sampled_from((0, 0, 1, -1, Fraction(1, 2)))
+    residue = st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    sys_ = kz_system(pts, [FMatrix(draw(residue)) for _ in pts], draw(couplings))
+    mults = {z: draw(st.integers(0, 2)) for z in pts}
+    scale = draw(st.sampled_from((1, 6, Fraction(-4, 9), 10**25)))
+    return sys_, (num, scale, mults, [1], relations)
+
+
+@given(carried_numerators())
+# the kz-s3-scaled and rank-two seeds that tests/test_pinned_reports.py
+# pins, with W reconstructed as `kzrat verify` does (no arguments): the
+# ODE holds
+@example((SCALED_KZ_S3, None))
+@example((RANK_TWO_SEED, None))
+@settings(max_examples=100, deadline=None)
+def test_carried_numerator_cannot_be_told_from_its_fractions(case):
+    sys_, args = case
+    w = least_order_reconstruction(sys_)[1] if args is None else _normalized(*args)
+    m = w.numerator
+    # the shape, the report and the ODE check first, while no entry is built
+    shape = (w.n, m.rows, m.cols)
+    report = _numerator_json(m)
+    verdict = verify_ode(w, sys_)
+    assert not _entries_built(m)
+    assert shape == (sys_.n,) * 3
+    rows, den, relations = basis_form(m)
+    # one denominator, the content stripped: the integers verify_ode reads
+    assert den > 0 and gcd(den, *(x for row in rows for f in row for x in f)) == 1
+    eager = [
+        [
+            sum(
+                (Poly([Fraction(x, den) for x in f]) * Fraction(c, relations.den)
+                 for f, c in zip(row, column)),
+                Poly(),
+            )
+            for column in zip(*relations.rows)
+        ]
+        for row in rows
+    ]
+    assert [list(row) for row in m.entries] == eager
+    assert all(type(c) is Fraction for row in m.entries for p in row for c in p.coeffs)
+    assert report == [[_poly_json(p) for p in row] for row in eager]
+    event(f"satisfied {verdict.satisfied}")
+    _assert_same_verdict(verdict, verify_ode(w._replace(numerator=FMatrix(m.entries)), sys_))
 
 
 def test_satisfied_ode_check_normalizes_no_residual(monkeypatch):
@@ -930,6 +1019,47 @@ def test_verify_divides_no_denominator_to_find_its_factors(monkeypatch, tmp_path
     # the numerators are shifted back to z; of D only the root-free rest
     # E = 1 is
     assert set(shifted) == {1, written["reconstruction"]["numerator_degree_bound"] + 1}
+
+
+def test_verify_builds_no_numerator_entry(monkeypatch, tmp_path):
+    # three points, residues that are not kz-s3's, and the center at 1000,
+    # so that the numerators are shifted back to z by a nonzero shift: the
+    # report and the ODE check read the numerator's pivot integers, and
+    # nothing builds its Poly entries or clears them back to integers
+    from kzrat.cli import main
+
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    count(_ClearedPolyMatrix, "_built")
+    count(reconstruct_module, "_cleared_entries")
+    config = tmp_path / "three-point.json"
+    t12 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    t13 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    t23 = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+    config.write_text(
+        json.dumps({
+            "mode": "numeric",
+            "points": ["1000", "3002/3", "6995/7"],
+            "residues": [t12, t13, t23],
+            "coupling": "6",
+            "order": 55,
+        }),
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--config", str(config), "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["ode"]["satisfied"] is True
+    assert calls == Counter()
 
 
 def test_a_replaced_denominator_is_checked_by_its_own_factors():
