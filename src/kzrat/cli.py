@@ -22,7 +22,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from typing import NamedTuple
@@ -39,7 +38,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, basis_form, combination
+from .matrix import FMatrix, basis_form, combination, scalar_combination
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -286,56 +285,15 @@ def _negated_json(cell):
     return cell[1:] if cell[0] == "-" else cell if cell == "0" else "-" + cell
 
 
-def _scalar_combination(row, terms) -> int:
-    return sum(c * row[k] for k, c in terms)
-
-
 def _poly_cells(f: list[int], den: int) -> list[str]:
     return [_ratio_json(x, den) for x in f]
-
-
-@lru_cache(maxsize=64)
-def _column_plan(relations) -> list:
-    """Per column of the relations C: k when it is pivot column k, ~k when
-    it is that column negated, the terms to combine otherwise, or None
-    for a zero column."""
-    plan = []
-    for terms in relations.columns():
-        if len(terms) == 1 and abs(terms[0][1]) == relations.den:
-            k, c = terms[0]
-            plan.append(k if c > 0 else ~k)
-        else:
-            plan.append(terms or None)
-    return plan
-
-
-def _derived_cells(rows, den: int, relations, cell, combine, zero) -> list[list]:
-    """The report cells of (rows / den) C / relations.den, for rows of r
-    pivot entries and the relations C.  cell(x, den) formats each pivot
-    entry once; a column that is a pivot column or its negation is derived
-    from those cells, a zero column is `zero`, and any other column is
-    formatted from combine(row, terms) over den * relations.den."""
-    plan = _column_plan(relations)
-    out = []
-    for row in rows:
-        cells = [cell(x, den) for x in row]
-        line = []
-        for p in plan:
-            if type(p) is int:
-                line.append(cells[p] if p >= 0 else _negated_json(cells[~p]))
-            else:
-                line.append(cell(combine(row, p), den * relations.den) if p else zero)
-        out.append(line)
-    return out
 
 
 def _matrix_json(m: FMatrix):
     form = basis_form(m)
     if form is not None:  # a series coefficient: format its integers, no Fraction
-        ints, den, relations = form
-        r = len(relations.pivots)
-        rows = [ints[i : i + r] for i in range(0, len(ints), r)]
-        return _derived_cells(rows, den, relations, _ratio_json, _scalar_combination, "0")
+        rows, den, relations = form
+        return relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
     # a Fraction entry, the common case, is formatted without the dispatch
     return [
         [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
@@ -356,7 +314,7 @@ def _numerator_json(m: FMatrix):
     if form is None:
         return [[_poly_json(p) for p in row] for row in m.entries]
     rows, den, relations = form  # a reconstructed numerator: no Poly built
-    return _derived_cells(rows, den, relations, _poly_cells, combination, [])
+    return relations.derived(rows, den, _poly_cells, combination, _negated_json, [])
 
 
 def report_to_json(report: dict) -> str:

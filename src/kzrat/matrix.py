@@ -16,21 +16,24 @@ engine's resolvent.
 A matrix M of column rank r can also be held on a column basis: its r
 pivot columns B = M[:, pivots] and the constant relations C, the nonzero
 rows of the reduced row echelon form of M, with M = B C
-(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B in flat form, the
-only integers it holds, and builds its Fraction entries from B C on their
-first read; ``basis_form`` hands B and C to a caller that works on the
-pivot columns alone, so a caller that only formats them builds none.
-``FMatrix.from_poly_basis`` does the same for a matrix of polynomials,
-B's entries integer coefficient vectors over one denominator, and builds
-its Poly entries on their first read.
+(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B as rows of r ints
+over one denominator, and ``FMatrix.from_poly_basis`` as rows of r
+integer coefficient vectors; each builds its Fraction or Poly entries on
+their first read, and reads its shape without them.  C is applied in one
+place, ``ColumnRelations.derived``: it makes each pivot entry once, in the
+kind its caller asks for, copies or negates it for a column that is a
+pivot column or its negation, and combines the pivot entries for any
+other column.  The lazy entries are made by it, and so are the CLI's
+report cells, from the B and C that ``basis_form`` hands out.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
@@ -71,11 +74,13 @@ class FMatrix:
     @classmethod
     def from_basis(cls, ints: list[int], den: int, relations: ColumnRelations) -> FMatrix:
         """(ints / den) * C for the flat pivot columns ints, r per row, and
-        the relations C, den > 0; nothing checked.  The Fraction entries
-        are built on first read, once."""
+        the relations C, den > 0; nothing checked.  The pivot columns are
+        kept as rows of r ints, and the Fraction entries are built on first
+        read, once; the shape is read without them."""
         m = object.__new__(_ClearedMatrix)
         m.relations = relations
-        m._basis = (tuple(ints), den)
+        r = len(relations.pivots)
+        m._basis = ([ints[i : i + r] for i in range(0, len(ints), r)], den)
         return m
 
     @classmethod
@@ -83,7 +88,7 @@ class FMatrix:
         """(rows / den) * C for the pivot columns rows, each row r integer
         coefficient vectors without trailing zeros, and the relations C,
         den > 0; nothing checked.  The Poly entries are built on first
-        read, once; the shape is read without them."""
+        read, once, as from_basis builds its Fractions."""
         m = object.__new__(_ClearedPolyMatrix)
         m.relations = relations
         m._basis = (rows, den)
@@ -212,16 +217,41 @@ class ColumnRelations(NamedTuple):
     def cols(self) -> int:
         return len(self.rows[0])
 
-    def columns(self) -> list[list[tuple[int, int]]]:
-        """Per column j of C, its nonzero entries as (k, C_kj)."""
-        return [[(k, c) for k, c in enumerate(col) if c] for col in zip(*self.rows)]
+    @property
+    @lru_cache(maxsize=64)
+    def plan(self) -> tuple:
+        """Per column of C: k when it is pivot column k, ~k when it is that
+        column negated, its nonzero entries as (k, C_kj) otherwise, or None
+        for a zero column."""
+        plan = []
+        for col in zip(*self.rows):
+            terms = [(k, c) for k, c in enumerate(col) if c]
+            if len(terms) == 1 and abs(terms[0][1]) == self.den:
+                k, c = terms[0]
+                plan.append(k if c > 0 else ~k)
+            else:
+                plan.append(terms or None)
+        return tuple(plan)
 
-    def expand(self, basis: list[int]) -> list[int]:
-        """basis * C, flat, for flat rows of r pivot-column entries: one
-        outer product per pivot column, summed."""
-        r = len(self.rows)
-        parts = [[x * c for x in basis[k::r] for c in row] for k, row in enumerate(self.rows)]
-        return parts[0] if r == 1 else [sum(t) for t in zip(*parts)]
+    def derived(self, rows, den: int, value, combine, negate, zero) -> list[list]:
+        """The entries of (rows / den) C / self.den, for rows of r pivot
+        entries, in the kind that value(x, den) makes of a pivot entry x
+        over den: each pivot entry is made once, a column that is a pivot
+        column or its negation is copied or negated from those, a zero
+        column is `zero`, and any other column is made from
+        combine(row, terms) over den * self.den."""
+        plan = self.plan
+        out = []
+        for row in rows:
+            made = [value(x, den) for x in row]
+            line = []
+            for p in plan:
+                if type(p) is int:
+                    line.append(made[p] if p >= 0 else negate(made[~p]))
+                else:
+                    line.append(value(combine(row, p), den * self.den) if p else zero)
+            out.append(line)
+        return out
 
 
 def column_relations(m: FMatrix) -> ColumnRelations:
@@ -232,6 +262,11 @@ def column_relations(m: FMatrix) -> ColumnRelations:
     n = m.cols
     rows = tuple(tuple(ints[i : i + n]) for i in range(0, r * n, n))
     return ColumnRelations(tuple(pivots), rows, den)
+
+
+def scalar_combination(row: list[int], terms: list[tuple[int, int]]) -> int:
+    """sum c * row[k] over the (k, c) terms."""
+    return sum(c * row[k] for k, c in terms)
 
 
 def combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int]:
@@ -251,9 +286,14 @@ def combination(row: list[list[int]], terms: list[tuple[int, int]]) -> list[int]
     return acc
 
 
+def _poly_over(f: list[int], den: int) -> Poly:
+    return Poly([Fraction(x, den) for x in f])
+
+
 class _ClearedMatrix(FMatrix):
-    """An FMatrix that holds its pivot columns ints / den and their
-    relations until its entries are first read.
+    """An FMatrix that holds its pivot columns rows / den and their
+    relations until its entries are first read; its shape is read without
+    them.  Its entries are Fractions, each pivot row r ints.
 
     A subclass, so that only these matrices have a __getattr__: on FMatrix
     itself it would slow every attribute read of every matrix (CPython
@@ -261,6 +301,8 @@ class _ClearedMatrix(FMatrix):
     """
 
     __slots__ = ("relations", "_basis")
+    # the entry kind, as ColumnRelations.derived takes it
+    _kind = (Fraction, scalar_combination, neg, Fraction(0))
 
     def __getattr__(self, name: str):
         # reached only while the slot asked for is unset
@@ -268,21 +310,6 @@ class _ClearedMatrix(FMatrix):
             raise AttributeError(name)
         self.entries = self._built()
         return self.entries
-
-    def _built(self) -> tuple:
-        ints, den = self._basis
-        rel = self.relations
-        den *= rel.den
-        cols = rel.cols
-        ents = [Fraction(e, den) for e in rel.expand(ints)]
-        return tuple(tuple(ents[i : i + cols]) for i in range(0, len(ents), cols))
-
-
-class _ClearedPolyMatrix(_ClearedMatrix):
-    """A _ClearedMatrix of polynomials: each pivot entry an integer
-    coefficient vector over the one den."""
-
-    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -294,12 +321,15 @@ class _ClearedPolyMatrix(_ClearedMatrix):
 
     def _built(self) -> tuple:
         rows, den = self._basis
-        den *= self.relations.den
-        columns = self.relations.columns()
-        return tuple(
-            tuple(Poly([Fraction(x, den) for x in combination(row, terms)]) for terms in columns)
-            for row in rows
-        )
+        return tuple(map(tuple, self.relations.derived(rows, den, *self._kind)))
+
+
+class _ClearedPolyMatrix(_ClearedMatrix):
+    """A _ClearedMatrix of polynomials: each pivot entry an integer
+    coefficient vector over the one den."""
+
+    __slots__ = ()
+    _kind = (_poly_over, combination, neg, Poly())
 
 
 class SolveKind(str, Enum):
@@ -455,10 +485,10 @@ def det(a: FMatrix):
     return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
-def basis_form(m: FMatrix) -> tuple[tuple, int, ColumnRelations] | None:
-    """(ints, den, relations) of a from_basis matrix, m = (ints / den) *
-    relations, or (rows, den, relations) of a from_poly_basis one, as
-    given; None for a matrix made any other way."""
+def basis_form(m: FMatrix) -> tuple[list, int, ColumnRelations] | None:
+    """(rows, den, relations) of a from_basis or from_poly_basis matrix,
+    m = (rows / den) * relations, the pivot columns as rows of r entries;
+    None for a matrix made any other way."""
     return (*m._basis, m.relations) if isinstance(m, _ClearedMatrix) else None
 
 

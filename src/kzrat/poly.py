@@ -82,11 +82,12 @@ def taylor_shift(ints: list[int], r: int, s: int) -> list[int]:
     """T with T(x) = s^n P(x + r/s) for the integer vector P of degree n
     (s > 0): P(x + r/s) s^n = Q(s x + r) with Q(y) = s^n P(y/s), whose
     coefficients p_k s^(n-k) are integers; the integer Taylor shift of Q
-    by r (Horner's rule, in place) gives U(y) = Q(y + r), and T_k = U_k s^k."""
+    by r (Horner's rule, in place, skipped for r = 0) gives U(y) = Q(y + r),
+    and T_k = U_k s^k."""
     n = len(ints) - 1
     powers = [s**k for k in range(n + 1)]
     a = [x * powers[n - k] for k, x in enumerate(ints)]
-    for i in range(n):
+    for i in range(n if r else 0):
         for j in range(n - 1, i - 1, -1):
             a[j] += r * a[j + 1]
     return [x * p for x, p in zip(a, powers)]

@@ -13,11 +13,11 @@ each level's pivot columns in their integer form, convolves them with
 the integer D(u), reads the numerator and the over-check from that
 integer product, shifts the numerators back to z by an integer Taylor
 shift and normalizes them over one denominator.  The numerator keeps
-those pivot columns and C (`FMatrix.from_poly_basis`); its Poly entries,
-the other columns as N C, are built only when something reads them.  The
-over-check and the normalization find what they find on all columns,
-since the pivot columns are columns of W and the others constant
-combinations of them.  A series whose levels do not all carry the same
+those pivot columns, as rows of r integer vectors, and C
+(`FMatrix.from_poly_basis`); its Poly entries, the other columns as N C,
+are built only when something reads them.  The over-check and the
+normalization find what they find on all columns, since the pivot
+columns are columns of W and the others constant combinations of them.  A series whose levels do not all carry the same
 relations (built by hand, changed, or copied from Fractions) counts every
 column a pivot, C = I.  `verify_ode` reads the numerator's pivot columns
 as they are and checks them only: the residual is linear in N and C is
@@ -418,13 +418,13 @@ def reconstruct(
     D is given as (point, exponent) pairs, D = prod (z - z_i)^(m_i), or as
     a Poly, which `rational_roots` factors once.  All of it runs on integer
     vectors and on the pivot columns of the levels: D(u) is built from the
-    factors of D, each level of W is taken on the pivot columns that
-    compute_series stored (`basis_form`, no Fraction built) and scaled to
-    the lcm of the level denominators, and the numerators are shifted back
-    to z over that common denominator; the numerator keeps the normalized
-    pivot columns (see `_normalized`).  When some level has no pivot
-    columns stored, or the levels do not share their relations, every
-    column is a pivot and each level is read by `flat`.
+    factors of D, each level of W is taken on the rows of pivot entries
+    that compute_series stored (`basis_form`, no Fraction built) and
+    scaled to the lcm of the level denominators, and the numerators are
+    shifted back to z over that common denominator; the numerator keeps
+    the normalized pivot columns (see `_normalized`).  When some level has
+    no pivot columns stored, or the levels do not share their relations,
+    every column is a pivot and each level is read by `flat`.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
@@ -457,15 +457,17 @@ def reconstruct(
     forms = [basis_form(m) for m in series.coeffs]
     if None in forms or any(form[2] != forms[0][2] for form in forms):
         # levels made otherwise, or sharing no relations: every column a pivot
-        forms = [(*flat(m), ColumnRelations.trivial(m.cols)) for m in series.coeffs]
+        trivial = ColumnRelations.trivial(series.coeffs[0].cols)
+        forms = [basis_form(FMatrix.from_basis(*flat(m), trivial)) for m in series.coeffs]
     relations = forms[0][2]
     common = lcm(*(level_den for _, level_den, _ in forms))
-    levels = [[e * (common // level_den) for e in ints] for ints, level_den, _ in forms]
-    products = []
+    levels = [(rows, common // level_den) for rows, level_den, _ in forms]
+    products = [
+        [int_convolve(g, [rows[i][k] * scale for rows, scale in levels]) for k in range(len(row))]
+        for i, row in enumerate(forms[0][0])
+    ]
     bad_levels = []
-    for k in range(len(levels[0])):
-        q = int_convolve(g, [ints[k] for ints in levels])
-        products.append(q)
+    for q in (q for row in products for q in row):
         for t, x in enumerate(q[: v + have]):
             if x and not 0 <= t + rho <= max_num_degree:
                 bad_levels.append(t + rho - v)
@@ -478,14 +480,14 @@ def reconstruct(
     # max_num_degree) common), so N/D = taylor_shift(nu, -r, s) /
     # (s^(deg + max_num_degree) common P).
     num = []
-    for q in products:
-        nu = [q[t - rho] if 0 <= t - rho < len(q) else 0 for t in range(max_num_degree + 1)]
-        f = taylor_shift(nu, -r, s) if any(nu) else []
-        while f and not f[-1]:
-            f.pop()
-        num.append(f)
-    r = len(relations.pivots)
-    num = [num[i : i + r] for i in range(0, len(num), r)]
+    for row in products:
+        num.append([])
+        for q in row:
+            nu = [q[t - rho] if 0 <= t - rho < len(q) else 0 for t in range(max_num_degree + 1)]
+            f = taylor_shift(nu, -r, s) if any(nu) else []
+            while f and not f[-1]:
+                f.pop()
+            num[-1].append(f)
     num_den = common * s ** (len(g) - 1 + max_num_degree)
     return _normalized(num, num_den, mults, rest, relations)
 

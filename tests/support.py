@@ -63,6 +63,15 @@ def table_matrix(level: int) -> FMatrix:
     )
 
 
+def entries_built(m: FMatrix) -> bool:
+    """Whether m's entries are set, read without building them."""
+    try:
+        FMatrix.entries.__get__(m)
+    except AttributeError:
+        return False
+    return True
+
+
 def raw_matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     n, m, k = len(a), len(b[0]), len(b)
     return [

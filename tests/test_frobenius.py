@@ -464,12 +464,17 @@ def test_nonresonant_level_builds_one_fraction_per_entry(monkeypatch, points, re
         return built, result
 
     # one more non-resonant level builds no Fraction: the level stays in
-    # integer form until its entries are read, one Fraction per entry
+    # integer form until its entries are read, and then builds one Fraction
+    # per pivot entry, negated column and combined column; a copied column
+    # shares its pivot's Fraction, and a zero column the one Fraction(0)
     shorter, _ = fractions_built(lambda: compute_series(exp, coupling, order))
     longer, series = fractions_built(lambda: compute_series(exp, coupling, order + 1))
     assert longer == shorter
     last = series.coeffs[-1]
-    assert fractions_built(lambda: last.entries)[0] == exp.n**2
+    plan = last.relations.plan
+    negated_or_combined = [p for p in plan if p is not None and not (type(p) is int and p >= 0)]
+    made = len(last.relations.pivots) + len(negated_or_combined)
+    assert fractions_built(lambda: last.entries)[0] == exp.n * made
     assert fractions_built(lambda: last.entries)[0] == 0
 
 

@@ -29,7 +29,16 @@ from kzrat.matrix import (
     sparse_rows,
     stripped,
 )
-from support import I3, P1, P2, FieldRatFunc, coefficients, fraction_charpoly, leibniz_det
+from support import (
+    I3,
+    P1,
+    P2,
+    FieldRatFunc,
+    coefficients,
+    entries_built,
+    fraction_charpoly,
+    leibniz_det,
+)
 
 
 def columns_of(vectors, n):
@@ -241,13 +250,16 @@ def _outcome(fn):
 def test_from_basis_cannot_be_told_from_its_fractions(form):
     ints, den, relations = form
     r = len(relations.pivots)
-    basis = FMatrix([[Fraction(e, den) for e in ints[i : i + r]] for i in range(0, len(ints), r)])
+    rows = [ints[i : i + r] for i in range(0, len(ints), r)]
+    basis = FMatrix([[Fraction(e, den) for e in row] for row in rows])
     eager = basis * FMatrix(relations.rows) * Fraction(1, relations.den)
-    # the integer readers first, while no entry has been built
+    # the shape and the integer readers first, while no entry has been built
     lazy = FMatrix.from_basis(ints, den, relations)
+    assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
     assert _matrix_json(lazy) == [[format_scalar(e) for e in row] for row in eager.entries]
-    assert basis_form(lazy) == (tuple(ints), den, relations)
+    assert basis_form(lazy) == (rows, den, relations)
     assert basis_form(eager) is None
+    assert not entries_built(lazy)
     assert flat(lazy) == flat(eager)
     assert FMatrix.from_basis(ints, den, relations) == eager
     assert eager == FMatrix.from_basis(ints, den, relations)

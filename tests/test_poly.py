@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import Poly, format_scalar, poly_gcd, rational_roots
+from kzrat.poly import taylor_shift
 from support import (
     BIG,
     coefficients,
@@ -132,6 +133,13 @@ def test_shift_matches_fraction_oracle(p, c):
     q = p.shifted(c)
     assert q == fraction_shifted(p, c)
     assert all(isinstance(x, Fraction) for x in q.coeffs)
+
+
+@given(ints=st.lists(st.integers(-BIG, BIG), max_size=9), s=st.integers(1, 2**80))
+@settings(max_examples=200, deadline=None)
+def test_zero_taylor_shift_only_scales(ints, s):
+    # s^n P(x + 0/s) = s^n P(x), with no Horner pass to get there
+    assert taylor_shift(ints, 0, s) == [x * s ** (len(ints) - 1) for x in ints]
 
 
 def test_derivative_and_valuation():

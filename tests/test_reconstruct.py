@@ -53,6 +53,7 @@ from support import (
     coefficients,
     couplings,
     division_reconstruct,
+    entries_built,
     euclid_rational_matrix,
     fmatrix_verify_ode,
     fraction_det_is_zero,
@@ -879,15 +880,6 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
         _assert_same_verdict(verdict, verify_ode(w_eager, system))
 
 
-def _entries_built(m) -> bool:
-    """Whether m's entries are set, read without building them."""
-    try:
-        FMatrix.entries.__get__(m)
-    except AttributeError:
-        return False
-    return True
-
-
 def _trimmed(f: list[int]) -> list[int]:
     while f and not f[-1]:
         f = f[:-1]
@@ -939,7 +931,7 @@ def test_carried_numerator_cannot_be_told_from_its_fractions(case):
     shape = (w.n, m.rows, m.cols)
     report = _numerator_json(m)
     verdict = verify_ode(w, sys_)
-    assert not _entries_built(m)
+    assert not entries_built(m)
     assert shape == (sys_.n,) * 3
     rows, den, relations = basis_form(m)
     # one denominator, the content stripped: the integers verify_ode reads
@@ -1025,7 +1017,9 @@ def test_verify_builds_no_numerator_entry(monkeypatch, tmp_path):
     # three points, residues that are not kz-s3's, and the center at 1000,
     # so that the numerators are shifted back to z by a nonzero shift: the
     # report and the ODE check read the numerator's pivot integers, and
-    # nothing builds its Poly entries or clears them back to integers
+    # nothing builds its Poly entries or clears them back to integers.  The
+    # spy is on the numerator's lazy entry build, not on
+    # ColumnRelations.derived, which the report calls too
     from kzrat.cli import main
 
     calls = Counter()
@@ -1060,6 +1054,9 @@ def test_verify_builds_no_numerator_entry(monkeypatch, tmp_path):
         assert main(["verify", "--config", str(config), "--json", str(report)]) == 0
     assert json.loads(report.read_text())["ode"]["satisfied"] is True
     assert calls == Counter()
+    # the spy sees a numerator's entries being built
+    FMatrix.from_poly_basis([[[1]]], 1, ColumnRelations.trivial(1)).entries
+    assert calls == Counter({"_built": 1})
 
 
 def test_a_replaced_denominator_is_checked_by_its_own_factors():
