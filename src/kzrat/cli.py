@@ -23,7 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
@@ -38,7 +38,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, basis_form, combination, scalar_combination
+from .matrix import FMatrix, basis_form, combination, graded_form, scalar_combination, stripped
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -251,12 +251,17 @@ def _parse_matrix(obj, where: str) -> FMatrix:
 def _entry_json(e):
     if isinstance(e, Fraction):
         return format_scalar(e)
-    if isinstance(e, RatFunc):  # c * d^k as num / den, the monomial's canonical form
-        return {
-            "num": ["0"] * e.power + [format_scalar(e.coeff)] if e.coeff else [],
-            "den": ["0"] * -e.power + ["1"],
-        }
+    if isinstance(e, RatFunc):
+        return _monomial_json(format_scalar(e.coeff), e.power)
     raise TypeError(f"unserializable entry {e!r}")
+
+
+def _monomial_json(c: str, power: int) -> dict:
+    """The report cell of c * d^power, c a formatted scalar: the monomial's
+    canonical form num / den."""
+    if c == "0":
+        return {"num": [], "den": ["1"]}
+    return {"num": ["0"] * power + [c], "den": ["0"] * -power + ["1"]}
 
 
 def parse_entry(obj):
@@ -290,15 +295,20 @@ def _poly_cells(f: list[int], den: int) -> list[str]:
 
 
 def _matrix_json(m: FMatrix):
-    form = basis_form(m)
-    if form is not None:  # a series coefficient: format its integers, no Fraction
-        rows, den, relations = form
-        return relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
-    # a Fraction entry, the common case, is formatted without the dispatch
-    return [
-        [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
-        for row in m.entries
-    ]
+    graded = graded_form(m)
+    form = basis_form(m) if graded is None else graded[:3]
+    if form is None:
+        # a Fraction entry, the common case, is formatted without the dispatch
+        return [
+            [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
+            for row in m.entries
+        ]
+    # from its integers: each pivot entry is formatted once, and no entry built
+    rows, den, relations = form
+    cells = relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
+    if graded is None:
+        return cells
+    return [[_monomial_json(c, graded[3]) for c in row] for row in cells]
 
 
 def _vector_json(v):
@@ -373,19 +383,19 @@ def _cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
     return [indent + "[" + "  ".join(map(str.rjust, row, widths)) + "]" for row in cells]
 
 
-def _factored_symbolic_lines(m: FMatrix) -> list[str] | None:
-    """Print a matrix of equal-power monomials as  1/L * d^k * [integers]."""
-    if not all(isinstance(e, RatFunc) for row in m.entries for e in row):
-        return None
-    powers = {e.power for row in m.entries for e in row if e}
-    if len(powers) != 1 or 0 in powers:
-        return None
-    (power,) = powers
-    coeffs = [[e.coeff for e in row] for row in m.entries]
-    lcm_den = lcm(*(c.denominator for row in coeffs for c in row))
-    head = f"d^{power}" if lcm_den == 1 else f"1/{lcm_den} * d^{power}"
-    body = [[format_scalar(c.numerator * (lcm_den // c.denominator)) for c in row] for row in coeffs]
-    return [f"  {head} *"] + _cell_lines(body, indent="    ")
+def _symbolic_lines(m: FMatrix) -> list[str]:
+    """The lines of a matrix of monomials c * d^k of one power k, from its
+    integers (graded_form): its constants when k = 0, else
+    1/L * d^k * [integers] with L the least common denominator."""
+    rows, den, relations, power = graded_form(m)
+    ints, den = relations.flat(rows, den)
+    head = []
+    if power:
+        ints, den = stripped(ints, den)
+        head, den = [f"  d^{power} *" if den == 1 else f"  1/{den} * d^{power} *"], 1
+    n = relations.cols
+    cells = [[_ratio_json(x, den) for x in ints[i : i + n]] for i in range(0, len(ints), n)]
+    return head + _cell_lines(cells, indent="    " if power else "  ")
 
 
 def _print_coefficient(label: str, m: FMatrix, doc: list, out) -> None:
@@ -393,12 +403,7 @@ def _print_coefficient(label: str, m: FMatrix, doc: list, out) -> None:
     if all(type(d) is str for drow in doc for d in drow):
         lines = _cell_lines(doc)
     else:
-        lines = _factored_symbolic_lines(m) or _cell_lines(
-            [
-                [d if type(d) is str else e.to_str("d") for d, e in zip(drow, row)]
-                for drow, row in zip(doc, m.entries)
-            ]
-        )
+        lines = _symbolic_lines(m)
     print(f"{label} =", *lines, sep="\n", file=out)
 
 

@@ -21,7 +21,7 @@ pivots), b_q = b_q[:, pivots] C.  The engine carries the n x r pivot
 columns only; r is 1 for the projector seed of kz-s3.  Each b_q is
 returned as FMatrix.from_basis of them, whose pivot columns are the only
 integers it holds; it builds its Fractions from them only when something
-reads its entries (the golden check, symbolic grading).  The report
+reads its entries (verify_recursion, a library caller).  The report
 formats the pivot columns times C, and reconstruct and verify_ode work
 on the pivot columns, so a numeric CLI run builds no Fraction.  A
 resonant step solves the n x r right side.  The row transform of that
@@ -51,11 +51,14 @@ order: a_r is derived on demand from the poles.
 
 In two-point symbolic mode every quantity is a monomial in d: the engine
 solves at d = 1 (u = +-1) for B_p, and the series it returns is graded,
-b_p = B_p * d^(-(p - rho)); verify_recursion and the golden tables check
-those graded values.  A resonant step is classified once, over graded
-values: the step matrix has d-degree 0 and the right side a single
-degree, so elimination picks the same pivots as at d = 1, and the
-particular solution read back at d = 1 is the engine's.
+b_p = B_p * d^(-(p - rho)), each level a lazy graded view of the same
+pivot columns (LocalExpansion.grade).  verify_recursion reads its graded
+entries; the CLI's report and printed lines and the golden check read its
+integers and power, and build no entry.  A resonant step is classified
+once, over the step matrix graded to d-degree 0, so that the kernel and
+the certificate carry the entry types that reports encode.  Its right
+side has a single degree, so it is solved at d = 1, where the particular
+solution is the engine's.
 """
 
 from __future__ import annotations
@@ -196,8 +199,12 @@ def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
     n = exp.n
     ident = FMatrix.identity(n)
     a0 = exp.residue
-    if a0 * a0 == ident and a0 != ident and Fraction(exponent) == -Fraction(coupling):
-        return ident - a0
+    if Fraction(exponent) == -Fraction(coupling) and a0 != ident:
+        # a0^2 = I on the cleared integers a0 = a / den: a^2 = den^2 I
+        a, den = flat(a0)
+        square = sparse_product(sparse_rows(a, n), a, n)
+        if square == [den * den * (i % (n + 1) == 0) for i in range(n * n)]:
+            return ident - a0
 
     res = solve_linear(_step_matrix(exp, Fraction(coupling), exponent), FMatrix.zeros(n, n))
     if res.kind is SolveKind.UNIQUE:
@@ -306,15 +313,15 @@ def compute_series(
             b, b_den = stripped(dense_product(adj_x, rhs, r), rhs_den * abs(det_x))
             coeffs.append(FMatrix.from_basis(b, b_den, relations))
             continue
-        # chi(level) == 0: a resonant step, classified once by elimination
-        # over graded values.  The step matrix has d-degree 0 and the right
-        # side -step, so the pivots are those at d = 1: the kernel and the
-        # certificate keep the entry types that reports encode, and the
-        # particular solution read back at d = 1 is the engine's.  The row
-        # transform of the elimination does not depend on the right side
-        # and C has full row rank, so the n x r right side gives the
-        # certificate of the full one, and the particular solution times C.
-        basis_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, ColumnRelations.trivial(r)), -step)
+        # chi(level) == 0: a resonant step, classified once by elimination.
+        # The step matrix is graded, of d-degree 0, so that the kernel and
+        # the certificate keep the entry types that reports encode; the
+        # right side has the single degree -step, so it is solved at d = 1,
+        # where the particular solution is the engine's.  The row transform
+        # of the elimination does not depend on the right side and C has
+        # full row rank, so the n x r right side gives the certificate of
+        # the full one, and the particular solution times C.
+        basis_rhs = FMatrix.from_basis(rhs, rhs_den, ColumnRelations.trivial(r))
         res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), basis_rhs)
         if res.kind is SolveKind.INCONSISTENT:
             full_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, relations), -step)

@@ -5,27 +5,43 @@ coupling 2, leading exponent -2, literal-paper convention: coefficient
 matrices for levels -2 .. 1, and the right side of the resonant level-2
 step in its normalized form (step matrix scaled down to I - P, so the
 right side is the plain convolution of the tables through order 2).
+
+Each table is an integer matrix times a scale times a power of d, and is
+kept in that form next to the FMatrix it makes.  The comparison reads a
+series level the same way, as its integers over one denominator and its
+power (``graded_form``), and builds none of its entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from .frobenius import SeriesSolution, convolution_rhs
+from .frobenius import SeriesSolution
 from .kzmodel import DERIVED_TAYLOR, LocalExpansion
-from .matrix import FMatrix
+from .matrix import FMatrix, dense_product, flat, graded_form
 from .ratfunc import RatFunc
 
 
-def _fixture(ints: list[list[int]], scale: Fraction, power: int) -> FMatrix:
+class GoldenTable(NamedTuple):
+    """The reference matrix ints * scale * d^power, with its flat row-major ints."""
+
+    matrix: FMatrix
+    ints: list[int]
+    scale: Fraction
+    power: int
+
+
+def _fixture(ints: list[list[int]], scale: Fraction, power: int) -> GoldenTable:
     factor = RatFunc.monomial(power, scale)
-    return FMatrix([[Fraction(e) for e in row] for row in ints]) * factor
+    matrix = FMatrix([[Fraction(e) for e in row] for row in ints]) * factor
+    return GoldenTable(matrix, [e for row in ints for e in row], scale, power)
 
 
 _MINUS_NINTH = Fraction(-1, 9)
 
-GOLDEN_COEFFS: dict[int, FMatrix] = {
+GOLDEN_COEFFS: dict[int, GoldenTable] = {
     -2: _fixture([[1, -1, 0], [-1, 1, 0], [0, 0, 0]], Fraction(1), 0),
     -1: _fixture([[-12, 12, 0], [6, -6, 0], [6, -6, 0]], _MINUS_NINTH, -1),
     0: _fixture([[3, -3, 0], [-6, 6, 0], [3, -3, 0]], _MINUS_NINTH, -2),
@@ -35,7 +51,7 @@ GOLDEN_COEFFS: dict[int, FMatrix] = {
 # Convolving the four tables above through the order-2 step gives exactly
 # this right side; any nonzero scalar multiple leaves its solvability
 # (range membership for I - P) unchanged.
-GOLDEN_LEVEL2_RHS: FMatrix = _fixture(
+GOLDEN_LEVEL2_RHS: GoldenTable = _fixture(
     [[1, -1, 0], [-1, 1, 0], [0, 0, 0]], Fraction(1), -4
 )
 
@@ -47,11 +63,48 @@ class GoldenOutcome(NamedTuple):
     lines: tuple[str, ...]
 
 
-def _level2_normalized_rhs(series: SeriesSolution, exp: LocalExpansion) -> FMatrix:
+def _integers(m: FMatrix) -> tuple[list[int], int, int] | None:
+    """m as (ints, den, power), m = (ints / den) * d^power with ints flat and
+    row-major; None unless m is a matrix of monomials of one power."""
+    form = graded_form(m)
+    if form is None:
+        return None
+    rows, den, relations, power = form
+    return (*relations.flat(rows, den), power)
+
+
+def _equals(value: tuple[list[int], int, int] | None, table: GoldenTable, sign: int) -> bool:
+    """Whether (ints, den, power) is sign times the table, on integers."""
+    if value is None:
+        return False
+    ints, den, power = value
+    num = sign * table.scale.numerator * den
+    scale_den = table.scale.denominator
+    return power == table.power and [x * scale_den for x in ints] == [t * num for t in table.ints]
+
+
+def _level2_normalized_rhs(levels: dict, exp: LocalExpansion) -> tuple[list[int], int, int] | None:
     """Convolution sum at the level-2 step (the recursion right side divided
-    by the coupling constant 2, matching the I - P normalization)."""
-    table = {p: series.coefficient(p) for p in series.levels() if p <= 1}
-    return convolution_rhs(exp, table, 2)
+    by the coupling constant 2, matching the I - P normalization), from
+    the levels -2 .. 1 read by _integers, as (ints, den, power).  With
+    a_j = -R u^(j+1) d^-(j+1) it is -R sum_j u^(j+1) b_(1-j), summed at
+    d = 1; None unless its nonzero terms share one power."""
+    ((u, residue),) = exp.poles
+    terms, powers = [], set()
+    for level, value in levels.items():
+        if value is None:
+            return None
+        ints, den, power = value
+        k = 2 - level  # j + 1 for j = 1 - level
+        if any(ints):
+            powers.add(power - k)
+        terms.append(([x * u.numerator**k for x in ints], den * u.denominator**k))
+    if len(powers) != 1:
+        return None
+    den = lcm(*(d for _, d in terms))
+    total = [sum(xs) for xs in zip(*([x * (den // d) for x in ints] for ints, d in terms))]
+    r, r_den = flat(residue)
+    return [-x for x in dense_product(r, total, exp.n)], den * r_den, powers.pop()
 
 
 def _require_comparable(series: SeriesSolution, exp: LocalExpansion) -> str | None:
@@ -91,14 +144,13 @@ def _compare(series: SeriesSolution, exp: LocalExpansion, dual: bool) -> GoldenO
     label = " (dual)" if dual else ""
     lines = []
     ok = True
-    for level in GOLDEN_LEVELS:
-        expected = GOLDEN_COEFFS[level]
-        if dual:
-            expected = expected * (Fraction(-1) ** level)
-        match = series.coefficient(level) == expected
+    levels = {level: _integers(series.coefficient(level)) for level in GOLDEN_LEVELS}
+    for level, value in levels.items():
+        sign = -1 if dual and level % 2 else 1
+        match = _equals(value, GOLDEN_COEFFS[level], sign)
         ok = ok and match
         lines.append(f"b[{level}]{label}: {'match' if match else 'MISMATCH'}")
-    rhs_match = _level2_normalized_rhs(series, exp) == GOLDEN_LEVEL2_RHS
+    rhs_match = _equals(_level2_normalized_rhs(levels, exp), GOLDEN_LEVEL2_RHS, 1)
     ok = ok and rhs_match
     lines.append(f"level-2 rhs: {'match' if rhs_match else 'MISMATCH'}")
     if not ok:

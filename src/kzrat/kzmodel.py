@@ -9,7 +9,8 @@ Symbolic mode is a grading of the numeric engine, not a second
 arithmetic: with two points every a_r is a monomial of d-degree -(r + 1),
 so the expansion is held at d = 1 (u = +-1) over Fraction, and
 ``LocalExpansion.grade`` multiplies a value by its power of d only where
-it leaves the engine.
+it leaves the engine.  A series level leaves it still in integer form, as
+a lazy graded view of its pivot columns (``kzrat.matrix.graded``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .matrix import FMatrix
-from .ratfunc import RatFunc
+from .matrix import FMatrix, graded
 from .scalars import format_scalar
 
 SYMBOLIC = "symbolic"
@@ -124,10 +124,10 @@ class LocalExpansion(NamedTuple):
 
     def grade(self, m: FMatrix, power: int) -> FMatrix:
         """An engine value as it leaves the engine: m * d^power in symbolic
-        mode, where the engine ran at d = 1; m itself numerically."""
-        if not self.symbolic:
-            return m
-        return FMatrix([[RatFunc(e, power) for e in row] for row in m.entries])
+        mode, where the engine ran at d = 1; m itself numerically.  A
+        from_basis level is graded as a view of its pivot columns, whose
+        RatFunc entries are built only if something reads them."""
+        return graded(m, power) if self.symbolic else m
 
     @property
     def a_minus1(self) -> FMatrix:

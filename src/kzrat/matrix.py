@@ -25,6 +25,13 @@ kind its caller asks for, copies or negates it for a column that is a
 pivot column or its negation, and combines the pivot entries for any
 other column.  The lazy entries are made by it, and so are the CLI's
 report cells, from the B and C that ``basis_form`` hands out.
+
+``graded`` grades a matrix by d^k: a from_basis matrix becomes a view of
+the same pivot columns whose RatFunc entries are built on their first
+read, like its Fractions.  ``graded_form`` reads any matrix of monomials
+of one power as its integers, pivot columns and power, without building
+them: the CLI's report cells and printed lines and the golden check read
+a symbolic series level that way.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from operator import mul, neg
 from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
+from .ratfunc import RatFunc
 
 
 class SingularMatrixError(ValueError):
@@ -253,6 +261,15 @@ class ColumnRelations(NamedTuple):
             out.append(line)
         return out
 
+    def flat(self, rows, den: int) -> tuple[list[int], int]:
+        """(rows / den) C / self.den as one flat row-major int list over
+        den * self.den, for rows of r pivot ints."""
+        common = den * self.den
+        lines = self.derived(
+            rows, den, lambda x, over: x * (common // over), scalar_combination, neg, 0
+        )
+        return [x for line in lines for x in line], common
+
 
 def column_relations(m: FMatrix) -> ColumnRelations:
     """The relations among the columns of m, from its reduced row echelon form."""
@@ -330,6 +347,23 @@ class _ClearedPolyMatrix(_ClearedMatrix):
 
     __slots__ = ()
     _kind = (_poly_over, combination, neg, Poly())
+
+
+class _GradedMatrix(_ClearedMatrix):
+    """A _ClearedMatrix graded by d^power: its entries are the monomials
+    RatFunc(x / den, power), built on their first read as its Fractions
+    would be."""
+
+    __slots__ = ("power",)
+
+    def _built(self) -> tuple:
+        rows, den = self._basis
+        power = self.power
+        lines = self.relations.derived(
+            rows, den, lambda x, over: RatFunc(Fraction(x, over), power),
+            scalar_combination, neg, RatFunc(),
+        )
+        return tuple(map(tuple, lines))
 
 
 class SolveKind(str, Enum):
@@ -488,8 +522,42 @@ def det(a: FMatrix):
 def basis_form(m: FMatrix) -> tuple[list, int, ColumnRelations] | None:
     """(rows, den, relations) of a from_basis or from_poly_basis matrix,
     m = (rows / den) * relations, the pivot columns as rows of r entries;
-    None for a matrix made any other way."""
-    return (*m._basis, m.relations) if isinstance(m, _ClearedMatrix) else None
+    None for a matrix made any other way, a graded one too."""
+    return (*m._basis, m.relations) if type(m) in (_ClearedMatrix, _ClearedPolyMatrix) else None
+
+
+def graded(m: FMatrix, power: int) -> FMatrix:
+    """m * d^power with RatFunc entries.  A from_basis matrix gives a view
+    of its pivot columns that builds its entries on their first read; any
+    other matrix of Fractions is graded entry by entry at once."""
+    if type(m) is not _ClearedMatrix:
+        return FMatrix([[RatFunc(e, power) for e in row] for row in m.entries])
+    view = object.__new__(_GradedMatrix)
+    view.relations, view._basis, view.power = m.relations, m._basis, power
+    return view
+
+
+def graded_form(m: FMatrix) -> tuple[list, int, ColumnRelations, int] | None:
+    """(rows, den, relations, power) of a matrix of monomials of one power,
+    m = (rows / den) * relations * d^power, rows of r ints, without building
+    its entries: the pivot columns of a graded from_basis view, every column
+    of a matrix of RatFunc entries.  The power is 0 for a zero matrix.
+    None for any other matrix."""
+    if type(m) is _GradedMatrix:
+        rows, den = m._basis
+        return rows, den, m.relations, m.power if any(map(any, rows)) else 0
+    if isinstance(m, _ClearedMatrix):  # Fractions or Polys, left unbuilt
+        return None
+    entries = [e for row in m.entries for e in row]
+    if not all(type(e) is RatFunc for e in entries):
+        return None
+    powers = {e.power for e in entries if e}
+    if len(powers) > 1:
+        return None
+    ints, den = cleared([e.coeff for e in entries])
+    n = m.cols
+    rows = [ints[i : i + n] for i in range(0, len(ints), n)]
+    return rows, den, ColumnRelations.trivial(n), powers.pop() if powers else 0
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:

@@ -9,19 +9,25 @@ import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
+    CONVENTIONS,
+    DERIVED_TAYLOR,
     LITERAL_PAPER,
     SYMBOLIC,
     RatFunc,
+    ResonanceObstruction,
     build_kz_s3,
     compute_series,
     format_scalar,
+    indicial_data,
+    kz_system,
     local_expansion,
     parse_scalar,
 )
@@ -36,8 +42,9 @@ from kzrat.cli import (
     report_to_json,
 )
 from kzrat.golden import compare_series
-from kzrat.matrix import ColumnRelations, FMatrix
+from kzrat.matrix import ColumnRelations, FMatrix, _GradedMatrix, graded, graded_form
 from kzrat.scalars import format_ratio
+from support import OBSTRUCTED_RESIDUE2, P1, entries_built, fraction_compute_series, kz_systems
 from test_pinned_reports import PINNED
 
 reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
@@ -913,3 +920,154 @@ def test_no_stdout_at_all_still_writes_the_report(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == PINNED["verify-kz-s3-numeric"][1]
+
+
+# ---------------------------------------------------------------------------
+# symbolic levels read from their integers: the golden check, the report
+# cells and the printed lines
+
+
+def _golden_case(convention, engine):
+    """The kz-s3 symbolic series at order 4 from `engine`: compute_series,
+    whose levels are lazy graded views, or the reference engine, whose
+    levels are graded entry by entry."""
+    exp = local_expansion(build_kz_s3(SYMBOLIC, SYMBOLIC), 1, convention, 4)
+    return exp, engine(exp, Fraction(2), 4)
+
+
+def _regraded(m, change):
+    """m with its pivot integers and power changed by change(rows, power),
+    made the way m was: a lazy graded view, or an eager graded matrix."""
+    rows, den, relations, power = graded_form(m)
+    rows, power = change([list(row) for row in rows], power)
+    basis = FMatrix.from_basis([x for row in rows for x in row], den, relations)
+    return graded(basis if type(m) is _GradedMatrix else FMatrix(basis.entries), power)
+
+
+def _bump_first(rows, power):
+    rows[0][0] += 1
+    return rows, power
+
+
+def _bump_power(rows, power):
+    return rows, power + 1
+
+
+def _bump_second_row(rows, power):
+    rows[1][0] -= 2
+    return rows, power
+
+
+@pytest.mark.parametrize("engine", (compute_series, fraction_compute_series), ids=("lazy", "eager"))
+@pytest.mark.parametrize("convention", CONVENTIONS)
+@pytest.mark.parametrize(
+    "level, change",
+    [(0, _bump_first), (-1, _bump_power), (1, _bump_second_row)],
+    ids=("pivot-integer", "power", "level-1"),
+)
+def test_the_golden_check_fails_on_a_tampered_level(engine, convention, level, change):
+    # every tampered level is one of -2 .. 1, which the level-2 right side
+    # reads as well: that level and the right side mismatch, no other line
+    exp, series = _golden_case(convention, engine)
+    assert compare_series(series, exp).matched
+    coeffs = list(series.coeffs)
+    coeffs[level - series.leading_exponent] = _regraded(series.coefficient(level), change)
+    outcome = compare_series(series._replace(coeffs=tuple(coeffs)), exp)
+    label = " (dual)" if convention == DERIVED_TAYLOR else ""
+    expected = [f"b[{p}]{label}: {'MISMATCH' if p == level else 'match'}" for p in (-2, -1, 0, 1)]
+    assert outcome == (False, (*expected, "level-2 rhs: MISMATCH", "golden: MISMATCH"))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_an_eager_series_gives_the_golden_outcome_of_the_lazy_one(convention):
+    exp, lazy = _golden_case(convention, compute_series)
+    _, eager = _golden_case(convention, fraction_compute_series)
+    assert all(type(m) is _GradedMatrix for m in lazy.coeffs)
+    assert not any(type(m) is _GradedMatrix for m in eager.coeffs)
+    assert compare_series(eager, exp) == compare_series(lazy, exp)
+    assert compare_series(lazy, exp).matched
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_a_golden_run_builds_no_graded_entry(monkeypatch, tmp_path, convention):
+    # the report cells, the printed lines and the golden check all read the
+    # levels' pivot integers; the spy is on the graded view's entry build
+    calls = Counter()
+    original = _GradedMatrix._built
+
+    def spy(self):
+        calls["_built"] += 1
+        return original(self)
+
+    monkeypatch.setattr(_GradedMatrix, "_built", spy)
+    path = write_config(tmp_path, dict(S3_SYMBOLIC, convention=convention))
+    report = tmp_path / "report.json"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        argv = ["series", "--config", path, "--golden", "--order", "20", "--json", str(report)]
+        assert main(argv) == 0
+    assert "golden: match" in out.getvalue()
+    assert len(json.loads(report.read_text())["series"]["coefficients"]) == 21
+    assert calls == Counter()
+    # the spy sees a graded view's entries being built
+    graded(FMatrix.from_basis([1], 1, ColumnRelations.trivial(1)), -1).entries
+    assert calls == Counter({"_built": 1})
+
+
+def _eager_printed_lines(m: FMatrix) -> list[str]:
+    """The printed lines of a matrix of graded monomials, read from its
+    RatFunc entries: 1/L * d^k * [integers] for one power k != 0, with L
+    the lcm of the entries' denominators, and each entry's text otherwise."""
+    powers = {e.power for row in m.entries for e in row if e}
+    if len(powers) != 1 or 0 in powers:
+        return cli._cell_lines([[e.to_str("d") for e in row] for row in m.entries])
+    (power,) = powers
+    den = lcm(*(e.coeff.denominator for row in m.entries for e in row))
+    head = f"d^{power}" if den == 1 else f"1/{den} * d^{power}"
+    body = [[format_scalar(e.coeff * den) for e in row] for row in m.entries]
+    return [f"  {head} *"] + cli._cell_lines(body, indent="    ")
+
+
+def _assert_reads_as_eager(m: FMatrix, exp, power: int) -> None:
+    """m, a lazy graded view, against its Fractions graded entry by entry:
+    the report cells and printed lines before any entry is built, then
+    the entries."""
+    rows, den, relations, _ = graded_form(m)
+    fractions = FMatrix.from_basis([x for row in rows for x in row], den, relations)
+    eager = exp.grade(FMatrix(fractions.entries), power)
+    doc = cli._matrix_json(m)
+    assert doc == [[cli._entry_json(e) for e in row] for row in eager.entries]
+    out = io.StringIO()
+    cli._print_coefficient("b", m, doc, out)
+    assert out.getvalue().splitlines() == ["b ="] + _eager_printed_lines(eager)
+    assert not entries_built(m)
+    assert m.entries == eager.entries
+
+
+
+@given(case=kz_systems(symbolic=True))
+@settings(max_examples=60, deadline=None)
+def test_lazy_graded_levels_read_as_their_eager_grading(case):
+    # seed ranks 1 .. n: copied, negated, zero and combined columns occur
+    system, center, convention, order = case
+    exp = local_expansion(system, center, convention, order)
+    resonant = indicial_data(exp, system.coupling).resonant_levels
+    assume(resonant)
+    rho = min(resonant)
+    try:
+        series = compute_series(exp, system.coupling, order)
+    except ResonanceObstruction as exc:
+        _assert_reads_as_eager(exc.rhs, exp, rho - exc.level)
+        return
+    for p, m in zip(series.levels(), series.coeffs):
+        _assert_reads_as_eager(m, exp, rho - p)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_the_obstruction_rhs_reads_as_its_eager_grading(convention):
+    system = kz_system((SYMBOLIC, SYMBOLIC), (P1, OBSTRUCTED_RESIDUE2), Fraction(2))
+    exp = local_expansion(system, 1, convention, 8)
+    with pytest.raises(ResonanceObstruction) as exc:
+        compute_series(exp, system.coupling, 8)
+    assert type(exc.value.rhs) is _GradedMatrix
+    _assert_reads_as_eager(exc.value.rhs, exp, -2 - exc.value.level)

@@ -17,7 +17,7 @@ from kzrat import (
     inverse,
     solve_linear,
 )
-from kzrat.cli import _matrix_json
+from kzrat.cli import _entry_json, _matrix_json
 from kzrat.matrix import (
     ColumnRelations,
     basis_form,
@@ -25,6 +25,8 @@ from kzrat.matrix import (
     dense_product,
     faddeev_leverrier,
     flat,
+    graded,
+    graded_form,
     sparse_product,
     sparse_rows,
     stripped,
@@ -270,6 +272,34 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     assert all(type(e) is Fraction for row in lazy.entries for e in row)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
     assert _matrix_json(lazy) == _matrix_json(eager) and flat(lazy) == flat(eager)
+
+
+@given(cleared_forms(), st.integers(-4, 4))
+@example(([3, -6, 1], 5, ColumnRelations((0,), ((2, -1, 0),), 2)), -3)
+@example(([0, 0], 7, ColumnRelations((0,), ((1, -1),), 1)), -2)
+@settings(max_examples=150, deadline=None)
+def test_a_graded_view_cannot_be_told_from_its_monomials(form, power):
+    ints, den, relations = form
+    r = len(relations.pivots)
+    rows = [ints[i : i + r] for i in range(0, len(ints), r)]
+    fractions = FMatrix.from_basis(ints, den, relations).entries
+    eager = graded(FMatrix(fractions), power)
+    view = graded(FMatrix.from_basis(ints, den, relations), power)
+    # the integer readers first, while no entry has been built
+    assert basis_form(view) is None
+    power_read = power if any(ints) else 0
+    assert graded_form(view) == (rows, den, relations, power_read)
+    assert _matrix_json(view) == [[_entry_json(e) for e in row] for row in eager.entries]
+    assert not entries_built(view)
+    # both forms read as the same integers, and the same power
+    for m in (view, eager):
+        rows_m, den_m, relations_m, power_m = graded_form(m)
+        full, common = relations_m.flat(rows_m, den_m)
+        assert [Fraction(x, common) for x in full] == [e for row in fractions for e in row]
+        assert power_m == power_read
+    assert view.entries == eager.entries
+    assert all(type(e) is RatFunc for row in view.entries for e in row)
+    assert basis_form(eager) is None and graded_form(FMatrix(fractions)) is None
 
 
 small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))
