@@ -38,7 +38,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, basis_form, combination, graded_form, scalar_combination, stripped
+from .matrix import FMatrix, combination, int_form, scalar_combination, stripped
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -295,20 +295,12 @@ def _poly_cells(f: list[int], den: int) -> list[str]:
 
 
 def _matrix_json(m: FMatrix):
-    graded = graded_form(m)
-    form = basis_form(m) if graded is None else graded[:3]
-    if form is None:
-        # a Fraction entry, the common case, is formatted without the dispatch
-        return [
-            [format_scalar(e) if type(e) is Fraction else _entry_json(e) for e in row]
-            for row in m.entries
-        ]
     # from its integers: each pivot entry is formatted once, and no entry built
-    rows, den, relations = form
+    rows, den, relations, power = int_form(m)
     cells = relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
-    if graded is None:
+    if power is None:
         return cells
-    return [[_monomial_json(c, graded[3]) for c in row] for row in cells]
+    return [[_monomial_json(c, power) for c in row] for row in cells]
 
 
 def _vector_json(v):
@@ -320,10 +312,7 @@ def _poly_json(p: Poly):
 
 
 def _numerator_json(m: FMatrix):
-    form = basis_form(m)
-    if form is None:
-        return [[_poly_json(p) for p in row] for row in m.entries]
-    rows, den, relations = form  # a reconstructed numerator: no Poly built
+    rows, den, relations, _ = int_form(m)  # a reconstructed numerator builds no Poly
     return relations.derived(rows, den, _poly_cells, combination, _negated_json, [])
 
 
@@ -385,9 +374,9 @@ def _cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
 
 def _symbolic_lines(m: FMatrix) -> list[str]:
     """The lines of a matrix of monomials c * d^k of one power k, from its
-    integers (graded_form): its constants when k = 0, else
+    integers (int_form): its constants when k = 0, else
     1/L * d^k * [integers] with L the least common denominator."""
-    rows, den, relations, power = graded_form(m)
+    rows, den, relations, power = int_form(m)
     ints, den = relations.flat(rows, den)
     head = []
     if power:

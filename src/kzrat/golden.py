@@ -6,10 +6,10 @@ matrices for levels -2 .. 1, and the right side of the resonant level-2
 step in its normalized form (step matrix scaled down to I - P, so the
 right side is the plain convolution of the tables through order 2).
 
-Each table is an integer matrix times a scale times a power of d, and is
-kept in that form next to the FMatrix it makes.  The comparison reads a
-series level the same way, as its integers over one denominator and its
-power (``graded_form``), and builds none of its entries.
+Each table is an integer matrix times a scale times a power of d, kept
+in that form.  The comparison reads a series level the same way, as its
+integers over one denominator and its power (``int_form``), and builds
+none of its entries.
 """
 
 from __future__ import annotations
@@ -20,23 +20,19 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import DERIVED_TAYLOR, LocalExpansion
-from .matrix import FMatrix, dense_product, flat, graded_form
-from .ratfunc import RatFunc
+from .matrix import FMatrix, dense_product, flat, int_form
 
 
 class GoldenTable(NamedTuple):
-    """The reference matrix ints * scale * d^power, with its flat row-major ints."""
+    """The reference matrix ints * scale * d^power, its ints flat and row-major."""
 
-    matrix: FMatrix
     ints: list[int]
     scale: Fraction
     power: int
 
 
 def _fixture(ints: list[list[int]], scale: Fraction, power: int) -> GoldenTable:
-    factor = RatFunc.monomial(power, scale)
-    matrix = FMatrix([[Fraction(e) for e in row] for row in ints]) * factor
-    return GoldenTable(matrix, [e for row in ints for e in row], scale, power)
+    return GoldenTable([e for row in ints for e in row], scale, power)
 
 
 _MINUS_NINTH = Fraction(-1, 9)
@@ -63,13 +59,10 @@ class GoldenOutcome(NamedTuple):
     lines: tuple[str, ...]
 
 
-def _integers(m: FMatrix) -> tuple[list[int], int, int] | None:
-    """m as (ints, den, power), m = (ints / den) * d^power with ints flat and
-    row-major; None unless m is a matrix of monomials of one power."""
-    form = graded_form(m)
-    if form is None:
-        return None
-    rows, den, relations, power = form
+def _integers(m: FMatrix) -> tuple[list[int], int, int]:
+    """m, a graded matrix, as (ints, den, power), m = (ints / den) * d^power
+    with ints flat and row-major."""
+    rows, den, relations, power = int_form(m)
     return (*relations.flat(rows, den), power)
 
 
@@ -91,10 +84,7 @@ def _level2_normalized_rhs(levels: dict, exp: LocalExpansion) -> tuple[list[int]
     d = 1; None unless its nonzero terms share one power."""
     ((u, residue),) = exp.poles
     terms, powers = [], set()
-    for level, value in levels.items():
-        if value is None:
-            return None
-        ints, den, power = value
+    for level, (ints, den, power) in levels.items():
         k = 2 - level  # j + 1 for j = 1 - level
         if any(ints):
             powers.add(power - k)

@@ -9,8 +9,9 @@ Symbolic mode is a grading of the numeric engine, not a second
 arithmetic: with two points every a_r is a monomial of d-degree -(r + 1),
 so the expansion is held at d = 1 (u = +-1) over Fraction, and
 ``LocalExpansion.grade`` multiplies a value by its power of d only where
-it leaves the engine.  A series level leaves it still in integer form, as
-a lazy graded view of its pivot columns (``kzrat.matrix.graded``).
+it leaves the engine.  Every graded value is a lazy view of its pivot
+columns (``kzrat.matrix.graded``), so a series level leaves the engine
+still in integer form, and is read that way (``kzrat.matrix.int_form``).
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ class LocalExpansion(NamedTuple):
 
     def grade(self, m: FMatrix, power: int) -> FMatrix:
         """An engine value as it leaves the engine: m * d^power in symbolic
-        mode, where the engine ran at d = 1; m itself numerically.  A
-        from_basis level is graded as a view of its pivot columns, whose
-        RatFunc entries are built only if something reads them."""
+        mode, where the engine ran at d = 1; m itself numerically.  It is
+        graded as a view of its pivot columns, whose RatFunc entries are
+        built only if something reads them."""
         return graded(m, power) if self.symbolic else m
 
     @property

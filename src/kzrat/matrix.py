@@ -19,19 +19,20 @@ rows of the reduced row echelon form of M, with M = B C
 (``ColumnRelations``).  ``FMatrix.from_basis`` keeps B as rows of r ints
 over one denominator, and ``FMatrix.from_poly_basis`` as rows of r
 integer coefficient vectors; each builds its Fraction or Poly entries on
-their first read, and reads its shape without them.  C is applied in one
-place, ``ColumnRelations.derived``: it makes each pivot entry once, in the
-kind its caller asks for, copies or negates it for a column that is a
-pivot column or its negation, and combines the pivot entries for any
-other column.  The lazy entries are made by it, and so are the CLI's
-report cells, from the B and C that ``basis_form`` hands out.
+their first read, and reads its shape without them.  ``graded`` grades a
+matrix by d^k as a view of the same kind, whose RatFunc entries are
+built on their first read.  C is applied in one place,
+``ColumnRelations.derived``: it makes each pivot entry once, in the kind
+its caller asks for, copies or negates it for a column that is a pivot
+column or its negation, and combines the pivot entries for any other
+column.
 
-``graded`` grades a matrix by d^k: a from_basis matrix becomes a view of
-the same pivot columns whose RatFunc entries are built on their first
-read, like its Fractions.  ``graded_form`` reads any matrix of monomials
-of one power as its integers, pivot columns and power, without building
-them: the CLI's report cells and printed lines and the golden check read
-a symbolic series level that way.
+``int_form`` is the one reader of a matrix's integers, (B, den, C, k)
+with M = (B / den) C d^k, k None for Fractions or Polys: it hands out
+the pivot columns that a lazy matrix holds, and clears a matrix held as
+its entries once, every column a pivot.  The CLI's report cells and
+printed lines, the golden check, reconstruction and the ODE check all
+read matrices through it.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from operator import mul, neg
 from typing import NamedTuple, Sequence
@@ -320,6 +322,7 @@ class _ClearedMatrix(FMatrix):
     __slots__ = ("relations", "_basis")
     # the entry kind, as ColumnRelations.derived takes it
     _kind = (Fraction, scalar_combination, neg, Fraction(0))
+    power = None  # ungraded
 
     def __getattr__(self, name: str):
         # reached only while the slot asked for is unset
@@ -350,20 +353,17 @@ class _ClearedPolyMatrix(_ClearedMatrix):
 
 
 class _GradedMatrix(_ClearedMatrix):
-    """A _ClearedMatrix graded by d^power: its entries are the monomials
-    RatFunc(x / den, power), built on their first read as its Fractions
-    would be."""
+    """A _ClearedMatrix graded by d^power, 0 when it is zero: its entries
+    are the monomials RatFunc(x / den, power)."""
 
     __slots__ = ("power",)
 
-    def _built(self) -> tuple:
-        rows, den = self._basis
+    @property
+    def _kind(self) -> tuple:
         power = self.power
-        lines = self.relations.derived(
-            rows, den, lambda x, over: RatFunc(Fraction(x, over), power),
-            scalar_combination, neg, RatFunc(),
+        return (
+            lambda x, over: RatFunc(Fraction(x, over), power), scalar_combination, neg, RatFunc()
         )
-        return tuple(map(tuple, lines))
 
 
 class SolveKind(str, Enum):
@@ -519,45 +519,42 @@ def det(a: FMatrix):
     return pivot_product if len(pivot_cols) == a.rows else a.entries[0][0] * 0
 
 
-def basis_form(m: FMatrix) -> tuple[list, int, ColumnRelations] | None:
-    """(rows, den, relations) of a from_basis or from_poly_basis matrix,
-    m = (rows / den) * relations, the pivot columns as rows of r entries;
-    None for a matrix made any other way, a graded one too."""
-    return (*m._basis, m.relations) if type(m) in (_ClearedMatrix, _ClearedPolyMatrix) else None
-
-
 def graded(m: FMatrix, power: int) -> FMatrix:
-    """m * d^power with RatFunc entries.  A from_basis matrix gives a view
-    of its pivot columns that builds its entries on their first read; any
-    other matrix of Fractions is graded entry by entry at once."""
-    if type(m) is not _ClearedMatrix:
-        return FMatrix([[RatFunc(e, power) for e in row] for row in m.entries])
+    """m * d^power, for a matrix of Fractions, as a view of its pivot
+    columns whose RatFunc entries are built on their first read: those a
+    from_basis matrix holds, or every column of any other, cleared once."""
+    rows, den, relations, own_power = int_form(m)
+    if own_power is not None:
+        raise TypeError("only a matrix of Fractions is graded")
     view = object.__new__(_GradedMatrix)
-    view.relations, view._basis, view.power = m.relations, m._basis, power
+    view.relations, view._basis = relations, (rows, den)
+    view.power = power if any(map(any, rows)) else 0
     return view
 
 
-def graded_form(m: FMatrix) -> tuple[list, int, ColumnRelations, int] | None:
-    """(rows, den, relations, power) of a matrix of monomials of one power,
-    m = (rows / den) * relations * d^power, rows of r ints, without building
-    its entries: the pivot columns of a graded from_basis view, every column
-    of a matrix of RatFunc entries.  The power is 0 for a zero matrix.
-    None for any other matrix."""
-    if type(m) is _GradedMatrix:
+def int_form(m: FMatrix) -> tuple[list, int, ColumnRelations, int | None]:
+    """(rows, den, relations, power) with m = (rows / den) relations d^power,
+    den > 0 and the pivot columns as rows of r ints (of r integer vectors
+    for Polys); power is None for Fractions or Polys, and 0 for a zero
+    graded matrix.  A lazy matrix hands out the pivot columns it holds,
+    building no entry; any other is cleared once, every column a pivot."""
+    if isinstance(m, _ClearedMatrix):
         rows, den = m._basis
-        return rows, den, m.relations, m.power if any(map(any, rows)) else 0
-    if isinstance(m, _ClearedMatrix):  # Fractions or Polys, left unbuilt
-        return None
-    entries = [e for row in m.entries for e in row]
-    if not all(type(e) is RatFunc for e in entries):
-        return None
-    powers = {e.power for e in entries if e}
-    if len(powers) > 1:
-        return None
-    ints, den = cleared([e.coeff for e in entries])
+        return rows, den, m.relations, m.power
+    cells = [e for row in m.entries for e in row]
+    kinds = set(map(type, cells))
+    powers = ({e.power for e in cells if e} or {0}) if kinds == {RatFunc} else {None}
+    if len(kinds) > 1 or len(powers) > 1 or not kinds <= {Fraction, Poly, RatFunc}:
+        raise ValueError("no integer form: not all Fractions, Polys or monomials of one power")
+    if kinds == {Poly}:
+        ints, den = cleared([c for p in cells for c in p.coeffs])
+        at = iter(ints)
+        cells = [list(islice(at, len(p.coeffs))) for p in cells]
+    else:
+        cells, den = cleared([e.coeff for e in cells] if kinds == {RatFunc} else cells)
     n = m.cols
-    rows = [ints[i : i + n] for i in range(0, len(ints), n)]
-    return rows, den, ColumnRelations.trivial(n), powers.pop() if powers else 0
+    rows = [cells[i : i + n] for i in range(0, len(cells), n)]
+    return rows, den, ColumnRelations.trivial(n), powers.pop()
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:

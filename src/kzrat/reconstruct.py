@@ -17,10 +17,12 @@ those pivot columns, as rows of r integer vectors, and C
 (`FMatrix.from_poly_basis`); its Poly entries, the other columns as N C,
 are built only when something reads them.  The over-check and the
 normalization find what they find on all columns, since the pivot
-columns are columns of W and the others constant combinations of them.  A series whose levels do not all carry the same
-relations (built by hand, changed, or copied from Fractions) counts every
-column a pivot, C = I.  `verify_ode` reads the numerator's pivot columns
-as they are and checks them only: the residual is linear in N and C is
+columns are columns of W and the others constant combinations of them.
+Each matrix is read by `kzrat.matrix.int_form`, which counts every
+column of a matrix held as its entries a pivot, C = I; a series whose
+levels do not all carry the same relations (built by hand or changed)
+is read that way too.  `verify_ode` reads the numerator's pivot columns as
+they are and checks them only: the residual is linear in N and C is
 constant.
 
 A denominator D is carried factored, as its rational roots p/q with
@@ -42,13 +44,12 @@ integer points (see `_det_is_zero`).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import ColumnRelations, FMatrix, basis_form, charpoly, flat
+from .matrix import ColumnRelations, FMatrix, charpoly, int_form
 from .poly import (
     Poly,
     cleared,
@@ -180,11 +181,9 @@ class RationalMatrixFunction(NamedTuple):
 def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
     """Normalize: strip the common factor of all entries and the denominator,
     then make the denominator monic."""
-    num, num_den = _cleared_entries(numerator)
+    num, num_den, relations, _ = int_form(numerator)
     lead, mults, rest = _factored(denominator)
-    return _normalized(
-        num, Fraction(num_den, lead), mults, rest, ColumnRelations.trivial(numerator.cols)
-    )
+    return _normalized(num, Fraction(num_den, lead), mults, rest, relations)
 
 
 class _FactoredPoly(Poly):
@@ -302,14 +301,6 @@ def _divided(num: list[list[list[int]]], g: list[int]) -> list[list[list[int]]] 
     return out
 
 
-def _cleared_entries(m: FMatrix) -> tuple[list[list[list[int]]], int]:
-    """(ints, den) with entry (i, j) of the Poly matrix m equal to
-    ints[i][j] / den, den the least common denominator of all coefficients."""
-    flat, den = cleared([c for row in m.entries for p in row for c in p.coeffs])
-    ints = iter(flat)
-    return [[list(islice(ints, len(p.coeffs))) for p in row] for row in m.entries], den
-
-
 def _sub(a: list[int], b: list[int]) -> list[int]:
     """a - b for integer vectors, without trailing zeros."""
     res = list(a) + [0] * (len(b) - len(a))
@@ -419,18 +410,18 @@ def reconstruct(
     a Poly, which `rational_roots` factors once.  All of it runs on integer
     vectors and on the pivot columns of the levels: D(u) is built from the
     factors of D, each level of W is taken on the rows of pivot entries
-    that compute_series stored (`basis_form`, no Fraction built) and
+    that compute_series stored (`int_form`, no Fraction built) and
     scaled to the lcm of the level denominators, and the numerators are
     shifted back to z over that common denominator; the numerator keeps
-    the normalized pivot columns (see `_normalized`).  When some level has
-    no pivot columns stored, or the levels do not share their relations,
-    every column is a pivot and each level is read by `flat`.
+    the normalized pivot columns (see `_normalized`).  When the levels do
+    not share their relations, every column is a pivot.
 
     Raises InsufficientSeriesError when the series is too short to
     over-determine the answer, and NotRepresentable (with the first
     unmatched level) when no numerator of the requested degree matches.
     """
-    if series.symbolic:
+    forms = [int_form(m) for m in series.coeffs]
+    if series.symbolic or any(form[3] is not None for form in forms):
         raise ValueError("reconstruction needs a numeric-mode series")
     if max_num_degree < 0:
         raise ValueError("max_num_degree must be >= 0")
@@ -454,17 +445,19 @@ def reconstruct(
     # the pivot columns of every level, over the lcm of the level
     # denominators, read from their integer form; q[t] / (L s^deg common)
     # is the coefficient of u^(t + rho) of a pivot entry of D W
-    forms = [basis_form(m) for m in series.coeffs]
-    if None in forms or any(form[2] != forms[0][2] for form in forms):
-        # levels made otherwise, or sharing no relations: every column a pivot
-        trivial = ColumnRelations.trivial(series.coeffs[0].cols)
-        forms = [basis_form(FMatrix.from_basis(*flat(m), trivial)) for m in series.coeffs]
     relations = forms[0][2]
-    common = lcm(*(level_den for _, level_den, _ in forms))
-    levels = [(rows, common // level_den) for rows, level_den, _ in forms]
+    levels = [form[:2] for form in forms]
+    if any(form[2] != relations for form in forms):
+        # levels sharing no relations: every column a pivot
+        n = relations.cols
+        levels = [form[2].flat(*form[:2]) for form in forms]
+        levels = [([ints[i : i + n] for i in range(0, len(ints), n)], den) for ints, den in levels]
+        relations = ColumnRelations.trivial(n)
+    common = lcm(*(den for _, den in levels))
+    levels = [(rows, common // den) for rows, den in levels]
     products = [
         [int_convolve(g, [rows[i][k] * scale for rows, scale in levels]) for k in range(len(row))]
-        for i, row in enumerate(forms[0][0])
+        for i, row in enumerate(levels[0][0])
     ]
     bad_levels = []
     for q in (q for row in products for q in row):
@@ -513,23 +506,19 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
             = E (pi N' - sum_i c_i (e_i I + coupling R_i) N) - pi E' N,
 
     a polynomial matrix formed on integer vectors with no D or D^2
-    products, for the pivot columns of N only, read as the numerator
-    holds them (`basis_form`; a Poly matrix made otherwise is cleared to
-    integers, every column a pivot); the other columns of the residual
-    are the same combinations of them.  The residual is that matrix over
-    D pi E, normalized; a zero one needs no normalizing.
+    products, for the pivot columns of N only, read by `int_form` as the
+    numerator holds them; the other columns of the residual are the same
+    combinations of them.  The residual is that matrix over D pi E,
+    normalized; a zero one needs no normalizing.
     """
     if sys.is_symbolic:
         raise ValueError("verify_ode needs a numeric-mode system")
     n = w.n
     if sys.n != n:
         raise ValueError(f"dimension mismatch: W is {n}x{n}, the system {sys.n}x{sys.n}")
-    form = basis_form(w.numerator)
-    if form is None:  # a Poly matrix made otherwise: every column a pivot
-        num, num_den = _cleared_entries(w.numerator)
-        relations = ColumnRelations.trivial(n)
-    else:
-        num, num_den, relations = form
+    num, num_den, relations, power = int_form(w.numerator)
+    if power is not None:
+        raise ValueError("reconstruction needs a numeric-mode series")
     r = len(relations.pivots)
     lead, mults, rest = _factored(w.denominator)
     exponents = [mults.get(z, 0) for z in sys.points]

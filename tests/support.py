@@ -147,10 +147,19 @@ def fraction_charpoly(a: FMatrix) -> Poly:
     return Poly(list(reversed(coeffs_desc)))
 
 
+def graded_entries(exp, m: FMatrix, power: int) -> FMatrix:
+    """exp.grade(m, power) made entry by entry: in symbolic mode an FMatrix
+    of the RatFunc monomials e * d^power, and m itself numerically."""
+    if not exp.symbolic:
+        return m
+    return FMatrix([[RatFunc(e, power) for e in row] for row in m.entries])
+
+
 def fraction_compute_series(exp, coupling, order: int) -> SeriesSolution:
     """Oracle for compute_series: the same partial-sum recurrence, run on
     FMatrix products and sums of Fractions, with every level solved by
-    elimination (solve_linear) and classified by its SolveKind."""
+    elimination (solve_linear) and classified by its SolveKind, and its
+    values graded entry by entry (graded_entries)."""
     coupling = Fraction(coupling)
     roots, _ = rational_roots(fraction_charpoly(exp.residue * coupling))
     leading_exponent = min(int(r) for r, _ in roots if r.denominator == 1)
@@ -168,15 +177,15 @@ def fraction_compute_series(exp, coupling, order: int) -> SeriesSolution:
         a = FMatrix.identity(n) * Fraction(level) - exp.residue * coupling
         res = solve_linear(a, rhs)
         if res.kind is not SolveKind.UNIQUE:
-            rhs = exp.grade(rhs, -step)
-            graded = solve_linear(exp.grade(a, 0), rhs) if exp.symbolic else res
+            rhs = graded_entries(exp, rhs, -step)
+            graded = solve_linear(graded_entries(exp, a, 0), rhs) if exp.symbolic else res
             if res.kind is SolveKind.INCONSISTENT:
                 raise ResonanceObstruction(level, graded.certificate, rhs)
             records.append(ResonanceRecord(level=level, kind=res.kind, kernel=graded.kernel_basis))
         coeffs.append(res.particular)
     return SeriesSolution(
         leading_exponent=leading_exponent,
-        coeffs=tuple(exp.grade(b, -p) for p, b in enumerate(coeffs)),
+        coeffs=tuple(graded_entries(exp, b, -p) for p, b in enumerate(coeffs)),
         resonances=tuple(records),
         convention=exp.convention,
         center_point=exp.center_point,

@@ -42,9 +42,16 @@ from kzrat.cli import (
     report_to_json,
 )
 from kzrat.golden import compare_series
-from kzrat.matrix import ColumnRelations, FMatrix, _GradedMatrix, graded, graded_form
+from kzrat.matrix import ColumnRelations, FMatrix, _GradedMatrix, graded, int_form
 from kzrat.scalars import format_ratio
-from support import OBSTRUCTED_RESIDUE2, P1, entries_built, fraction_compute_series, kz_systems
+from support import (
+    OBSTRUCTED_RESIDUE2,
+    P1,
+    entries_built,
+    fraction_compute_series,
+    graded_entries,
+    kz_systems,
+)
 from test_pinned_reports import PINNED
 
 reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
@@ -937,11 +944,13 @@ def _golden_case(convention, engine):
 
 def _regraded(m, change):
     """m with its pivot integers and power changed by change(rows, power),
-    made the way m was: a lazy graded view, or an eager graded matrix."""
-    rows, den, relations, power = graded_form(m)
+    made the way m was: a lazy graded view, or a matrix of RatFunc entries."""
+    rows, den, relations, power = int_form(m)
     rows, power = change([list(row) for row in rows], power)
     basis = FMatrix.from_basis([x for row in rows for x in row], den, relations)
-    return graded(basis if type(m) is _GradedMatrix else FMatrix(basis.entries), power)
+    if type(m) is _GradedMatrix:
+        return graded(basis, power)
+    return FMatrix([[RatFunc(e, power) for e in row] for row in basis.entries])
 
 
 def _bump_first(rows, power):
@@ -983,7 +992,7 @@ def test_an_eager_series_gives_the_golden_outcome_of_the_lazy_one(convention):
     exp, lazy = _golden_case(convention, compute_series)
     _, eager = _golden_case(convention, fraction_compute_series)
     assert all(type(m) is _GradedMatrix for m in lazy.coeffs)
-    assert not any(type(m) is _GradedMatrix for m in eager.coeffs)
+    assert all(type(m) is FMatrix for m in eager.coeffs)
     assert compare_series(eager, exp) == compare_series(lazy, exp)
     assert compare_series(lazy, exp).matched
 
@@ -991,15 +1000,24 @@ def test_an_eager_series_gives_the_golden_outcome_of_the_lazy_one(convention):
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_a_golden_run_builds_no_graded_entry(monkeypatch, tmp_path, convention):
     # the report cells, the printed lines and the golden check all read the
-    # levels' pivot integers; the spy is on the graded view's entry build
-    calls = Counter()
+    # levels' pivot integers; the spy is on the graded view's entry build,
+    # which the resonant step matrix, a graded view too, goes through
+    built = []
     original = _GradedMatrix._built
 
     def spy(self):
-        calls["_built"] += 1
+        built.append(self)
         return original(self)
 
+    series = []
+    compute = cli.compute_series
+
+    def computed(*args):
+        series.append(compute(*args))
+        return series[-1]
+
     monkeypatch.setattr(_GradedMatrix, "_built", spy)
+    monkeypatch.setattr(cli, "compute_series", computed)
     path = write_config(tmp_path, dict(S3_SYMBOLIC, convention=convention))
     report = tmp_path / "report.json"
     out = io.StringIO()
@@ -1008,10 +1026,14 @@ def test_a_golden_run_builds_no_graded_entry(monkeypatch, tmp_path, convention):
         assert main(argv) == 0
     assert "golden: match" in out.getvalue()
     assert len(json.loads(report.read_text())["series"]["coefficients"]) == 21
-    assert calls == Counter()
+    # only the step matrix of the one resonant level is built, no level
+    (solved,) = series
+    assert len(solved.coeffs) == 21 and len(solved.resonances) == 1
+    assert len(built) == 1 and not any(m is built[0] for m in solved.coeffs)
     # the spy sees a graded view's entries being built
-    graded(FMatrix.from_basis([1], 1, ColumnRelations.trivial(1)), -1).entries
-    assert calls == Counter({"_built": 1})
+    level = graded(FMatrix.from_basis([1], 1, ColumnRelations.trivial(1)), -1)
+    level.entries
+    assert built[-1] is level
 
 
 def _eager_printed_lines(m: FMatrix) -> list[str]:
@@ -1032,9 +1054,9 @@ def _assert_reads_as_eager(m: FMatrix, exp, power: int) -> None:
     """m, a lazy graded view, against its Fractions graded entry by entry:
     the report cells and printed lines before any entry is built, then
     the entries."""
-    rows, den, relations, _ = graded_form(m)
+    rows, den, relations, _ = int_form(m)
     fractions = FMatrix.from_basis([x for row in rows for x in row], den, relations)
-    eager = exp.grade(FMatrix(fractions.entries), power)
+    eager = graded_entries(exp, fractions, power)
     doc = cli._matrix_json(m)
     assert doc == [[cli._entry_json(e) for e in row] for row in eager.entries]
     out = io.StringIO()
@@ -1069,5 +1091,6 @@ def test_the_obstruction_rhs_reads_as_its_eager_grading(convention):
     exp = local_expansion(system, 1, convention, 8)
     with pytest.raises(ResonanceObstruction) as exc:
         compute_series(exp, system.coupling, 8)
-    assert type(exc.value.rhs) is _GradedMatrix
+    # a view of the seed's one pivot column, not of every column cleared
+    assert int_form(exc.value.rhs)[2] == ColumnRelations((0,), ((1, -1, 0),), 1)
     _assert_reads_as_eager(exc.value.rhs, exp, -2 - exc.value.level)

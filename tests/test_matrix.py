@@ -20,13 +20,12 @@ from kzrat import (
 from kzrat.cli import _entry_json, _matrix_json
 from kzrat.matrix import (
     ColumnRelations,
-    basis_form,
     column_relations,
     dense_product,
     faddeev_leverrier,
     flat,
     graded,
-    graded_form,
+    int_form,
     sparse_product,
     sparse_rows,
     stripped,
@@ -259,10 +258,20 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     lazy = FMatrix.from_basis(ints, den, relations)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
     assert _matrix_json(lazy) == [[format_scalar(e) for e in row] for row in eager.entries]
-    assert basis_form(lazy) == (rows, den, relations)
-    assert basis_form(eager) is None
+    assert int_form(lazy) == (rows, den, relations, None)
     assert not entries_built(lazy)
     assert flat(lazy) == flat(eager)
+    # a matrix held as its entries reads as its least common denominator,
+    # every column a pivot, in each entry kind: Fraction, Poly, RatFunc
+    full, common = flat(eager)
+    n = eager.cols
+    full_rows = [full[i : i + n] for i in range(0, len(full), n)]
+    trivial = ColumnRelations.trivial(n)
+    assert int_form(eager) == (full_rows, common, trivial, None)
+    vectors = [[[0, x] if x else [] for x in row] for row in full_rows]
+    assert int_form(eager.map(lambda e: Poly([0, e]))) == (vectors, common, trivial, None)
+    power = 3 if any(full) else 0
+    assert int_form(eager.map(lambda e: RatFunc(e, 3))) == (full_rows, common, trivial, power)
     assert FMatrix.from_basis(ints, den, relations) == eager
     assert eager == FMatrix.from_basis(ints, den, relations)
     assert FMatrix.from_basis(ints, den, relations).transpose() == eager.transpose()
@@ -283,23 +292,39 @@ def test_a_graded_view_cannot_be_told_from_its_monomials(form, power):
     r = len(relations.pivots)
     rows = [ints[i : i + r] for i in range(0, len(ints), r)]
     fractions = FMatrix.from_basis(ints, den, relations).entries
-    eager = graded(FMatrix(fractions), power)
+    eager = FMatrix([[RatFunc(e, power) for e in row] for row in fractions])
     view = graded(FMatrix.from_basis(ints, den, relations), power)
-    # the integer readers first, while no entry has been built
-    assert basis_form(view) is None
+    # a matrix of Fractions held as its entries is graded as a view too,
+    # every column a pivot
+    cleared_view = graded(FMatrix(fractions), power)
+    # the integer reader first, while no entry has been built
     power_read = power if any(ints) else 0
-    assert graded_form(view) == (rows, den, relations, power_read)
+    assert int_form(view) == (rows, den, relations, power_read)
     assert _matrix_json(view) == [[_entry_json(e) for e in row] for row in eager.entries]
-    assert not entries_built(view)
-    # both forms read as the same integers, and the same power
-    for m in (view, eager):
-        rows_m, den_m, relations_m, power_m = graded_form(m)
+    assert _matrix_json(cleared_view) == _matrix_json(view) == _matrix_json(eager)
+    assert not entries_built(view) and not entries_built(cleared_view)
+    # all three read as the same integers, and the same power
+    for m in (view, cleared_view, eager):
+        rows_m, den_m, relations_m, power_m = int_form(m)
         full, common = relations_m.flat(rows_m, den_m)
         assert [Fraction(x, common) for x in full] == [e for row in fractions for e in row]
         assert power_m == power_read
-    assert view.entries == eager.entries
+    assert int_form(cleared_view)[2] == ColumnRelations.trivial(len(fractions[0]))
+    assert view.entries == cleared_view.entries == eager.entries
     assert all(type(e) is RatFunc for row in view.entries for e in row)
-    assert basis_form(eager) is None and graded_form(FMatrix(fractions)) is None
+    assert int_form(FMatrix(fractions))[3] is None
+
+
+def test_int_form_reads_no_matrix_of_mixed_entries():
+    for rows in (
+        [[Fraction(1), RatFunc(1, -1)]],
+        [[RatFunc(1, -1), RatFunc(2, -2)]],
+        [[Poly([1]), Fraction(1)]],
+    ):
+        with pytest.raises(ValueError, match="no integer form"):
+            int_form(FMatrix(rows))
+    with pytest.raises(TypeError):
+        graded(graded(FMatrix([[1]]), -1), -1)
 
 
 small_ints = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 10**20))

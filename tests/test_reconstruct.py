@@ -36,9 +36,8 @@ from kzrat import (
     verify_ode,
 )
 from kzrat.cli import _numerator_json, _poly_json, load_config
-from kzrat.matrix import ColumnRelations, _ClearedPolyMatrix, basis_form, column_relations
+from kzrat.matrix import ColumnRelations, _ClearedPolyMatrix, column_relations, int_form
 from kzrat.reconstruct import (
-    _cleared_entries,
     _det_is_zero,
     _factored,
     _normalized,
@@ -198,10 +197,26 @@ def test_reconstruct_rejects_symbolic_series():
 
     sym = build_kz_s3(SYMBOLIC, SYMBOLIC, TWO)
     series = compute_series(local_expansion(sym, 1, LITERAL_PAPER, 8), TWO, order=5)
-    # a graded level hands out no pivot columns to read as numbers
-    assert all(basis_form(m) is None for m in series.coeffs)
+    # a graded level reads with its power, not as numbers
+    assert all(int_form(m)[3] is not None for m in series.coeffs)
     with pytest.raises(ValueError, match="reconstruction needs a numeric-mode series"):
         reconstruct(series, Z**2, max_num_degree=0)
+
+
+def test_graded_levels_and_numerators_are_refused_under_a_numeric_label():
+    # a symbolic series relabelled numeric still holds graded levels, and
+    # their integers are those at d = 1: reconstruct and verify_ode refuse
+    # them rather than read them as numbers
+    from kzrat import LITERAL_PAPER, SYMBOLIC
+
+    sym = build_kz_s3(SYMBOLIC, SYMBOLIC, TWO)
+    series = compute_series(local_expansion(sym, 1, LITERAL_PAPER, 12), TWO, order=12)
+    relabelled = series._replace(symbolic=False, center_point=Fraction(0))
+    with pytest.raises(ValueError, match="reconstruction needs a numeric-mode series"):
+        reconstruct(relabelled, [(0, 2), (1, 2)], 4)
+    w = RationalMatrixFunction(numerator=series.coeffs[1], denominator=Poly.one())
+    with pytest.raises(ValueError, match="reconstruction needs a numeric-mode series"):
+        verify_ode(w, build_kz_s3(Fraction(0), Fraction(1), TWO))
 
 
 def test_roundtrip_reexpansion_matches_every_coefficient():
@@ -540,7 +555,7 @@ def test_det_flag_matches_fraction_bareiss(n, data):
         factor, k = data.draw(small_polys), data.draw(st.integers(1, n - 1))
         rows[k] = [factor * p for p in rows[0]]
     m = FMatrix(rows)
-    assert _det_is_zero(_cleared_entries(m)[0]) is fraction_det_is_zero(m)
+    assert _det_is_zero(int_form(m)[0]) is fraction_det_is_zero(m)
 
 
 def _scan_points(monkeypatch):
@@ -577,7 +592,7 @@ def test_det_flag_falls_back_to_bareiss_without_a_certificate(
     # fraction Bareiss oracle gives the expected answer.
     m = _poly_rows(*rows)
     points = _scan_points(monkeypatch)
-    assert _det_is_zero(_cleared_entries(m)[0]) is singular
+    assert _det_is_zero(int_form(m)[0]) is singular
     assert fraction_det_is_zero(m) is singular
     assert points == list(range(2, 2 + scanned))
 
@@ -590,7 +605,7 @@ def test_det_flag_scan_needs_all_n_d_plus_1_points(monkeypatch):
         [0, (Z - 5) * (Z - 6) * (Z - 7)],
     )
     points = _scan_points(monkeypatch)
-    assert _det_is_zero(_cleared_entries(m)[0]) is False
+    assert _det_is_zero(int_form(m)[0]) is False
     assert fraction_det_is_zero(m) is False
     assert points == list(range(2, 9))
 
@@ -805,8 +820,8 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
     outcomes = []
     for lazy in (series, changed):
         eager = _eager_copy(lazy)
-        assert any(basis_form(m) for m in lazy.coeffs)
-        assert not any(basis_form(m) for m in eager.coeffs)
+        assert any(type(m) is not FMatrix for m in lazy.coeffs)  # pivot columns held
+        assert all(type(m) is FMatrix for m in eager.coeffs)
         got = _typed_outcome(lambda: reconstruct(lazy, zip(sys_.points, exponents), degree))
         assert got == _typed_outcome(
             lambda: reconstruct(eager, zip(sys_.points, exponents), degree)
@@ -863,7 +878,7 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
         series = compute_series(exp, sys_.coupling, order)
     except ResonanceObstruction:
         return
-    event(f"column rank {len(basis_form(series.coeffs[0])[2].pivots)} of {sys_.n}")
+    event(f"column rank {len(int_form(series.coeffs[0])[2].pivots)} of {sys_.n}")
     if perturb:
         n = sys_.n
         series = _with_entry_changed(series, level % (order + 1), row % n, column % n, delta)
@@ -935,7 +950,8 @@ def test_carried_numerator_cannot_be_told_from_its_fractions(case):
     verdict = verify_ode(w, sys_)
     assert not entries_built(m)
     assert shape == (sys_.n,) * 3
-    rows, den, relations = basis_form(m)
+    rows, den, relations, power = int_form(m)
+    assert power is None
     # one denominator, the content stripped: the integers verify_ode reads
     assert den > 0 and gcd(den, *(x for row in rows for f in row for x in f)) == 1
     eager = [
@@ -1019,8 +1035,8 @@ def test_verify_builds_no_numerator_entry(monkeypatch, tmp_path):
     # three points, residues that are not kz-s3's, and the center at 1000,
     # so that the numerators are shifted back to z by a nonzero shift: the
     # report and the ODE check read the numerator's pivot integers, and
-    # nothing builds its Poly entries or clears them back to integers.  The
-    # spy is on the numerator's lazy entry build, not on
+    # nothing builds its Poly entries, which clearing them back to integers
+    # would need.  The spy is on the numerator's lazy entry build, not on
     # ColumnRelations.derived, which the report calls too
     from kzrat.cli import main
 
@@ -1036,7 +1052,6 @@ def test_verify_builds_no_numerator_entry(monkeypatch, tmp_path):
         monkeypatch.setattr(owner, name, spy)
 
     count(_ClearedPolyMatrix, "_built")
-    count(reconstruct_module, "_cleared_entries")
     config = tmp_path / "three-point.json"
     t12 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     t13 = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
