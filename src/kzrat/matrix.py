@@ -1,11 +1,11 @@
 """Dense matrices over an exact field, with possibly-singular linear solving.
 
-``FMatrix`` arithmetic, ``solve_linear``, ``inverse`` and ``det`` accept
-entries of any exact type that supports +, -, *, / and == with itself
-and with int/Fraction: Fraction, and the graded monomials c * d^k
-(RatFunc) where symbolic values leave the Frobenius engine.  Those add
-only at equal d-degree, which holds for the homogeneous matrices and
-systems the engine grades.  ``charpoly`` takes Fraction entries only.
+``FMatrix`` arithmetic, ``solve_linear`` and ``det`` accept entries of
+any exact type that supports +, -, *, / and == with itself and with
+int/Fraction: Fraction, and the graded monomials c * d^k (RatFunc) where
+symbolic values leave the Frobenius engine.  Those add only at equal
+d-degree, which holds for the homogeneous matrices and systems the
+engine grades.  ``charpoly`` takes Fraction entries only.
 
 The one integer matrix form is flat: an n x c matrix is n c row-major
 ints over one positive denominator, made by ``flat``, reduced by
@@ -47,10 +47,6 @@ from typing import NamedTuple, Sequence
 
 from .poly import Poly, cleared
 from .ratfunc import RatFunc
-
-
-class SingularMatrixError(ValueError):
-    """Raised when an inverse of a singular matrix is requested."""
 
 
 class FMatrix:
@@ -500,16 +496,6 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
     return SolveResult(kind=SolveKind.AFFINE, particular=part, kernel_basis=kernel)
 
 
-def inverse(a: FMatrix) -> FMatrix:
-    """Exact inverse; raises SingularMatrixError instead of ever being wrong."""
-    if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    res = solve_linear(a, FMatrix.identity(a.rows))
-    if res.kind is not SolveKind.UNIQUE:
-        raise SingularMatrixError("matrix is singular (zero determinant)")
-    return res.particular
-
-
 def det(a: FMatrix):
     """Determinant: the signed pivot product of ``_rref``, or a zero of the
     entry type when some row gets no pivot."""
@@ -524,7 +510,7 @@ def graded(m: FMatrix, power: int) -> FMatrix:
     columns whose RatFunc entries are built on their first read: those a
     from_basis matrix holds, or every column of any other, cleared once."""
     rows, den, relations, own_power = int_form(m)
-    if own_power is not None:
+    if own_power is not None or holds_polys(m):
         raise TypeError("only a matrix of Fractions is graded")
     view = object.__new__(_GradedMatrix)
     view.relations, view._basis = relations, (rows, den)
@@ -555,6 +541,14 @@ def int_form(m: FMatrix) -> tuple[list, int, ColumnRelations, int | None]:
     n = m.cols
     rows = [cells[i : i + n] for i in range(0, len(cells), n)]
     return rows, den, ColumnRelations.trivial(n), powers.pop()
+
+
+def holds_polys(m: FMatrix) -> bool:
+    """Whether m's entries are Polys, read without building them; a matrix
+    of mixed kinds is one that `int_form` refuses."""
+    if isinstance(m, _ClearedMatrix):
+        return isinstance(m, _ClearedPolyMatrix)
+    return isinstance(m.entries[0][0], Poly)
 
 
 def flat(m: FMatrix) -> tuple[list[int], int]:

@@ -1,11 +1,12 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are Fractions, but products and Taylor shifts run on integer
-vectors: the operands are cleared to integer numerators over their least
-common denominator (`cleared`), the work is done in plain int, and one
-Fraction is normalised per output coefficient at the end.  Exact
-division by a known factor (`exact_quotient`) is integer long division
-too; general division, gcd and evaluation stay in Fraction arithmetic.
+Coefficients are Fractions, but products run on integer vectors: the
+operands are cleared to integer numerators over their least common
+denominator (`cleared`), the work is done in plain int, and one Fraction
+is normalised per output coefficient at the end.  The Taylor shift
+(`taylor_shift`) and exact division by a known factor (`exact_quotient`)
+take integer vectors as they are; general division, gcd and evaluation
+stay in Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -107,10 +108,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> Poly:
-        return cls()
 
     @classmethod
     def one(cls) -> Poly:
@@ -283,17 +280,6 @@ class Poly:
         if self.is_zero():
             return self
         return self / self.leading
-
-    def shifted(self, c: ScalarLike) -> Poly:
-        """Return p(x + c) as a polynomial in x: with p = ints / den and
-        c = r/s, p(x + c) = taylor_shift(ints, r, s)(x) / (den s^n)."""
-        c = Fraction(c)
-        if not c or not self.coeffs:
-            return self
-        s = c.denominator
-        ints, den = cleared(self.coeffs)
-        scale = den * s ** (len(ints) - 1)
-        return Poly([Fraction(x, scale) for x in taylor_shift(ints, c.numerator, s)])
 
     def to_str(self, var: str = "x") -> str:
         return poly_str([format_scalar(c) for c in self.coeffs], var)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import ColumnRelations, FMatrix, charpoly, int_form
+from .matrix import ColumnRelations, FMatrix, charpoly, holds_polys, int_form
 from .poly import (
     Poly,
     cleared,
@@ -91,50 +91,6 @@ class NoPolynomialDenominator(ValueError):
     """Some singular point has no integer local exponent."""
 
 
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational matrix function at a pole."""
-
-
-def _series_of_ratio(num: Poly, den: Poly, lo: int, count: int) -> list[Fraction]:
-    """Laurent coefficients of num/den at u = 0 for levels lo .. lo+count-1.
-
-    With den = u^v g / dg and num = f / df for integer vectors g, f, the
-    quotient is u^(-v) (dg / df) h with h = f / g, and h_t = H_t / g_0^(t+1)
-    where H_t = g_0^t f_t - sum_(d>=1) g_d g_0^(d-1) H_(t-d) is an integer
-    recurrence; only the wanted h_t become Fractions.
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("series expansion with zero denominator")
-    if num.is_zero():
-        return [Fraction(0)] * count
-    v = den.valuation()
-    g, dg = cleared(den.coeffs[v:])
-    f, df = cleared(num.coeffs)
-    g0 = g[0]
-    steps = []
-    g0_power = 1
-    for d in range(1, len(g)):
-        if g[d]:
-            steps.append((d, g[d] * g0_power))
-        g0_power *= g0
-    first = lo + v
-    t_max = first + count - 1
-    out = [Fraction(0)] * count
-    h_int: list[int] = []
-    g0_power = 1  # g_0^t
-    for t in range(t_max + 1):
-        acc = g0_power * f[t] if t < len(f) else 0
-        for d, step in steps:
-            if d > t:
-                break
-            acc -= step * h_int[t - d]
-        h_int.append(acc)
-        g0_power *= g0
-        if t >= first:
-            out[t - first] = Fraction(acc * dg, g0_power * df)
-    return out
-
-
 class RationalMatrixFunction(NamedTuple):
     """Matrix of polynomials in z over one monic scalar denominator.
 
@@ -150,30 +106,6 @@ class RationalMatrixFunction(NamedTuple):
     def n(self) -> int:
         return self.numerator.rows
 
-    def evaluate(self, z) -> FMatrix:
-        """Exact evaluation; raises PoleError at a denominator root."""
-        zv = Fraction(z)
-        d = self.denominator(zv)
-        if d == 0:
-            raise PoleError(f"z = {format_scalar(zv)} is a pole of the denominator")
-        return FMatrix(
-            [[p(zv) / d for p in row] for row in self.numerator.entries]
-        )
-
-    def laurent_coefficients(self, center, lo: int, count: int) -> list[FMatrix]:
-        """Expansion coefficients at the center for levels lo .. lo+count-1."""
-        c = Fraction(center)
-        den_u = self.denominator.shifted(c)
-        grids = [
-            [_series_of_ratio(p.shifted(c), den_u, lo, count) for p in row]
-            for row in self.numerator.entries
-        ]
-        return [
-            FMatrix([[grids[i][j][k] for j in range(self.numerator.cols)]
-                     for i in range(self.numerator.rows)])
-            for k in range(count)
-        ]
-
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.numerator.entries for p in row)
 
@@ -181,6 +113,8 @@ class RationalMatrixFunction(NamedTuple):
 def rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
     """Normalize: strip the common factor of all entries and the denominator,
     then make the denominator monic."""
+    if not holds_polys(numerator):
+        raise TypeError("rational_matrix needs a numerator of Polys")
     num, num_den, relations, _ = int_form(numerator)
     lead, mults, rest = _factored(denominator)
     return _normalized(num, Fraction(num_den, lead), mults, rest, relations)

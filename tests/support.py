@@ -37,7 +37,6 @@ from kzrat import (
 from kzrat.frobenius import _seed
 from kzrat.reconstruct import (
     NotRepresentable,
-    _series_of_ratio,
     check_series_length,
     rational_matrix,
 )
@@ -225,12 +224,13 @@ def product_expansion_matches(
     num: Poly, den: Poly, center, lo: int, coeffs: list[Fraction]
 ) -> bool:
     """Check num/den = sum c_p u^p through the available precision, using a
-    polynomial product rather than any series division."""
+    polynomial product rather than any series division, in Fraction
+    arithmetic throughout: no integer kernel that reconstruct runs on."""
     c = Fraction(center)
-    num_u = num.shifted(c)
-    den_u = den.shifted(c)
+    num_u = fraction_shifted(num, c)
+    den_u = fraction_shifted(den, c)
     hi = lo + len(coeffs) - 1
-    prod = den_u * Poly(coeffs)  # equals u^{-lo} * den * (truncated series)
+    prod = fraction_product(den_u, Poly(coeffs))  # u^{-lo} * den * (truncated series)
     bound = hi + den_u.valuation()  # product is exact for u-degrees <= bound
     for t in range(0, bound - lo + 1):
         got = prod.coeff(t)
@@ -317,8 +317,8 @@ def fraction_product(a: Poly, b: Poly) -> Poly:
 
 
 def fraction_shifted(p: Poly, c) -> Poly:
-    """Oracle for Poly.shifted: Horner's rule in Fraction arithmetic,
-    acc = acc * (x + c) + coeff, with the product written out."""
+    """p(x + c), the oracle for taylor_shift: Horner's rule in Fraction
+    arithmetic, acc = acc * (x + c) + coeff, with the product written out."""
     c = Fraction(c)
     acc: list[Fraction] = []
     for coeff in reversed(p.coeffs):
@@ -332,9 +332,10 @@ def fraction_shifted(p: Poly, c) -> Poly:
 
 
 def fraction_series_of_ratio(num: Poly, den: Poly, lo: int, count: int) -> list[Fraction]:
-    """Oracle for reconstruct._series_of_ratio: power-series division one
-    Fraction at a time, h_t = (num_t - sum_s h_s g_(t-s)) / g_0 with g the
-    denominator divided by its lowest power of u."""
+    """The Laurent coefficients of num/den at u = 0 for levels lo ..
+    lo+count-1: power-series division one Fraction at a time,
+    h_t = (num_t - sum_s h_s g_(t-s)) / g_0 with g the denominator divided
+    by its lowest power of u."""
     if num.is_zero():
         return [Fraction(0)] * count
     v = den.valuation()
@@ -469,7 +470,7 @@ def division_reconstruct(
     series: SeriesSolution, denominator: Poly, max_num_degree: int
 ) -> RationalMatrixFunction:
     """Oracle for reconstruct: each candidate numerator N, read off D W,
-    is expanded back as the power series N/D (_series_of_ratio) and
+    is expanded back as the power series N/D (fraction_series_of_ratio) and
     compared with W level by level; the lowest level that differs in any
     entry is the NotRepresentable level."""
     if series.symbolic:
@@ -482,7 +483,7 @@ def division_reconstruct(
     have = series.order + 1
     center = Fraction(series.center_point)
     rho = series.leading_exponent
-    den_u = denominator.shifted(center)
+    den_u = fraction_shifted(denominator, center)
     rows = []
     first_bad = None
     for i in range(series.coeffs[0].rows):
@@ -491,13 +492,13 @@ def division_reconstruct(
             w_poly = Poly([series.coeffs[k][i, j] for k in range(have)])
             q = den_u * w_poly
             candidate = Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)])
-            back = _series_of_ratio(candidate, den_u, rho, have)
+            back = fraction_series_of_ratio(candidate, den_u, rho, have)
             for k, (got, want) in enumerate(zip(back, w_poly.coeffs + (Fraction(0),) * have)):
                 if got != want:
                     if first_bad is None or rho + k < first_bad:
                         first_bad = rho + k
                     break
-            row.append(candidate.shifted(-center))
+            row.append(fraction_shifted(candidate, -center))
         rows.append(row)
     if first_bad is not None:
         raise NotRepresentable(first_bad)

@@ -75,13 +75,6 @@ def test_divmod_exact():
         divmod(num, Poly())
 
 
-def test_shifted():
-    p = P(1, -2, 3)
-    for x in (Fraction(0), Fraction(2, 3), Fraction(-5)):
-        for c in (Fraction(1), Fraction(-1, 2)):
-            assert p.shifted(c)(x) == p(x + c)
-
-
 def test_product_edge_operands():
     sparse = Poly.monomial(4, Fraction(-7, 9))  # like d^4 in symbolic mode
     dense = P(Fraction(1, 3), -2, Fraction(5, 7))
@@ -100,22 +93,7 @@ def test_product_edge_operands():
     assert Fraction(2, 3) * dense == fraction_product(dense, P(Fraction(2, 3)))
 
 
-def test_shift_edge_cases():
-    assert Poly().shifted(Fraction(5, 3)) == Poly()
-    assert P(Fraction(4, 9)).shifted(-12) == P(Fraction(4, 9))
-    p = P(0, 0, 0, 0, Fraction(1, 6))
-    assert p.shifted(0) == p
-    for c in (1, -1, Fraction(2, 3), Fraction(-5, 7), 1234, Fraction(8633, 7)):
-        assert p.shifted(c) == fraction_shifted(p, c)
-        assert p.shifted(c).shifted(-Fraction(c)) == p
-
-
 polys = st.lists(coefficients, max_size=9).map(Poly)
-shifts = st.one_of(
-    st.integers(-2000, 2000),
-    st.fractions(max_denominator=50),
-    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, 2**80)),
-)
 
 
 @given(a=polys, b=polys, k=st.integers(-(2**70), 2**70))
@@ -127,12 +105,23 @@ def test_product_matches_fraction_oracle(a, b, k):
     assert k * a == fraction_product(a, P(k))
 
 
-@given(p=polys, c=shifts)
+@given(
+    ints=st.lists(st.integers(-BIG, BIG), max_size=9),
+    r=st.one_of(st.integers(-2000, 2000), st.integers(-BIG, BIG)),
+    s=st.one_of(st.integers(1, 50), st.integers(1, 2**80)),
+)
+@example(ints=[], r=5, s=3)
+@example(ints=[4], r=-12, s=1)
+@example(ints=[0, 0, 0, 0, 1], r=8633, s=7)  # x^4 / 6, cleared to integers
 @settings(max_examples=200, deadline=None)
-def test_shift_matches_fraction_oracle(p, c):
-    q = p.shifted(c)
-    assert q == fraction_shifted(p, c)
-    assert all(isinstance(x, Fraction) for x in q.coeffs)
+def test_taylor_shift_matches_fraction_oracle(ints, r, s):
+    # taylor_shift gives T = s^n P(x + r/s), in ints; shifting T by -r/s
+    # gives s^(2n) P back
+    n = len(ints) - 1
+    out = taylor_shift(ints, r, s)
+    assert all(type(x) is int for x in out)
+    assert Poly([Fraction(x, s**n) for x in out]) == fraction_shifted(Poly(ints), Fraction(r, s))
+    assert taylor_shift(out, -r, s) == [x * s ** (2 * n) for x in ints]
 
 
 @given(ints=st.lists(st.integers(-BIG, BIG), max_size=9), s=st.integers(1, 2**80))

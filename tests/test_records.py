@@ -1,5 +1,6 @@
-"""The result records are immutable NamedTuples, and importing the package
-loads neither `dataclasses` nor what it imports."""
+"""The result records are immutable NamedTuples, importing the package
+loads neither `dataclasses` nor what it imports, and every name it
+exports resolves."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kzrat
 from kzrat import (
     FMatrix,
     Poly,
@@ -89,3 +91,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves():
+    # a star import reads each name of kzrat.__all__, and fails on one that
+    # a deletion left behind
+    namespace = {}
+    exec("from kzrat import *", namespace)
+    assert set(kzrat.__all__) <= set(namespace)
