@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
@@ -294,13 +295,55 @@ def _poly_cells(f: list[int], den: int) -> list[str]:
     return [_ratio_json(x, den) for x in f]
 
 
-def _matrix_json(m: FMatrix):
+class _Text:
+    """A report value laid out ahead of the writer: its indented JSON text,
+    in which "\n" breaks a line at the value's own indent.  A matrix's
+    node also keeps its cells, the formatted scalars c of its entries
+    c * d^power, which the printout reads, and power (None for
+    Fractions).  Not a tuple, so that json.dumps refuses it rather than
+    writing it as a list."""
+
+    __slots__ = ("text", "cells", "power")
+
+    def __init__(self, text: str, cells: list | None = None, power: int | None = None):
+        self.text, self.cells, self.power = text, cells, power
+
+
+def _matrix_json(m: FMatrix) -> _Text:
     # from its integers: each pivot entry is formatted once, and no entry built
     rows, den, relations, power = int_form(m)
     cells = relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
+    # a cell is digits, "-" and "/", with nothing to escape
     if power is None:
-        return cells
-    return [[_monomial_json(c, power) for c in row] for row in cells]
+        lines = ['"' + '",\n    "'.join(row) + '"' for row in cells]
+    else:
+        prefix, suffix, zero = _monomial_text(power)
+        lines = [
+            ",\n    ".join(zero if c == "0" else prefix + c + suffix for c in row)
+            for row in cells
+        ]
+    return _Text("[\n  [\n    " + "\n  ],\n  [\n    ".join(lines) + "\n  ]\n]", cells, power)
+
+
+@lru_cache(maxsize=64)
+def _monomial_text(power: int) -> tuple[str, str, str]:
+    """The text of a nonzero cell c * d^power of a matrix, as prefix + c +
+    suffix, and that of a zero cell, each written by the writer from
+    _monomial_json at a cell's indent."""
+    prefix, suffix = _json_text(_monomial_json("?", power), "\n    ").split("?")
+    return prefix, suffix, _json_text(_monomial_json("0", power), "\n    ")
+
+
+def _indexed_json(key: str, pairs) -> _Text:
+    """[{key: k, "matrix": node}, ...] for the (k, node) pairs, k an int,
+    as one node; key sorts before "matrix"."""
+    items = [
+        f'{{\n    "{key}": {format_scalar(k)},\n    "matrix": '
+        + node.text.replace("\n", "\n    ")
+        + "\n  }"
+        for k, node in pairs
+    ]
+    return _Text("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
 
 
 def _vector_json(v):
@@ -321,10 +364,14 @@ def report_to_json(report: dict) -> str:
 
     One pass appends the text piece by piece to a list, joined once at the
     end.  Strings are quoted by json's C helper, and ints go through
-    format_scalar, so an int past CPython's int -> str cap is written too."""
+    format_scalar, so an int past CPython's int -> str cap is written too.
+    A node laid out ahead (_Text) is copied in at its indent."""
+    return _json_text(report, "\n") + "\n"
+
+
+def _json_text(obj, newline: str) -> str:
     parts: list[str] = []
-    _write_json(report, "\n", parts.append)
-    parts.append("\n")
+    _write_json(obj, newline, parts.append)
     return "".join(parts)
 
 
@@ -335,6 +382,9 @@ def _write_json(obj, newline: str, write) -> None:
         write(_quote(obj))
     elif kind is int:
         write(format_scalar(obj))
+    elif kind is _Text:
+        # JSON text holds no raw newline inside a string
+        write(obj.text.replace("\n", newline))
     elif (kind is dict or kind is list or kind is tuple) and not obj:
         write("{}" if kind is dict else "[]")
     elif kind is dict:
@@ -373,26 +423,20 @@ def _cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
 
 
 def _symbolic_lines(m: FMatrix) -> list[str]:
-    """The lines of a matrix of monomials c * d^k of one power k, from its
-    integers (int_form): its constants when k = 0, else
-    1/L * d^k * [integers] with L the least common denominator."""
+    """The lines of a matrix of monomials c * d^k of one power k != 0, from
+    its integers (int_form): 1/L * d^k * [integers] with L the least
+    common denominator."""
     rows, den, relations, power = int_form(m)
-    ints, den = relations.flat(rows, den)
-    head = []
-    if power:
-        ints, den = stripped(ints, den)
-        head, den = [f"  d^{power} *" if den == 1 else f"  1/{den} * d^{power} *"], 1
+    ints, den = stripped(*relations.flat(rows, den))
+    head = f"  d^{power} *" if den == 1 else f"  1/{den} * d^{power} *"
     n = relations.cols
-    cells = [[_ratio_json(x, den) for x in ints[i : i + n]] for i in range(0, len(ints), n)]
-    return head + _cell_lines(cells, indent="    " if power else "  ")
+    cells = [[format_ratio(x, 1) for x in ints[i : i + n]] for i in range(0, len(ints), n)]
+    return [head] + _cell_lines(cells, indent="    ")
 
 
-def _print_coefficient(label: str, m: FMatrix, doc: list, out) -> None:
-    """Print m; doc is its report form, whose strings print its Fractions."""
-    if all(type(d) is str for drow in doc for d in drow):
-        lines = _cell_lines(doc)
-    else:
-        lines = _symbolic_lines(m)
+def _print_coefficient(label: str, m: FMatrix, node: _Text, out) -> None:
+    """Print m; node is its report form, whose cells print its Fractions."""
+    lines = _symbolic_lines(m) if node.power else _cell_lines(node.cells)
     print(f"{label} =", *lines, sep="\n", file=out)
 
 
@@ -408,14 +452,11 @@ def _indicial_json(ind) -> dict:
     }
 
 
-def _series_json(series: SeriesSolution) -> dict:
+def _series_json(series: SeriesSolution, levels: list[_Text]) -> dict:
     return {
         "leading_exponent": series.leading_exponent,
         "convention": series.convention,
-        "coefficients": [
-            {"level": p, "matrix": _matrix_json(m)}
-            for p, m in zip(series.levels(), series.coeffs)
-        ],
+        "coefficients": _indexed_json("level", zip(series.levels(), levels)),
         "resonances": [
             {
                 "level": rec.level,
@@ -427,15 +468,12 @@ def _series_json(series: SeriesSolution) -> dict:
     }
 
 
-def _expansion_json(exp: LocalExpansion) -> dict:
+def _expansion_json(exp: LocalExpansion, a_minus1: _Text, regular: list[_Text]) -> dict:
     return {
         "center": exp.center_index,
         "convention": exp.convention,
-        "a_minus1": _matrix_json(exp.a_minus1),
-        "regular": [
-            {"index": r, "matrix": _matrix_json(exp.regular(r))}
-            for r in range(exp.order + 1)
-        ],
+        "a_minus1": a_minus1,
+        "regular": _indexed_json("index", enumerate(regular)),
     }
 
 
@@ -476,11 +514,13 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
     ind = indicial_data(exp, cfg.coupling, spectra)
     report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
     if command == "expand":
-        expansion = report["expansion"] = _expansion_json(exp)
+        regular = [exp.regular(r) for r in range(exp.order + 1)]
+        nodes = [_matrix_json(m) for m in (exp.a_minus1, *regular)]
+        report["expansion"] = _expansion_json(exp, nodes[0], nodes[1:])
         print(f"local expansion at point {cfg.center} ({cfg.convention})", file=out)
-        _print_coefficient("a[-1]", exp.a_minus1, expansion["a_minus1"], out)
-        for r, entry in enumerate(expansion["regular"]):
-            _print_coefficient(f"a[{r}]", exp.regular(r), entry["matrix"], out)
+        _print_coefficient("a[-1]", exp.a_minus1, nodes[0], out)
+        for r, (m, node) in enumerate(zip(regular, nodes[1:])):
+            _print_coefficient(f"a[{r}]", m, node, out)
         return EXIT_OK, report
 
     print(_indicial_summary(report["indicial"]), file=out)
@@ -499,12 +539,13 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
             "rhs": _matrix_json(exc.rhs),
         }
         return EXIT_OBSTRUCTION, report
-    report["series"] = _series_json(series)
+    levels = [_matrix_json(m) for m in series.coeffs]
+    report["series"] = _series_json(series, levels)
     if command == "series":
         exponent = format_scalar(series.leading_exponent)
         print(f"leading exponent: {exponent} ({series.convention})", file=out)
-        for p, m, entry in zip(series.levels(), series.coeffs, report["series"]["coefficients"]):
-            _print_coefficient(f"b[{format_scalar(p)}]", m, entry["matrix"], out)
+        for p, m, node in zip(series.levels(), series.coeffs, levels):
+            _print_coefficient(f"b[{format_scalar(p)}]", m, node, out)
         for rec in series.resonances:
             print(
                 f"resonant level {format_scalar(rec.level)}: {rec.kind.value}, "
@@ -594,7 +635,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         print(self.format_help(), end="", file=file)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> _ArgumentParser:
+    """The command-line parser, built once per process: parsing an argument
+    list leaves it as it was."""
     parser = _ArgumentParser(
         prog="kzrat",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -609,6 +653,11 @@ def main(argv=None) -> int:
     parser.add_argument("--center", type=int, help="override the expansion center (1-based)")
     parser.add_argument("--convention", choices=CONVENTIONS, help="override the convention")
     parser.add_argument("--golden", action="store_true", help="series: compare with built-in tables")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     try:
         try:
             args = parser.parse_args(argv)

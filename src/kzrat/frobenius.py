@@ -78,6 +78,7 @@ from .matrix import (
     det,
     faddeev_leverrier,
     flat,
+    scaled,
     solve_linear,
     sparse_product,
     sparse_rows,
@@ -159,7 +160,7 @@ def indicial_data(
     again, and one factored here is added, so that one run can share it
     with `denominator_exponents`.
     """
-    chi = charpoly(exp.residue * Fraction(coupling))
+    chi = charpoly(exp.residue, coupling)
     if spectra is None:
         spectra = {}
     if chi.coeffs not in spectra:
@@ -270,7 +271,7 @@ def compute_series(
     # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
     # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
     # Horner's rule on +-m_den N_k gives the signed, scaled adjugate.
-    m_ints, m_den = flat(exp.residue * coupling)
+    m_ints, m_den = scaled(exp.residue, coupling)
     chi, adj = faddeev_leverrier(m_ints, n)
     chi_low = chi[::-1]
     plus = [[m_den * e for e in nk] for nk in adj]
@@ -285,7 +286,7 @@ def compute_series(
     # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q)
     weights = []
     for u, res in exp.poles:
-        w, w_den = flat(res * -coupling)
+        w, w_den = scaled(res, -coupling)
         weights.append((sparse_rows(w, n), w_den, u.numerator, u.denominator))
     terms = [([0] * (n * r), 1)] * len(exp.poles)
     records: list[ResonanceRecord] = []

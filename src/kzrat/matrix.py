@@ -8,8 +8,9 @@ d-degree, which holds for the homogeneous matrices and systems the
 engine grades.  ``charpoly`` takes Fraction entries only.
 
 The one integer matrix form is flat: an n x c matrix is n c row-major
-ints over one positive denominator, made by ``flat``, reduced by
-``stripped`` and multiplied by ``sparse_product`` and ``dense_product``.
+ints over one positive denominator, made by ``flat`` (``scaled`` for a
+rational multiple), reduced by ``stripped`` and multiplied by
+``sparse_product`` and ``dense_product``.
 Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
 engine's resolvent.
 
@@ -556,6 +557,12 @@ def flat(m: FMatrix) -> tuple[list[int], int]:
     return cleared([e for row in m.entries for e in row])
 
 
+def scaled(m: FMatrix, c: Fraction) -> tuple[list[int], int]:
+    """flat(m * c), from m's integers: no Fraction product is formed."""
+    ints, den = flat(m)
+    return stripped([x * c.numerator for x in ints], den * c.denominator)
+
+
 def stripped(ints: list[int], den: int) -> tuple[list[int], int]:
     """ints / den with the content gcd(den, ints...) divided out; den > 0."""
     g = gcd(den, *ints)
@@ -613,14 +620,17 @@ def faddeev_leverrier(a: list[int], n: int) -> tuple[list[int], list[list[int]]]
     return coeffs, adj
 
 
-def charpoly(a: FMatrix) -> Poly:
-    """Monic characteristic polynomial of a Fraction matrix.
+def charpoly(a: FMatrix, scale: Fraction = Fraction(1)) -> Poly:
+    """Monic characteristic polynomial of scale * a, for a Fraction matrix a.
 
     Faddeev-LeVerrier runs on the cleared integer matrix A = den * a; then
-    det(xI - a) = sum_k c_k x^(n-k) / den^k, the only non-integer step.
+    det(xI - scale a) = sum_k c_k (scale / den)^k x^(n-k), the only
+    non-integer step.
     """
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     ints, den = flat(a)
     coeffs, _ = faddeev_leverrier(ints, a.rows)
-    return Poly([Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])
+    scale = Fraction(scale)
+    p, q = scale.numerator, scale.denominator * den
+    return Poly([Fraction(c * p**k, q**k) for k, c in enumerate(coeffs)][::-1])

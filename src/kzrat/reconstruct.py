@@ -263,7 +263,7 @@ def denominator_exponents(sys: KZSystem, spectra: dict | None = None) -> tuple[i
     exponents = []
     roots_of = {} if spectra is None else spectra
     for point, residue in zip(sys.points, sys.residues):
-        chi = charpoly(residue * sys.coupling)
+        chi = charpoly(residue, sys.coupling)
         if chi.coeffs not in roots_of:
             roots_of[chi.coeffs] = rational_roots(chi)
         integer_eigs = [r for r, _ in roots_of[chi.coeffs][0] if r.denominator == 1]
@@ -309,7 +309,7 @@ def numerator_growth(sys: KZSystem) -> int:
     total = sys.residues[0]
     for r in sys.residues[1:]:
         total = total + r
-    roots, _ = rational_roots(charpoly(total * sys.coupling))
+    roots, _ = rational_roots(charpoly(total, sys.coupling))
     return max((int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0)
 
 

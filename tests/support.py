@@ -316,6 +316,25 @@ def fraction_product(a: Poly, b: Poly) -> Poly:
     return Poly(res)
 
 
+def integer_product(a: Poly, b: Poly) -> Poly:
+    """Oracle for Poly.__mul__ on long series: each factor cleared to
+    integers over the lcm of its denominators, a schoolbook product of
+    the two integer vectors with no zero skipped, and one Fraction per
+    coefficient of the result."""
+    if not a.coeffs or not b.coeffs:
+        return Poly()
+    vectors = []
+    for p in (a, b):
+        den = lcm(*(c.denominator for c in p.coeffs))
+        vectors.append(([c.numerator * (den // c.denominator) for c in p.coeffs], den))
+    (x, x_den), (y, y_den) = vectors
+    res = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            res[i + j] += u * v
+    return Poly([Fraction(r, x_den * y_den) for r in res])
+
+
 def fraction_shifted(p: Poly, c) -> Poly:
     """p(x + c), the oracle for taylor_shift: Horner's rule in Fraction
     arithmetic, acc = acc * (x + c) + coeff, with the product written out."""
@@ -490,7 +509,7 @@ def division_reconstruct(
         row = []
         for j in range(series.coeffs[0].cols):
             w_poly = Poly([series.coeffs[k][i, j] for k in range(have)])
-            q = den_u * w_poly
+            q = integer_product(den_u, w_poly)
             candidate = Poly([q.coeff(t - rho) for t in range(max_num_degree + 1)])
             back = fraction_series_of_ratio(candidate, den_u, rho, have)
             for k, (got, want) in enumerate(zip(back, w_poly.coeffs + (Fraction(0),) * have)):

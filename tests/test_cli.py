@@ -52,6 +52,7 @@ from support import (
     graded_entries,
     kz_systems,
 )
+from test_matrix import cleared_forms
 from test_pinned_reports import PINNED
 
 reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
@@ -451,6 +452,34 @@ def test_report_to_json_writes_the_bytes_of_json_dumps_on_drawn_documents(doc):
     assert report_to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@given(
+    form=cleared_forms(),
+    power=st.none() | st.integers(-4, 4),
+    path=st.lists(st.tuples(_texts, _report_documents, st.booleans()), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_matrix_node_writes_the_bytes_of_its_entries_encoded_one_by_one(form, power, path):
+    # numeric levels with copied, negated, zero and combined columns, and
+    # their graded views (all-zero ones too), with ints past the digit cap
+    ints, den, relations = form
+    m = FMatrix.from_basis(ints, den, relations)
+    view = m if power is None else graded(m, power)
+    node = cli._matrix_json(view)
+    decoded = json.loads(node.text)
+    assert decoded == [[cli._entry_json(e) for e in row] for row in view.entries]
+    indexed = cli._indexed_json("level", [(-2, node), (3, node)])
+    plain_indexed = [{"level": -2, "matrix": decoded}, {"level": 3, "matrix": decoded}]
+    assert json.loads(indexed.text) == plain_indexed
+    # at a drawn depth in a document, beside drawn values
+    doc, plain = [node, indexed], [decoded, plain_indexed]
+    for key, sibling, in_list in path:
+        if in_list:
+            doc, plain = [sibling, doc], [sibling, plain]
+        else:
+            doc, plain = {key: doc, key + "'": sibling}, {key: plain, key + "'": sibling}
+    assert report_to_json(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
 def _graded_entries(node):
     """Every {"num", "den"} entry anywhere in a report document."""
     if isinstance(node, dict):
@@ -541,14 +570,14 @@ def test_derived_report_cells_at_the_edges():
         [["3/2", "0", "-2", "0", "5/2"], ["-3/4", "0", "1", "0", "-5/4"], []]
     ]
     level = FMatrix.from_basis([3, -4], 2, ColumnRelations((0,), ((2, -1, 0, -2),), 2))
-    assert cli._matrix_json(level) == [["3/2", "-3/4", "0", "-3/2"], ["-2", "1", "0", "2"]]
+    assert cli._matrix_json(level).cells == [["3/2", "-3/4", "0", "-3/2"], ["-2", "1", "0", "2"]]
     # a negation past CPython's int -> str digit cap, in a level and in a
     # numerator, with the cap as it was
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     x = 10**4400 + 7
     negation = ColumnRelations((0,), ((1, -1),), 1)
     level = FMatrix.from_basis([x, 1], 1, negation)
-    assert cli._matrix_json(level) == [[format_ratio(x, 1), format_ratio(-x, 1)], ["1", "-1"]]
+    assert cli._matrix_json(level).cells == [[format_ratio(x, 1), format_ratio(-x, 1)], ["1", "-1"]]
     m = FMatrix.from_poly_basis([[[0, x]]], 3, negation)
     assert cli._numerator_json(m) == [[["0", format_ratio(x, 3)], ["0", format_ratio(-x, 3)]]]
     assert cli._numerator_json(m) == [[cli._poly_json(p) for p in row] for row in m.entries]
@@ -859,6 +888,47 @@ def test_help_lists_the_commands_and_golden(capsys):
         assert line in out
 
 
+def test_main_back_to_back_in_one_process_reads_as_separate_runs(tmp_path, monkeypatch):
+    # the parser is built once per process: a series, a usage error from
+    # the parser, a verify, --help and the series again give the exit
+    # codes, stdout, stderr and report bytes of runs in fresh processes
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, in both
+    symbolic = write_config(tmp_path, S3_SYMBOLIC, name="symbolic.json")
+    numeric = str(REPO / "configs" / "kz-s3-numeric.json")
+    runs = [
+        ["series", "--config", symbolic, "--golden", "--json"],
+        ["verify", "--config", numeric, "--golden"],
+        ["verify", "--config", numeric, "--json"],
+        ["--help"],
+        ["series", "--config", symbolic, "--golden", "--json"],
+    ]
+
+    def outcome(argv, report, in_process):
+        if argv[-1] == "--json":
+            argv = [*argv, str(report)]
+        if in_process:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            out, err = out.getvalue(), err.getvalue()
+        else:
+            env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-m", "kzrat", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        return code, out, err, report.read_bytes() if report.exists() else None
+
+    together = [outcome(argv, tmp_path / f"together-{k}.json", True) for k, argv in enumerate(runs)]
+    apart = [outcome(argv, tmp_path / f"apart-{k}.json", False) for k, argv in enumerate(runs)]
+    assert [o[0] for o in together] == [0, 2, 0, 0, 0]
+    assert together == apart
+
+
 def _run_with_stdout(tmp_path, argv, stdout, env=None, **kwargs):
     env = dict(env or os.environ, PYTHONPATH=str(REPO / "src"))
     config = REPO / "configs" / "kz-s3-numeric.json"
@@ -1057,10 +1127,10 @@ def _assert_reads_as_eager(m: FMatrix, exp, power: int) -> None:
     rows, den, relations, _ = int_form(m)
     fractions = FMatrix.from_basis([x for row in rows for x in row], den, relations)
     eager = graded_entries(exp, fractions, power)
-    doc = cli._matrix_json(m)
-    assert doc == [[cli._entry_json(e) for e in row] for row in eager.entries]
+    node = cli._matrix_json(m)
+    assert json.loads(node.text) == [[cli._entry_json(e) for e in row] for row in eager.entries]
     out = io.StringIO()
-    cli._print_coefficient("b", m, doc, out)
+    cli._print_coefficient("b", m, node, out)
     assert out.getvalue().splitlines() == ["b ="] + _eager_printed_lines(eager)
     assert not entries_built(m)
     assert m.entries == eager.entries

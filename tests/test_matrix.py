@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from kzrat.matrix import (
     flat,
     graded,
     int_form,
+    scaled,
     sparse_product,
     sparse_rows,
     stripped,
@@ -169,12 +171,16 @@ def test_charpoly_of_doubled_transposition():
 @given(
     a=st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(coefficients, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
+    ),
+    scale=coefficients,
 )
 @settings(max_examples=150, deadline=None)
-def test_charpoly_matches_fraction_oracle(a):
+def test_charpoly_matches_fraction_oracle(a, scale):
     a = FMatrix(a)
     assert charpoly(a) == fraction_charpoly(a)
+    # scaled on the integers, as by the product with the Fraction
+    assert charpoly(a, scale) == fraction_charpoly(a * scale)
+    assert scaled(a, scale) == flat(a * scale)
     every = ColumnRelations.trivial(a.cols)
     ints, den = flat(a)
     assert FMatrix.from_basis(ints, den, every) == a
@@ -230,7 +236,7 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     # the shape and the integer readers first, while no entry has been built
     lazy = FMatrix.from_basis(ints, den, relations)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
-    assert _matrix_json(lazy) == [[format_scalar(e) for e in row] for row in eager.entries]
+    assert _matrix_json(lazy).cells == [[format_scalar(e) for e in row] for row in eager.entries]
     assert int_form(lazy) == (rows, den, relations, None)
     assert not entries_built(lazy)
     assert flat(lazy) == flat(eager)
@@ -253,7 +259,7 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     assert lazy.entries == eager.entries
     assert all(type(e) is Fraction for row in lazy.entries for e in row)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
-    assert _matrix_json(lazy) == _matrix_json(eager) and flat(lazy) == flat(eager)
+    assert _matrix_json(lazy).text == _matrix_json(eager).text and flat(lazy) == flat(eager)
 
 
 @given(cleared_forms(), st.integers(-4, 4))
@@ -273,8 +279,9 @@ def test_a_graded_view_cannot_be_told_from_its_monomials(form, power):
     # the integer reader first, while no entry has been built
     power_read = power if any(ints) else 0
     assert int_form(view) == (rows, den, relations, power_read)
-    assert _matrix_json(view) == [[_entry_json(e) for e in row] for row in eager.entries]
-    assert _matrix_json(cleared_view) == _matrix_json(view) == _matrix_json(eager)
+    decoded = json.loads(_matrix_json(view).text)
+    assert decoded == [[_entry_json(e) for e in row] for row in eager.entries]
+    assert _matrix_json(cleared_view).text == _matrix_json(view).text == _matrix_json(eager).text
     assert not entries_built(view) and not entries_built(cleared_view)
     # all three read as the same integers, and the same power
     for m in (view, cleared_view, eager):
