@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
@@ -317,21 +317,24 @@ def _matrix_json(m: FMatrix) -> _Text:
     if power is None:
         lines = ['"' + '",\n    "'.join(row) + '"' for row in cells]
     else:
-        prefix, suffix, zero = _monomial_text(power)
+        prefix, suffix = _monomial_text(power)
         lines = [
-            ",\n    ".join(zero if c == "0" else prefix + c + suffix for c in row)
+            ",\n    ".join(_ZERO_CELL if c == "0" else prefix + c + suffix for c in row)
             for row in cells
         ]
     return _Text("[\n  [\n    " + "\n  ],\n  [\n    ".join(lines) + "\n  ]\n]", cells, power)
 
 
-@lru_cache(maxsize=64)
-def _monomial_text(power: int) -> tuple[str, str, str]:
-    """The text of a nonzero cell c * d^power of a matrix, as prefix + c +
-    suffix, and that of a zero cell, each written by the writer from
-    _monomial_json at a cell's indent."""
-    prefix, suffix = _json_text(_monomial_json("?", power), "\n    ").split("?")
-    return prefix, suffix, _json_text(_monomial_json("0", power), "\n    ")
+# the text of _monomial_json at a matrix cell's indent, as the writer lays it out
+_ZERO_CELL = '{\n      "den": [\n        "1"\n      ],\n      "num": []\n    }'
+
+
+def _monomial_text(power: int) -> tuple[str, str]:
+    """The text of a nonzero cell c * d^power of a matrix, as prefix + c + suffix."""
+    zeros = '"0",\n        ' * abs(power)
+    den, num = (zeros, "") if power < 0 else ("", zeros)
+    head = '{\n      "den": [\n        ' + den + '"1"\n      ],\n      "num": [\n        '
+    return head + num + '"', '"\n      ]\n    }'
 
 
 def _indexed_json(key: str, pairs) -> _Text:
