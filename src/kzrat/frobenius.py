@@ -46,8 +46,12 @@ classify the step and give the kernel or the certificate.
 The seed b_rho at the leading exponent rho is the paper's projector
 I - a_{-1} where that is a kernel of the leading step (a_{-1} an involution
 other than I, rho = -coupling), and the canonical kernel columns of the
-step everywhere else.  The series order is not bounded by the expansion
-order: a_r is derived on demand from the poles.
+step everywhere else.  The projector is formed on the cleared integers of
+a_{-1}, its column relations come from a fraction-free elimination on
+the seed's integers (kzrat.matrix.int_relations), and b_rho's pivot
+columns are read from those integers: the projector seed makes no
+Fraction.  The series order is not bounded by the expansion order: a_r
+is derived on demand from the poles.
 
 In two-point symbolic mode every quantity is a monomial in d: the engine
 solves at d = 1 (u = +-1) for B_p, and the series it returns is graded,
@@ -55,10 +59,11 @@ b_p = B_p * d^(-(p - rho)), each level a lazy graded view of the same
 pivot columns (LocalExpansion.grade).  verify_recursion reads its graded
 entries; the CLI's report and printed lines and the golden check read its
 integers and power, and build no entry.  A resonant step is classified
-once, over the step matrix graded to d-degree 0, so that the kernel and
-the certificate carry the entry types that reports encode.  Its right
-side has a single degree, so it is solved at d = 1, where the particular
-solution is the engine's.
+once, by one elimination (solve_linear) over the step matrix graded to
+d-degree 0, so that the kernel and the certificate carry the entry types
+that reports encode.  Its right side has a single degree, so it is solved
+at d = 1, where the particular solution is the engine's.  The step
+matrix is formed on the integers of coupling * a_{-1}.
 """
 
 from __future__ import annotations
@@ -73,18 +78,19 @@ from .matrix import (
     FMatrix,
     SolveKind,
     charpoly,
-    column_relations,
     dense_product,
     det,
     faddeev_leverrier,
     flat,
+    int_form,
+    int_relations,
     scaled,
     solve_linear,
     sparse_product,
     sparse_rows,
     stripped,
 )
-from .poly import Poly, cleared, eval_int, rational_roots
+from .poly import Poly, eval_int, rational_roots
 from .ratfunc import RatFunc
 from .scalars import format_scalar
 
@@ -174,14 +180,16 @@ def indicial_data(
     )
 
 
-def _step_matrix(exp: LocalExpansion, coupling: Fraction, level: int) -> FMatrix:
-    """level * I - coupling * a_{-1}."""
-    return FMatrix(
-        [
-            [Fraction(level * (i == j)) - coupling * e for j, e in enumerate(row)]
-            for i, row in enumerate(exp.residue.entries)
-        ]
-    )
+def _step_matrix(exp: LocalExpansion, coupling: Fraction, level) -> FMatrix:
+    """level * I - coupling * a_{-1}, held as its cleared integers
+    (FMatrix.from_basis): (p m_den I - q m) / (q m_den) for
+    coupling * a_{-1} = m / m_den and level = p / q."""
+    n = exp.n
+    m, m_den = scaled(exp.residue, coupling)
+    level = Fraction(level)
+    p, q = level.numerator, level.denominator
+    ints = [p * m_den * (i % (n + 1) == 0) - q * x for i, x in enumerate(m)]
+    return FMatrix.from_basis(*stripped(ints, q * m_den), ColumnRelations.trivial(n))
 
 
 def leading_coefficient(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
@@ -196,18 +204,20 @@ def leading_coefficient(exp: LocalExpansion, coupling: Fraction, exponent: int) 
 
 
 def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
-    """leading_coefficient over Fraction, before grading."""
+    """leading_coefficient over Fraction, before grading.  The projector is
+    (den I - a) / den from the cleared a_{-1} = a / den, held as those
+    integers (FMatrix.from_basis)."""
     n = exp.n
-    ident = FMatrix.identity(n)
-    a0 = exp.residue
-    if Fraction(exponent) == -Fraction(coupling) and a0 != ident:
-        # a0^2 = I on the cleared integers a0 = a / den: a^2 = den^2 I
-        a, den = flat(a0)
+    a, den = flat(exp.residue)
+    diagonal = [den * (i % (n + 1) == 0) for i in range(n * n)]
+    if Fraction(exponent) == -Fraction(coupling) and a != diagonal:
+        # a_{-1}^2 = I on the cleared integers: a^2 = den^2 I
         square = sparse_product(sparse_rows(a, n), a, n)
-        if square == [den * den * (i % (n + 1) == 0) for i in range(n * n)]:
-            return ident - a0
+        if square == [den * x for x in diagonal]:
+            ints = [x - y for x, y in zip(diagonal, a)]
+            return FMatrix.from_basis(ints, den, ColumnRelations.trivial(n))
 
-    res = solve_linear(_step_matrix(exp, Fraction(coupling), exponent), FMatrix.zeros(n, n))
+    res = solve_linear(_step_matrix(exp, Fraction(coupling), exponent), FMatrix.zeros(n, 1))
     if res.kind is SolveKind.UNIQUE:
         raise ValueError(
             f"{exponent} is not an eigenvalue of coupling * a_{{-1}}; the kernel is trivial"
@@ -278,10 +288,10 @@ def compute_series(
     minus = [[-e for e in nk] for nk in plus]
     # every b_q is L_q b_rho, so the recursion runs on the pivot columns
     # of b_rho, r of them, and each level is b_q[:, pivots] * C
-    seed = _seed(exp, coupling, leading_exponent)
-    relations = column_relations(seed)
+    seed, seed_den, _, _ = int_form(_seed(exp, coupling, leading_exponent))
+    relations = int_relations(seed)
     r = len(relations.pivots)
-    b, b_den = cleared([row[j] for row in seed.entries for j in relations.pivots])
+    b, b_den = stripped([row[j] for row in seed for j in relations.pivots], seed_den)
     coeffs = [FMatrix.from_basis(b, b_den, relations)]
     # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q)
     weights = []

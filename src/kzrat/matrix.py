@@ -5,19 +5,24 @@ any exact type that supports +, -, *, / and == with itself and with
 int/Fraction: Fraction, and the graded monomials c * d^k (RatFunc) where
 symbolic values leave the Frobenius engine.  Those add only at equal
 d-degree, which holds for the homogeneous matrices and systems the
-engine grades.  ``charpoly`` takes Fraction entries only.
+engine grades.  ``solve_linear`` classifies and solves A X = B by one
+elimination over [A | B]; only an inconsistent system is eliminated
+again, with the row transform tracked, for its certificate.
+``charpoly`` takes Fraction entries only.
 
 The one integer matrix form is flat: an n x c matrix is n c row-major
 ints over one positive denominator, made by ``flat`` (``scaled`` for a
 rational multiple), reduced by ``stripped`` and multiplied by
 ``sparse_product`` and ``dense_product``.
-Faddeev-LeVerrier runs on it for ``charpoly`` and for the Frobenius
-engine's resolvent.
+Faddeev-LeVerrier runs on it for ``charpoly`` (``flat_charpoly``) and
+for the Frobenius engine's resolvent.
 
 A matrix M of column rank r can also be held on a column basis: its r
 pivot columns B = M[:, pivots] and the constant relations C, the nonzero
 rows of the reduced row echelon form of M, with M = B C
-(``ColumnRelations``).  ``FMatrix.from_basis`` keeps B as rows of r ints
+(``ColumnRelations``), found by fraction-free elimination on M's
+integers (``int_relations``; ``column_relations`` clears a Fraction
+matrix once for it).  ``FMatrix.from_basis`` keeps B as rows of r ints
 over one denominator, and ``FMatrix.from_poly_basis`` as rows of r
 integer coefficient vectors; each builds its Fraction or Poly entries on
 their first read, and reads its shape without them.  ``graded`` grades a
@@ -42,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import gcd
+from math import gcd, lcm
 from operator import mul, neg
 from typing import NamedTuple, Sequence
 
@@ -271,13 +276,46 @@ class ColumnRelations(NamedTuple):
 
 
 def column_relations(m: FMatrix) -> ColumnRelations:
-    """The relations among the columns of m, from its reduced row echelon form."""
-    reduced, _, pivots, _ = _rref([list(row) for row in m.entries], track=False)
-    r = len(pivots)
-    ints, den = cleared([e for row in reduced[:r] for e in row])
+    """The relations among the columns of a Fraction matrix m: those of its
+    integers, cleared once (`int_relations`)."""
+    ints, _ = flat(m)
     n = m.cols
-    rows = tuple(tuple(ints[i : i + n]) for i in range(0, r * n, n))
-    return ColumnRelations(tuple(pivots), rows, den)
+    return int_relations([ints[i : i + n] for i in range(0, len(ints), n)])
+
+
+def int_relations(rows: list[list[int]]) -> ColumnRelations:
+    """The relations among the columns of the int matrix given by its rows:
+    the nonzero rows of its reduced row echelon form, over their least
+    common denominator.  Fraction-free Gauss-Jordan elimination: a row is
+    cleared at a pivot p by row' = p row - f pivot_row, f its entry there,
+    and made primitive; each pivot row is then divided by its pivot, over
+    the lcm of the pivots, with the content stripped."""
+    mat = [list(row) for row in rows]
+    n = len(mat[0])
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        k = next((k for k in range(r, len(mat)) if mat[k][col]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        top = mat[r]
+        p = top[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row) or 1
+                mat[i] = [x // g for x in row]
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    common = lcm(*(abs(mat[i][col]) for i, col in enumerate(pivots)))
+    ints, den = stripped(
+        [x * (common // mat[i][col]) for i, col in enumerate(pivots) for x in mat[i]], common
+    )
+    reduced = tuple(tuple(ints[i : i + n]) for i in range(0, len(ints), n))
+    return ColumnRelations(tuple(pivots), reduced, den)
 
 
 def scalar_combination(row: list[int], terms: list[tuple[int, int]]) -> int:
@@ -458,6 +496,12 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
     Singular-consistent and singular-inconsistent systems are ordinary
     results, not errors.  The particular solution of an affine system has
     all free components set to zero.
+
+    One elimination over [A | B] classifies the system and gives the
+    particular solution and the kernel; the row operations on A are those
+    of eliminating A alone.  Only an inconsistent system, one with a pivot
+    among B's columns, is eliminated again with the row transform tracked,
+    for the certificate.
     """
     if a.rows != a.cols:
         raise ValueError("solve_linear requires a square coefficient matrix")
@@ -465,21 +509,15 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
         raise ValueError("dimension mismatch between coefficient matrix and right side")
     n = a.rows
     m = b.cols
-    work = [list(row) for row in a.entries]
-    work, transform, pivot_cols, _ = _rref(work, track=True)
+    work = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
+    work, _, pivot_cols, _ = _rref(work, track=False)
+    if pivot_cols and pivot_cols[-1] >= n:
+        return SolveResult(kind=SolveKind.INCONSISTENT, certificate=_certificate(a, b))
     rank = len(pivot_cols)
-    tb = (FMatrix(transform) * b).entries
-
-    for r in range(rank, n):
-        if any(e for e in tb[r]):
-            return SolveResult(
-                kind=SolveKind.INCONSISTENT,
-                certificate=tuple(transform[r]),
-            )
 
     particular = [[Fraction(0)] * m for _ in range(n)]
     for r, pc in enumerate(pivot_cols):
-        particular[pc] = list(tb[r])
+        particular[pc] = work[r][n:]
     part = FMatrix(particular)
 
     if rank == n:
@@ -495,6 +533,15 @@ def solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
         raw.append(v)
     kernel = _canonical_kernel(raw)
     return SolveResult(kind=SolveKind.AFFINE, particular=part, kernel_basis=kernel)
+
+
+def _certificate(a: FMatrix, b: FMatrix) -> tuple:
+    """y with y A = 0 and y B != 0 for an inconsistent A X = B: the first
+    row of the tracked row transform T with T A = rref(A) that is zero on
+    A and not on B."""
+    _, transform, pivot_cols, _ = _rref([list(row) for row in a.entries], track=True)
+    tb = (FMatrix(transform) * b).entries
+    return next(tuple(transform[r]) for r in range(len(pivot_cols), a.rows) if any(tb[r]))
 
 
 def det(a: FMatrix):
@@ -621,16 +668,21 @@ def faddeev_leverrier(a: list[int], n: int) -> tuple[list[int], list[list[int]]]
 
 
 def charpoly(a: FMatrix, scale: Fraction = Fraction(1)) -> Poly:
-    """Monic characteristic polynomial of scale * a, for a Fraction matrix a.
-
-    Faddeev-LeVerrier runs on the cleared integer matrix A = den * a; then
-    det(xI - scale a) = sum_k c_k (scale / den)^k x^(n-k), the only
-    non-integer step.
-    """
+    """Monic characteristic polynomial of scale * a, for a Fraction matrix a:
+    `flat_charpoly` of its cleared integers."""
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    ints, den = flat(a)
-    coeffs, _ = faddeev_leverrier(ints, a.rows)
+    return flat_charpoly(*flat(a), a.rows, scale)
+
+
+def flat_charpoly(ints: list[int], den: int, n: int, scale: Fraction = Fraction(1)) -> Poly:
+    """Monic characteristic polynomial of scale * A / den, for a flat n x n
+    int matrix A.
+
+    Faddeev-LeVerrier runs on A; then det(xI - scale A / den) =
+    sum_k c_k (scale / den)^k x^(n-k), the only non-integer step.
+    """
+    coeffs, _ = faddeev_leverrier(ints, n)
     scale = Fraction(scale)
     p, q = scale.numerator, scale.denominator * den
     return Poly([Fraction(c * p**k, q**k) for k, c in enumerate(coeffs)][::-1])

@@ -4,15 +4,17 @@ Coefficients are Fractions, but products run on integer vectors: the
 operands are cleared to integer numerators over their least common
 denominator (`cleared`), the work is done in plain int, and one Fraction
 is normalised per output coefficient at the end.  The Taylor shift
-(`taylor_shift`) and exact division by a known factor (`exact_quotient`)
-take integer vectors as they are; general division, gcd and evaluation
+(`taylor_shift`), exact division by a known factor (`exact_quotient`),
+the gcd (`int_gcd`, primitive pseudo-remainder Euclid) and rational root
+finding (`rational_roots`) take integer vectors as they are; `poly_gcd`
+is the monic Poly form of `int_gcd`.  General division and evaluation
 stay in Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Union
 
 from .scalars import format_scalar
@@ -51,6 +53,10 @@ def int_convolve(a: list[int], b: list[int]) -> list[int]:
             for i, x in terms:
                 res[i + j] += x * y
     return res
+
+
+def int_derivative(f: list[int]) -> list[int]:
+    return [k * x for k, x in enumerate(f)][1:]
 
 
 def exact_quotient(f: list[int], g: list[int]) -> list[int] | None:
@@ -308,11 +314,49 @@ def poly_str(texts, var: str) -> str:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    x, y = a, b
-    while not y.is_zero():
-        x, y = y, (x % y).monic()
-    return x.monic()
+    """Monic gcd; gcd(0, 0) = 0.  The monic form of `int_gcd` of the
+    cleared coefficients."""
+    return Poly(int_gcd(cleared(a.coeffs)[0], cleared(b.coeffs)[0])).monic()
+
+
+def int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, with a positive leading coefficient, of two integer
+    vectors without trailing zeros; [] for gcd(0, 0).  Euclid on
+    pseudo-remainders (primitive PRS): each remainder of lc(b)^k a by b is
+    integral, and its content is stripped before the next step, which
+    keeps the coefficients from growing exponentially."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f divided by its content, with a positive leading coefficient."""
+    if not f:
+        return f
+    g = gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return f if g == 1 else [x // g for x in f]
+
+
+def _pseudo_remainder(f: list[int], g: list[int]) -> list[int]:
+    """The remainder of lc(g)^k f by g, k = deg f - deg g + 1 (f itself
+    when deg f < deg g), in integers, without trailing zeros."""
+    rem = list(f)
+    dg = len(g) - 1
+    lead = g[-1]
+    while len(rem) > dg:
+        c = rem.pop()
+        shift = len(rem) - dg
+        rem = [lead * x for x in rem]
+        if c:
+            for i in range(dg):
+                rem[shift + i] -= c * g[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
 
 
 def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
@@ -322,49 +366,50 @@ def rational_roots(p: Poly) -> tuple[tuple[tuple[Fraction, int], ...], Poly]:
     monic, so that p / lc(p) = prod (x - r)^m * remainder and remainder has
     no rational roots.
 
-    The roots come from p-adic lifting (Loos 1983), in integer arithmetic
-    and in time polynomial in the bit size of the coefficients.  The
-    square-free part s of p, cleared to integer coefficients c_0..c_n,
-    becomes the monic integer polynomial g(y) = c_n^(n-1) s(y / c_n): the
-    rational roots of s are y / c_n for the integer roots y of g, and each
-    such y divides g(0) != 0 (the root 0 is split off first).  At the
-    smallest prime p where every root of g mod p is simple (only primes
-    dividing disc(g) fail), each of them lifts uniquely by Newton steps
-    mod p^(2^k) until the modulus exceeds 2 |g(0)|; its symmetric residue
-    is then the one integer candidate, and an exact evaluation decides it.
-    Multiplicities and the remainder come from exact integer division of
-    p, cleared to integers once, by (q x - r) for each root r/q in turn.
+    Everything runs on integer vectors: p is cleared to integers once and
+    the root 0 split off; the square-free part s is p over its integer
+    gcd with p' (`int_gcd`), made primitive.  The roots come from p-adic
+    lifting (Loos 1983), in time polynomial in the bit size of the
+    coefficients.  With s = c_0..c_n, c_n > 0, the rational roots of s are
+    y / c_n for the integer roots y of the monic g(y) = c_n^(n-1) s(y / c_n),
+    and each such y divides g(0) != 0.  At the smallest prime p where every
+    root of g mod p is simple (only primes dividing disc(g) fail), each of
+    them lifts uniquely by Newton steps mod p^(2^k) until the modulus
+    exceeds 2 |g(0)|; its symmetric residue is then the one integer
+    candidate, and an exact evaluation decides it.  Multiplicities and the
+    remainder come from exact integer division of the cleared p by
+    (q x - r) for each root r/q in turn.  A Fraction is made only for a
+    root and for the remainder's coefficients.
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has every value as a root")
     roots: dict[Fraction, int] = {}
-    work = p.monic()
-
-    v = work.valuation()
-    if v > 0:
+    ints, _ = cleared(p.coeffs)
+    v = next(k for k, x in enumerate(ints) if x)
+    if v:
         roots[Fraction(0)] = v
-        work = Poly(work.coeffs[v:])
+        ints = ints[v:]
 
-    if work.degree >= 1:
-        square_free = work // poly_gcd(work, work.derivative())
-        ints, _ = cleared(work.coeffs)
+    if len(ints) > 1:
+        square_free = _primitive(exact_quotient(ints, int_gcd(ints, int_derivative(ints))))
         for root in _simple_roots(square_free):
             line = [-root.numerator, root.denominator]
+            m = 0
             while (quo := exact_quotient(ints, line)) is not None:
-                roots[root] = roots.get(root, 0) + 1
+                m += 1
                 ints = quo
-        work = Poly(ints)
+            roots[root] = m
 
     ordered = tuple(sorted(roots.items()))
-    return ordered, work.monic()
+    return ordered, Poly(ints).monic()
 
 
-def _simple_roots(s: Poly) -> list[Fraction]:
-    """Rational roots, ascending, of a monic square-free s of degree >= 1
-    with s(0) != 0, by the lifting that rational_roots describes."""
-    lead = lcm(*(c.denominator for c in s.coeffs))
-    c = [int(ci * lead) for ci in s.coeffs]
+def _simple_roots(c: list[int]) -> list[Fraction]:
+    """Rational roots, ascending, of a primitive square-free integer vector
+    c of degree >= 1 with c[0] != 0 and c[-1] > 0, by the lifting that
+    rational_roots describes."""
     n = len(c) - 1
+    lead = c[-1]
     g = [ci * lead ** (n - 1 - i) for i, ci in enumerate(c[:n])] + [1]
     dg = [i * gi for i, gi in enumerate(g) if i]
     bound = 2 * abs(g[0])

@@ -31,14 +31,15 @@ takes D as (point, exponent) pairs, as the CLI builds it (E = 1), or as a
 Poly, factored once by `rational_roots`; D(u) is built from the factors by
 binomials, and only E is Taylor-shifted.  `_normalized` cancels a root as
 often as (q z - p) divides every entry, by lowering its multiplicity, and
-only E goes through `poly_gcd`; it expands the monic denominator once, at
-the end, and that Poly carries its factors on to `verify_ode`, which reads
-D = E prod (z - z_i)^(e_i) over the system's points from them.  It forms
-(dW/dz - coupling A W) D pi E from the log-derivative of D, with no D or
-D^2 products.  Its det(W) flag is true at once when C has fewer rows than
-columns; otherwise it is decided by one integer rank test: on the stacked
-coefficient matrices, and only when that finds no constant kernel, at
-integer points (see `_det_is_zero`).
+only E goes through the integer gcd `int_gcd`; it expands the monic
+denominator once, at the end, and that Poly carries its factors on to
+`verify_ode`, which reads D = E prod (z - z_i)^(e_i) over the system's
+points from them.  It forms (dW/dz - coupling A W) D pi E from the
+log-derivative of D, with no D or D^2 products.  Its det(W) flag is
+true at once when C has fewer rows than columns; otherwise it is decided
+by one integer rank test: on the stacked coefficient matrices, and only
+when that finds no constant kernel, at integer points (see
+`_det_is_zero`).
 """
 
 from __future__ import annotations
@@ -49,14 +50,24 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import KZSystem
-from .matrix import ColumnRelations, FMatrix, charpoly, holds_polys, int_form
+from .matrix import (
+    ColumnRelations,
+    FMatrix,
+    charpoly,
+    flat,
+    flat_charpoly,
+    holds_polys,
+    int_form,
+    stripped,
+)
 from .poly import (
     Poly,
     cleared,
     eval_int,
     exact_quotient,
     int_convolve,
-    poly_gcd,
+    int_derivative,
+    int_gcd,
     rational_roots,
     taylor_shift,
 )
@@ -169,7 +180,7 @@ def _normalized(
     tested by exact division (Gauss's lemma: over Z as over Q, since
     q z - p is primitive), and its multiplicity drops by as much; only
     rest, free of rational roots, is matched against the entries by
-    poly_gcd.  What is left of P is expanded once, at the end.
+    int_gcd.  What is left of P is expanded once, at the end.
 
     The other columns are constant combinations of the pivot columns, so
     a factor divides every entry exactly when it divides every pivot
@@ -189,15 +200,14 @@ def _normalized(
         if m:
             left[root] = m
     if len(rest) > 1:
-        g = Poly(rest)
+        g = rest
         for f in (f for row in num for f in row):
-            g = poly_gcd(g, Poly(f))
-            if g.degree == 0:
+            g = int_gcd(g, f)
+            if len(g) == 1:
                 break
-        if g.degree >= 1:
-            g_ints, _ = cleared(g.coeffs)  # primitive, as g is monic
-            num = _divided(num, g_ints)
-            rest = exact_quotient(rest, g_ints)
+        if len(g) > 1:
+            num = _divided(num, g)
+            rest = exact_quotient(rest, g)
     den = _expanded(left, rest)
     lead = den[-1]
     denominator = _FactoredPoly([Fraction(x, lead) for x in den])
@@ -243,10 +253,6 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
     while res and not res[-1]:
         res.pop()
     return res
-
-
-def _derivative(f: list[int]) -> list[int]:
-    return [k * x for k, x in enumerate(f)][1:]
 
 
 def denominator_exponents(sys: KZSystem, spectra: dict | None = None) -> tuple[int, ...]:
@@ -306,10 +312,10 @@ def numerator_growth(sys: KZSystem) -> int:
     that matrix, so the numerator may exceed the denominator degree by
     this much.
     """
-    total = sys.residues[0]
-    for r in sys.residues[1:]:
-        total = total + r
-    roots, _ = rational_roots(charpoly(total, sys.coupling))
+    flats = [flat(residue) for residue in sys.residues]
+    den = lcm(*(d for _, d in flats))
+    total = [sum(col) for col in zip(*([x * (den // d) for x in ints] for ints, d in flats))]
+    roots, _ = rational_roots(flat_charpoly(total, den, sys.n, sys.coupling))
     return max((int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0)
 
 
@@ -465,13 +471,15 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
     for line in lines:
         pi = int_convolve(pi, line)
     cofactors = [[line[1] * x for x in exact_quotient(pi, line)] for line in lines]
-    kappa = sys.coupling
-    shifted, shift_den = cleared([
-        kappa * x + (e if r == c else 0)
-        for e, residue in zip(exponents, sys.residues)
-        for r, row in enumerate(residue.entries)
-        for c, x in enumerate(row)
-    ])
+    # e_i I + coupling R_i for R_i = ints_i / den_i, over one denominator
+    p, q = sys.coupling.numerator, sys.coupling.denominator
+    flats = [flat(residue) for residue in sys.residues]
+    common = q * lcm(*(d for _, d in flats))
+    shifted = []
+    for e, (ints, d) in zip(exponents, flats):
+        f = p * (common // (q * d))
+        shifted += [x * f + (e * common if k % (n + 1) == 0 else 0) for k, x in enumerate(ints)]
+    shifted, shift_den = stripped(shifted, common)
     # s = sum_i c_i (e_i I + coupling R_i), times prod q_i and shift_den
     s = [
         [
@@ -484,12 +492,12 @@ def verify_ode(w: RationalMatrixFunction, sys: KZSystem) -> OdeVerdict:
         for r in range(n)
     ]
     pi = [shift_den * x for x in pi]
-    pi_de = int_convolve(pi, _derivative(e_ints))
+    pi_de = int_convolve(pi, int_derivative(e_ints))
     residual_ints = []
     for i in range(n):
         row = []
         for c in range(r):
-            acc = int_convolve(pi, _derivative(num[i][c]))
+            acc = int_convolve(pi, int_derivative(num[i][c]))
             for k in range(n):
                 acc = _sub(acc, int_convolve(s[i][k], num[k][c]))
             row.append(_sub(int_convolve(e_ints, acc), int_convolve(pi_de, num[i][c])))

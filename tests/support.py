@@ -29,12 +29,12 @@ from kzrat import (
     convolution_rhs,
     kz_system,
     leading_coefficient,
-    poly_gcd,
     rational_roots,
     solve_linear,
     transposition_matrix,
 )
 from kzrat.frobenius import _seed
+from kzrat.matrix import ColumnRelations, SolveResult, _canonical_kernel, _rref
 from kzrat.reconstruct import (
     NotRepresentable,
     check_series_length,
@@ -264,42 +264,68 @@ def dual_twist(m: FMatrix) -> FMatrix:
 OBSTRUCTED_RESIDUE2 = FMatrix([[1, 0, 1], [-1, 0, 0], [-1, 0, 1]])
 
 
-def _divisors(n: int) -> list[int]:
+def _divisors(n: int, primes=None) -> list[int]:
+    """The positive divisors of n != 0: by trial division up to sqrt(n), or,
+    when primes is given, from the factorization of n over those primes,
+    which must divide it completely."""
     n = abs(n)
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in small]
+    if primes is None:
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        return small + [n // d for d in small]
+    divisors = [1]
+    for prime in primes:
+        power = 1
+        powers = []
+        while n % prime == 0:
+            n //= prime
+            power *= prime
+            powers.append(power)
+        divisors += [d * q for d in divisors for q in powers]
+    assert n == 1, "a coefficient has a prime factor outside the given primes"
+    return divisors
 
 
-def trial_division_rational_roots(p: Poly):
-    """Oracle for rational_roots on small inputs, exponential in bit size.
+def root_theorem_rational_roots(p: Poly, primes=None):
+    """Oracle for rational_roots that shares no code with it: the rational
+    root theorem, with Fraction Horner.
 
-    Clears p to primitive integer coefficients, removes the root 0, tries
-    every +-a/b with a dividing the constant term and b the leading
-    coefficient, and divides each root out by long division as often as
-    it goes.
+    The root 0 is split off by the zero low coefficients; the rest is
+    cleared to primitive integers c_0 .. c_n, and every root is one of the
+    candidates +-a/b with a dividing c_0 and b dividing c_n (`_divisors`,
+    over the given primes for coefficients too large for trial division).
+    Each candidate is tested by Horner's rule over Fractions, whose partial
+    sums are also the quotient by (x - candidate), and divided out as often
+    as it is a root.  Exponential in the bit size of the coefficients
+    without `primes`.
     """
+    cs = list(p.coeffs)
     roots = {}
-    work = p.monic()
-    v = work.valuation()
-    if v > 0:
-        roots[Fraction(0)] = v
-        work = Poly(work.coeffs[v:])
-    if work.degree >= 1:
-        den = lcm(*(c.denominator for c in work.coeffs))
-        ints = [int(c * den) for c in work.coeffs]
-        content = gcd(*ints)
-        ints = [c // content for c in ints]
-        candidates = {
-            sign * Fraction(a, b)
-            for a in _divisors(ints[0])
-            for b in _divisors(ints[-1])
-            for sign in (1, -1)
-        }
-        for cand in sorted(candidates):
-            while work.degree >= 1 and work(cand) == 0:
-                roots[cand] = roots.get(cand, 0) + 1
-                work = work // Poly((-cand, Fraction(1)))
-    return tuple(sorted(roots.items())), work.monic()
+    zeros = next(k for k, c in enumerate(cs) if c)
+    if zeros:
+        roots[Fraction(0)] = zeros
+        cs = cs[zeros:]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    content = gcd(*ints)
+    candidates = {
+        sign * Fraction(a, b)
+        for a in _divisors(ints[0] // content, primes)
+        for b in _divisors(ints[-1] // content, primes)
+        for sign in (1, -1)
+    }
+    for x in sorted(candidates):
+        while len(cs) > 1:
+            partial = []
+            acc = Fraction(0)
+            for c in reversed(cs):
+                acc = acc * x + c
+                partial.append(acc)
+            if acc:
+                break
+            roots[x] = roots.get(x, 0) + 1
+            cs = partial[-2::-1]
+    lead = cs[-1]
+    return tuple(sorted(roots.items())), Poly([c / lead for c in cs])
 
 
 def fraction_product(a: Poly, b: Poly) -> Poly:
@@ -449,16 +475,25 @@ def pole_residues(draw, n: int) -> FMatrix:
     return FMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
 
 
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Oracle for poly_gcd: Euclid's algorithm over Fractions, each
+    remainder made monic; gcd(0, 0) = 0."""
+    x, y = a, b
+    while not y.is_zero():
+        x, y = y, (x % y).monic()
+    return x.monic()
+
+
 def euclid_rational_matrix(numerator: FMatrix, denominator: Poly) -> RationalMatrixFunction:
     """Oracle for rational_matrix: the gcd of the denominator and every
-    entry by Euclid's algorithm over Fractions (poly_gcd), divided out with
+    entry by Euclid's algorithm over Fractions (euclid_gcd), divided out with
     Poly floor division, then the denominator made monic."""
     if denominator.is_zero():
         raise ZeroDivisionError("rational matrix function with zero denominator")
     g = denominator
     for row in numerator.entries:
         for p in row:
-            g = poly_gcd(g, p)
+            g = euclid_gcd(g, p)
             if g.degree == 0:
                 break
         if g.degree == 0:
@@ -524,6 +559,45 @@ def division_reconstruct(
     return rational_matrix(FMatrix(rows), denominator)
 
 
+def tracked_solve_linear(a: FMatrix, b: FMatrix) -> SolveResult:
+    """Oracle for solve_linear: one elimination of A alone with the row
+    transform T tracked (T A = rref(A)), the right side read off T B; the
+    system is inconsistent when a row of T B past the rank is nonzero,
+    with that row of T as the certificate."""
+    n, m = a.rows, b.cols
+    work, transform, pivot_cols, _ = _rref([list(row) for row in a.entries], track=True)
+    rank = len(pivot_cols)
+    tb = (FMatrix(transform) * b).entries
+    for r in range(rank, n):
+        if any(tb[r]):
+            return SolveResult(kind=SolveKind.INCONSISTENT, certificate=tuple(transform[r]))
+    particular = [[Fraction(0)] * m for _ in range(n)]
+    for r, pc in enumerate(pivot_cols):
+        particular[pc] = list(tb[r])
+    if rank == n:
+        return SolveResult(kind=SolveKind.UNIQUE, particular=FMatrix(particular))
+    raw = []
+    for f in (c for c in range(n) if c not in pivot_cols):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivot_cols):
+            v[pc] = -work[r][f]
+        raw.append(v)
+    return SolveResult(
+        kind=SolveKind.AFFINE, particular=FMatrix(particular), kernel_basis=_canonical_kernel(raw)
+    )
+
+
+def fraction_column_relations(m: FMatrix) -> ColumnRelations:
+    """Oracle for column_relations: the reduced row echelon form of m over
+    Fractions, its nonzero rows cleared over their least common denominator."""
+    reduced, _, pivots, _ = _rref([list(row) for row in m.entries], track=False)
+    rows = reduced[: len(pivots)]
+    den = lcm(*(e.denominator for row in rows for e in row))
+    ints = tuple(tuple(int(e * den) for e in row) for row in rows)
+    return ColumnRelations(tuple(pivots), ints, den)
+
+
 def leibniz_det(rows) -> Fraction:
     """Oracle for det: the sum over all permutations p of
     sign(p) * prod_i rows[i][p(i)], with the sign from the inversions of p."""
@@ -587,7 +661,7 @@ class FieldRatFunc:
     linear solver.
 
     Canonical means: the denominator is monic, gcd(num, den) = 1 (Euclid,
-    poly_gcd), and zero is 0/1, so equality is plain tuple comparison.
+    euclid_gcd), and zero is 0/1, so equality is plain tuple comparison.
     """
 
     __slots__ = ("num", "den")
@@ -600,7 +674,7 @@ class FieldRatFunc:
         if n.is_zero():
             self.num, self.den = Poly(), Poly.one()
             return
-        g = poly_gcd(n, d)
+        g = euclid_gcd(n, d)
         if g.degree >= 1:
             n, d = n // g, d // g
         self.num, self.den = n / d.leading, d / d.leading

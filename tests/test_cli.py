@@ -610,24 +610,24 @@ def test_library_round_trips_long_entries_in_a_fresh_process():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_golden_series_calls_poly_gcd_once_from_indicial_data(tmp_path, monkeypatch):
-    # Graded values need no gcd: the only one left is the square-free part
-    # of the characteristic polynomial in rational_roots.
+def test_golden_series_takes_one_gcd_from_indicial_data(tmp_path, monkeypatch):
+    # Graded values need no gcd: the only one left is the integer gcd of
+    # the characteristic polynomial and its derivative in rational_roots.
+    # poly_gcd would be counted too, as it calls int_gcd.
     callers = Counter()
-    original = poly_module.poly_gcd
+    original = poly_module.int_gcd
 
     def counting(*args):
         callers[sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name] += 1
         return original(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "kzrat" and getattr(module, "poly_gcd", None) is original:
-            monkeypatch.setattr(module, "poly_gcd", counting)
+        if name.split(".")[0] == "kzrat" and getattr(module, "int_gcd", None) is original:
+            monkeypatch.setattr(module, "int_gcd", counting)
     path = write_config(tmp_path, dict(S3_SYMBOLIC, order=20))
     with redirect_stdout(io.StringIO()):
         assert main(["series", "--config", path, "--golden"]) == 0
-    assert sum(callers.values()) <= 1
-    assert set(callers) <= {("rational_roots", "indicial_data")}
+    assert callers == {("rational_roots", "indicial_data"): 1}
 
 
 @pytest.mark.parametrize("config", ["kz-s3-numeric.json", "s5-permutation.json"])

@@ -38,7 +38,9 @@ from support import (
     coefficients,
     entries_built,
     fraction_charpoly,
+    fraction_column_relations,
     leibniz_det,
+    tracked_solve_linear,
 )
 
 
@@ -130,6 +132,88 @@ def test_solve_identities_randomized():
             a = FMatrix(rows)
         b = _random_matrix(rng, n, rng.randint(1, 3))
         _check_result_identities(a, b, solve_linear(a, b))
+
+
+small_entries = st.sampled_from((0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)))
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """(a, b) with a = L R of rank below n, L n x r and R r x n; b = a X for
+    a consistent system, else drawn freely (then inconsistent as a rule);
+    a graded to d-degree 0 at times, and b then Fractions or monomials of
+    one power."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(0, n - 1))
+    m = draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        row = st.lists(small_entries, min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    a = FMatrix(matrix(n, r)) * FMatrix(matrix(r, n)) if r else FMatrix.zeros(n, n)
+    b = a * FMatrix(matrix(n, m)) if draw(st.booleans()) else FMatrix(matrix(n, m))
+    if draw(st.booleans()):
+        a = graded(a, 0)
+        power = draw(st.sampled_from((None, 0, -2)))
+        if power is not None:
+            b = graded(b, power)
+    return a, b
+
+
+def _typed(vectors):
+    return [[(type(e), e) for e in v] for v in vectors]
+
+
+@given(rank_deficient_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_linear_matches_the_tracked_elimination(system):
+    a, b = system
+    res = solve_linear(a, b)
+    expected = tracked_solve_linear(a, b)
+    assert res.kind is expected.kind
+    if res.kind is SolveKind.INCONSISTENT:
+        assert _typed([res.certificate]) == _typed([expected.certificate])
+        assert res.particular is None and res.kernel_basis == ()
+        return
+    assert res.particular == expected.particular
+    assert _typed(res.kernel_basis) == _typed(expected.kernel_basis)
+    _check_result_identities(a, b, res)
+
+
+@given(
+    base=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(small_entries, min_size=n, max_size=n), min_size=1, max_size=3
+        )
+    ),
+    plan=st.lists(st.sampled_from(("zero", "copy", "negated", "combined")), max_size=4),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_column_relations_match_the_fraction_rref(base, plan, order):
+    # columns: the drawn ones (full rank or not), zero columns, copies,
+    # negations and combinations of them, in a drawn order
+    columns = [list(map(Fraction, c)) for c in base]
+    for i, kind in enumerate(plan):
+        c = columns[i % len(base)]
+        if kind == "zero":
+            columns.append([Fraction(0)] * len(c))
+        elif kind == "copy":
+            columns.append(list(c))
+        elif kind == "negated":
+            columns.append([-e for e in c])
+        else:
+            columns.append([x * 2 - y / 3 for x, y in zip(c, columns[-1])])
+    order.shuffle(columns)
+    m = columns_of(columns, len(base[0]))
+    assert column_relations(m) == fraction_column_relations(m)
+
+
+def test_column_relations_of_zero_and_full_rank_matrices():
+    for m in (FMatrix.zeros(3, 2), I3, P1, FMatrix([[Fraction(1, 2), 3], [-7, Fraction(2, 9)]])):
+        assert column_relations(m) == fraction_column_relations(m)
+    assert column_relations(I3) == ColumnRelations.trivial(3)
 
 
 def test_det():

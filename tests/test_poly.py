@@ -10,9 +10,10 @@ from kzrat.poly import taylor_shift
 from support import (
     BIG,
     coefficients,
+    euclid_gcd,
     fraction_product,
     fraction_shifted,
-    trial_division_rational_roots,
+    root_theorem_rational_roots,
 )
 
 
@@ -154,6 +155,25 @@ def test_gcd_is_monic():
     assert g.leading == 1
 
 
+small_polys = st.lists(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)), max_size=4
+).map(Poly)
+
+
+@given(
+    common=small_polys,
+    a=small_polys,
+    b=small_polys,
+    scale=st.sampled_from((1, -3, Fraction(2, 7), 2**61 - 1)),
+)
+@settings(max_examples=150, deadline=None)
+def test_gcd_matches_euclid(common, a, b, scale):
+    # a shared factor, so that the gcd is often nontrivial, and a scale, so
+    # that the pseudo-remainders carry content to strip
+    x, y = common * a * scale, common * b
+    assert poly_gcd(x, y) == euclid_gcd(x, y)
+
+
 def test_rational_roots_with_multiplicity():
     # (x - 2)^2 (x + 2) = x^3 - 2x^2 - 4x + 8
     roots, rem = rational_roots(P(8, -4, -2, 1))
@@ -207,7 +227,7 @@ def test_rational_roots_match_trial_division(factors, quadratic, scale):
         a, b, c = quadratic
         p = p * P(c, b, a)
     roots, rem = rational_roots(p)
-    assert (roots, rem) == trial_division_rational_roots(p)
+    assert (roots, rem) == root_theorem_rational_roots(p)
     assert roots == tuple(sorted(expected.items()))
     assert rem == (P(c, b, a).monic() if quadratic is not None else Poly.one())
 
@@ -221,6 +241,52 @@ def test_rational_roots_large_coefficients():
     # two roots congruent mod 2, 3, 5 and 7: the lifting must start at 11
     roots, _ = rational_roots(P(-big, 1) * P(-(big + 2 * 3 * 5 * 7), 1))
     assert roots == ((Fraction(big), 1), (Fraction(big + 210), 1))
+
+
+# numerators and denominators of roots and leading coefficients, at the
+# scale of the coupling 10007 and of 2^61 - 1, both prime
+ROOT_PRIMES = (2, 3, 5, 7, 10007, 2**61 - 1)
+atoms = st.sampled_from((1, 1) + ROOT_PRIMES)
+signed_ratios = st.builds(
+    lambda s, a, b: Fraction(s * a, b), st.sampled_from((1, -1)), atoms, atoms
+)
+# integer vectors, lowest degree first, with no rational root, whose end
+# coefficients factor over ROOT_PRIMES
+IRREDUCIBLE = (
+    (1, 0, 1),
+    (-2, 0, 1),
+    (1, 1, 1),
+    (-5, 0, 3),
+    (-10007, 0, 1),
+    (10007, 0, 7),
+    (-(2**61 - 1), 0, 1),
+    (-2, 0, 0, 1),
+    (1, 0, 0, 0, 1),
+)
+
+
+@given(
+    lead=signed_ratios,
+    zeros=st.integers(0, 2),
+    factors=st.lists(st.tuples(signed_ratios, st.integers(1, 2)), max_size=3),
+    irreducible=st.none() | st.sampled_from(IRREDUCIBLE),
+)
+@example(lead=Fraction(-3, 7), zeros=1, factors=[(Fraction(2), 2)], irreducible=(-2, 0, 1))
+@settings(max_examples=120, deadline=None)
+def test_rational_roots_match_the_root_theorem(lead, zeros, factors, irreducible):
+    # repeated roots, the root 0, a negative or fractional leading
+    # coefficient, irreducible factors and 2^61-scale coefficients
+    p = Poly((lead,)) * Poly.monomial(zeros)
+    expected = {Fraction(0): zeros} if zeros else {}
+    for root, k in factors:
+        p = p * P(-root, 1) ** k
+        expected[root] = expected.get(root, 0) + k
+    if irreducible is not None:
+        p = p * Poly(irreducible)
+    roots, rem = rational_roots(p)
+    assert (roots, rem) == root_theorem_rational_roots(p, ROOT_PRIMES)
+    assert roots == tuple(sorted(expected.items()))
+    assert rem == (Poly(irreducible).monic() if irreducible is not None else Poly.one())
 
 
 def test_rational_roots_rejects_zero_polynomial():

@@ -676,8 +676,9 @@ def test_verify_path_runs_no_matrix_products_and_no_gcd(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(poly_module, "poly_gcd", counting("rational_roots", poly_module.poly_gcd))
-    monkeypatch.setattr(reconstruct_module, "poly_gcd", counting("reconstruct", poly_gcd))
+    original_gcd = poly_module.int_gcd
+    monkeypatch.setattr(poly_module, "int_gcd", counting("rational_roots", original_gcd))
+    monkeypatch.setattr(reconstruct_module, "int_gcd", counting("reconstruct", original_gcd))
     # the pairs the CLI passes: the denominator in factored form
     w = reconstruct(series, zip(sys_.points, exponents), degree)
     monkeypatch.setattr(FMatrix, "__mul__", counting("mul", FMatrix.__mul__))
