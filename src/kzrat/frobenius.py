@@ -32,11 +32,15 @@ certificate of the full step.
 The recursion state runs on integers, in the flat matrix form of
 kzrat.matrix: each n x r matrix is a row-major list of n r ints over one
 positive denominator, multiplied with its products.  With -coupling
-R_i = w_i / w_den_i cleared, the state is T_i = w_i S_i, and the right
-side is sum_i T_i / w_den_i; T_i and b_q have their content gcd stripped
-once per level.  Steps are solved with the resolvent of
-M = coupling * a_{-1}: Faddeev-LeVerrier on the cleared integer matrix,
-the routine behind charpoly, gives
+R_i = w_i / w_den cleared to one common w_den, and u_i = c_i / Q over the
+least common denominator Q of the u_i, the state is T_i = w_i S_i, every
+T_i over one shared t_den, and the right side is the elementwise sum of
+the T_i over t_den w_den.  A level takes one gcd of t_den with b_q's
+denominator and strips no T_i: t_den grows by Q and by b_q's
+denominator, as b_q's own denominators grow, and b_q has its content gcd
+stripped once per level, however many poles there are.  Steps are solved
+with the resolvent of M = coupling * a_{-1}: Faddeev-LeVerrier on the
+cleared integer matrix, the routine behind charpoly, gives
 chi(x) = det(xI - M) and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each
 level takes one Horner evaluation of chi and of the adjugate, one integer
 product with the right side and a division by chi(level).  A level is
@@ -69,7 +73,8 @@ matrix is formed on the integers of coupling * a_{-1}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from .kzmodel import LocalExpansion
@@ -293,27 +298,29 @@ def compute_series(
     r = len(relations.pivots)
     b, b_den = stripped([row[j] for row in seed for j in relations.pivots], seed_den)
     coeffs = [FMatrix.from_basis(b, b_den, relations)]
-    # rhs(q+1) = sum_i T_i(q) / w_den_i, T_i(q) = u_i (T_i(q-1) + w_i b_q)
-    weights = []
-    for u, res in exp.poles:
-        w, w_den = scaled(res, -coupling)
-        weights.append((sparse_rows(w, n), w_den, u.numerator, u.denominator))
-    terms = [([0] * (n * r), 1)] * len(exp.poles)
+    # rhs(q+1) = sum_i T_i(q) / (t_den w_den), T_i(q) = c_i (T_i(q-1) + w_i b_q)
+    # with u_i = c_i / big_q and -coupling R_i = w_i / w_den: every T_i is
+    # over the one t_den, which grows by big_q and by b_q's denominator.
+    # T_1 .. T_m lie stacked in `state`, span ints each, and the rows of
+    # w_1 .. w_m stacked in `rows`, so each level takes one product for all
+    cleared = [scaled(res, -coupling) for _, res in exp.poles]
+    w_den = lcm(*(d for _, d in cleared))
+    big_q = lcm(*(u.denominator for u, _ in exp.poles))
+    span = n * r
+    rows = [row for w, d in cleared for row in sparse_rows([x * (w_den // d) for x in w], n)]
+    scales = [u.numerator * (big_q // u.denominator) for u, _ in exp.poles for _ in range(span)]
+    state, t_den = [0] * len(scales), 1
     records: list[ResonanceRecord] = []
     for step in range(1, order + 1):
         level = leading_exponent + step
-        rhs, rhs_den = [0] * (n * r), 1
-        for i, ((rows, w_den, p, q), (t, t_den)) in enumerate(zip(weights, terms)):
-            g = gcd(t_den, b_den)
-            ft, fb = b_den // g, t_den // g
-            t = [(e * ft + f * fb) * p for e, f in zip(t, sparse_product(rows, b, r))]
-            t, t_den = stripped(t, t_den * ft * q)
-            terms[i] = t, t_den
-            d = t_den * w_den
-            g = gcd(rhs_den, d)
-            fr, ft = d // g, rhs_den // g
-            rhs = [e * fr + f * ft for e, f in zip(rhs, t)] if i else t
-            rhs_den *= fr
+        g = gcd(t_den, b_den)
+        ft, fb = b_den // g, t_den // g
+        state = [(e * ft + f * fb) * c for e, f, c in zip(state, sparse_product(rows, b, r), scales)]
+        t_den *= ft * big_q
+        # with no other pole, the right side is zero
+        rhs, rhs_den = state[:span] or [0] * span, t_den * w_den
+        for lo in range(span, len(state), span):
+            rhs = list(map(add, rhs, state[lo : lo + span]))
         x = level * m_den
         det_x = eval_int(chi_low, x)
         if det_x:

@@ -625,8 +625,8 @@ def sparse_rows(a: list[int], n: int) -> list[list[tuple[int, int]]]:
 
 
 def sparse_product(rows: list[list[tuple[int, int]]], b: list[int], cols: int) -> list[int]:
-    """a * b for a flat n x cols int matrix b and a given by sparse_rows(a, n):
-    KZ residues have one nonzero per row."""
+    """a * b for a flat n x cols int matrix b and a given by sparse_rows(a, n),
+    or by several such lists stacked: KZ residues have one nonzero per row."""
     out = []
     for row in rows:
         acc = [0] * cols

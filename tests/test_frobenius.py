@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from kzrat import (
     verify_recursion,
 )
 from kzrat import frobenius
+from kzrat.cli import load_config
 from kzrat.matrix import column_relations
 from support import (
     I3,
@@ -324,10 +326,11 @@ def numeric_systems(draw):
     """Transposition residues, those of the other poles scaled by rational
     factors; a rational coupling scales the center's residue by its
     denominator, so the center stays resonant.  So -coupling * R_i may clear
-    to integers over a denominator > 1."""
+    to integers over a denominator > 1, and the poles' u_i = 1 / (z_c - z_i)
+    to a common denominator in the hundreds or thousands."""
     points = draw(
         st.lists(
-            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
             min_size=1,
             max_size=4,
             unique=True,
@@ -341,7 +344,7 @@ def numeric_systems(draw):
     return kz_system(points, residues, coupling), center, coupling
 
 
-@given(case=numeric_systems(), order=st.integers(0, 14))
+@given(case=numeric_systems(), order=st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
 def test_recurrence_matches_direct_convolution_numeric(case, order):
     sys_, center, coupling = case
@@ -375,22 +378,29 @@ def test_recurrence_matches_direct_convolution_obstructed():
     assert_matches_direct_convolution(local_expansion(sys_, 1, DERIVED_TAYLOR, 8), TWO, 8)
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+S5 = load_config(str(CONFIGS / "s5-permutation.json"), {})
+
+
 @pytest.mark.parametrize(
     "points, residues, coupling",
     [
         ((0, 1), (P1, P2), TWO),
         ((0, Fraction(2, 3), Fraction(-5, 7)), tuple(TRANSPOSITIONS), Fraction(6)),
+        (S5.points, S5.residues, S5.coupling),
     ],
-    ids=("kz-s3", "three-point"),
+    ids=("kz-s3", "three-point", "s5-permutation"),
 )
 def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, residues, coupling):
     order = 160
     exp = local_expansion(kz_system(points, residues, coupling), 1, DERIVED_TAYLOR, order)
     calls = 0
     int_calls = 0
+    strips = 0
     solve_levels = []
     original = FMatrix.__mul__
     original_solve = frobenius.solve_linear
+    original_stripped = frobenius.stripped
 
     def counting_mul(self, other):
         nonlocal calls
@@ -410,16 +420,26 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
         solve_levels.append((a.trace() + coupling * exp.residue.trace()) / exp.n)
         return original_solve(a, b)
 
+    def counting_stripped(ints, den):
+        nonlocal strips
+        strips += 1
+        return original_stripped(ints, den)
+
     monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
-    # the integer kernel's products: w_i * b_q per pole, adjugate * rhs per level
+    # the integer kernel's products: the stacked w_i * b_q and adjugate * rhs
+    # per level
     for name in ("sparse_product", "dense_product"):
         monkeypatch.setattr(frobenius, name, counting(getattr(frobenius, name)))
     monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
+    monkeypatch.setattr(frobenius, "stripped", counting_stripped)
     compute_series(exp, coupling, order)
     # m singular points leave a recurrence of length m; the direct
     # convolution would need order^2 / 2 products here
     assert calls <= (len(points) + 3) * order
     assert 0 < int_calls <= (len(points) + 3) * order
+    # the poles' state shares one denominator and is never stripped: b_q's
+    # strip is the one content gcd per level, however many poles
+    assert strips <= order + 3
     # elimination runs only where chi(level) = 0, at the resonant levels
     ind = indicial_data(exp, coupling)
     assert solve_levels == sorted(p for p in ind.resonant_levels if p > min(ind.resonant_levels))
