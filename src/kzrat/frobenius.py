@@ -31,21 +31,25 @@ certificate of the full step.
 
 The recursion state runs on integers, in the flat matrix form of
 kzrat.matrix: each n x r matrix is a row-major list of n r ints over one
-positive denominator, multiplied with its products.  With -coupling
-R_i = w_i / w_den cleared to one common w_den, and u_i = c_i / Q over the
-least common denominator Q of the u_i, the state is T_i = w_i S_i, every
-T_i over one shared t_den, and the right side is the elementwise sum of
-the T_i over t_den w_den.  A level takes one gcd of t_den with b_q's
+positive denominator, multiplied by nonzero_product over the nonzero
+terms of its left factor.  With -coupling R_i = w_i / w_den cleared to
+one common w_den, and u_i = c_i / Q over the least common denominator Q
+of the u_i, the state is T_i = w_i S_i, every T_i over one shared t_den,
+and the right side is the elementwise sum of the T_i over t_den w_den.
+The terms of the w_i are stacked at their T_i's offsets, so one product
+serves every pole.  A level takes one gcd of t_den with b_q's
 denominator and strips no T_i: t_den grows by Q and by b_q's
 denominator, as b_q's own denominators grow, and b_q has its content gcd
 stripped once per level, however many poles there are.  Steps are solved
-with the resolvent of M = coupling * a_{-1}: Faddeev-LeVerrier on the
-cleared integer matrix, the routine behind charpoly, gives
-chi(x) = det(xI - M) and adj(xI - M) = sum_k x^(n-1-k) N_k once, so each
-level takes one Horner evaluation of chi and of the adjugate, one integer
-product with the right side and a division by chi(level).  A level is
-resonant exactly when chi(level) == 0; only there does solve_linear
-classify the step and give the kernel or the certificate.
+with the resolvent of M = coupling * a_{-1} = m / m_den from the minimal
+polynomial mu = sum_j c_j x^j of m, of degree d, found once on integers:
+(xI - m)^-1 = sum_(i<d) p_i(x) m^i / mu(x), with p_(d-1) = 1 and
+p_i = x p_(i+1) + c_(i+1).  Each level takes one Horner pass, which
+applies that sum to the right side with d - 1 products by m (one for an
+involution) and ends with mu(x), and a division by mu(x).  mu(x) == 0
+exactly when chi(x) == 0, so a level is resonant exactly there; only
+there does solve_linear classify the step and give the kernel or the
+certificate.
 
 The seed b_rho at the leading exponent rho is the paper's projector
 I - a_{-1} where that is a kernel of the leading step (a_{-1} an involution
@@ -83,19 +87,18 @@ from .matrix import (
     FMatrix,
     SolveKind,
     charpoly,
-    dense_product,
     det,
-    faddeev_leverrier,
     flat,
     int_form,
     int_relations,
+    minimal_polynomial,
+    nonzero_product,
+    nonzero_terms,
     scaled,
     solve_linear,
-    sparse_product,
-    sparse_rows,
     stripped,
 )
-from .poly import Poly, eval_int, rational_roots
+from .poly import Poly, rational_roots
 from .ratfunc import RatFunc
 from .scalars import format_scalar
 
@@ -217,7 +220,7 @@ def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
     diagonal = [den * (i % (n + 1) == 0) for i in range(n * n)]
     if Fraction(exponent) == -Fraction(coupling) and a != diagonal:
         # a_{-1}^2 = I on the cleared integers: a^2 = den^2 I
-        square = sparse_product(sparse_rows(a, n), a, n)
+        square = nonzero_product(nonzero_terms(a, n, n), a, n * n)
         if square == [den * x for x in diagonal]:
             ints = [x - y for x, y in zip(diagonal, a)]
             return FMatrix.from_basis(ints, den, ColumnRelations.trivial(n))
@@ -283,14 +286,6 @@ def compute_series(
         leading_exponent = min(ind.resonant_levels)
 
     n = exp.n
-    # Resolvent of M = coupling * a_{-1} = m_ints / m_den: at level L,
-    # (L I - M)^-1 = m_den adj(x I - m_ints) / chi(x) with x = L m_den.
-    # Horner's rule on +-m_den N_k gives the signed, scaled adjugate.
-    m_ints, m_den = scaled(exp.residue, coupling)
-    chi, adj = faddeev_leverrier(m_ints, n)
-    chi_low = chi[::-1]
-    plus = [[m_den * e for e in nk] for nk in adj]
-    minus = [[-e for e in nk] for nk in plus]
     # every b_q is L_q b_rho, so the recursion runs on the pivot columns
     # of b_rho, r of them, and each level is b_q[:, pivots] * C
     seed, seed_den, _, _ = int_form(_seed(exp, coupling, leading_exponent))
@@ -298,16 +293,29 @@ def compute_series(
     r = len(relations.pivots)
     b, b_den = stripped([row[j] for row in seed for j in relations.pivots], seed_den)
     coeffs = [FMatrix.from_basis(b, b_den, relations)]
+    span = n * r
+    # Resolvent of M = coupling * a_{-1} = m / m_den from the minimal
+    # polynomial mu = sum_j c_j x^j of m, of degree d: at level L, with
+    # x = L m_den, (L I - M)^-1 = m_den sum_(i<d) p_i(x) m^i / mu(x), where
+    # p_(d-1) = 1 and p_i = x p_(i+1) + c_(i+1)
+    m, m_den = scaled(exp.residue, coupling)
+    mu = minimal_polynomial(m, n)
+    mu_high = mu[-2:0:-1]  # c_(d-1) .. c_1
+    m_terms = nonzero_terms(m, n, r)
     # rhs(q+1) = sum_i T_i(q) / (t_den w_den), T_i(q) = c_i (T_i(q-1) + w_i b_q)
     # with u_i = c_i / big_q and -coupling R_i = w_i / w_den: every T_i is
     # over the one t_den, which grows by big_q and by b_q's denominator.
-    # T_1 .. T_m lie stacked in `state`, span ints each, and the rows of
-    # w_1 .. w_m stacked in `rows`, so each level takes one product for all
+    # T_1 .. T_m lie stacked in `state`, span ints each, and the terms of
+    # w_1 .. w_m at their offsets in `weights`, so each level takes one
+    # product for all
     cleared = [scaled(res, -coupling) for _, res in exp.poles]
     w_den = lcm(*(d for _, d in cleared))
     big_q = lcm(*(u.denominator for u, _ in exp.poles))
-    span = n * r
-    rows = [row for w, d in cleared for row in sparse_rows([x * (w_den // d) for x in w], n)]
+    weights = [
+        t
+        for i, (w, d) in enumerate(cleared)
+        for t in nonzero_terms([x * (w_den // d) for x in w], n, r, i * span)
+    ]
     scales = [u.numerator * (big_q // u.denominator) for u, _ in exp.poles for _ in range(span)]
     state, t_den = [0] * len(scales), 1
     records: list[ResonanceRecord] = []
@@ -315,30 +323,33 @@ def compute_series(
         level = leading_exponent + step
         g = gcd(t_den, b_den)
         ft, fb = b_den // g, t_den // g
-        state = [(e * ft + f * fb) * c for e, f, c in zip(state, sparse_product(rows, b, r), scales)]
+        products = nonzero_product(weights, b, len(scales))
+        state = [(e * ft + f * fb) * c for e, f, c in zip(state, products, scales)]
         t_den *= ft * big_q
         # with no other pole, the right side is zero
         rhs, rhs_den = state[:span] or [0] * span, t_den * w_den
         for lo in range(span, len(state), span):
             rhs = list(map(add, rhs, state[lo : lo + span]))
+        # Horner on m and on the p_i together: acc = sum_i p_i(x) m^i rhs
         x = level * m_den
-        det_x = eval_int(chi_low, x)
-        if det_x:
-            resolvent = plus if det_x > 0 else minus
-            adj_x = resolvent[0]
-            for nk in resolvent[1:]:
-                adj_x = [e * x + f for e, f in zip(adj_x, nk)]
-            b, b_den = stripped(dense_product(adj_x, rhs, r), rhs_den * abs(det_x))
+        p, acc = 1, rhs
+        for c in mu_high:
+            p = p * x + c
+            acc = [s + p * y for s, y in zip(nonzero_product(m_terms, acc, span), rhs)]
+        mu_x = p * x + mu[0]
+        if mu_x:
+            sign = m_den if mu_x > 0 else -m_den
+            b, b_den = stripped([sign * e for e in acc], rhs_den * abs(mu_x))
             coeffs.append(FMatrix.from_basis(b, b_den, relations))
             continue
-        # chi(level) == 0: a resonant step, classified once by elimination.
-        # The step matrix is graded, of d-degree 0, so that the kernel and
-        # the certificate keep the entry types that reports encode; the
-        # right side has the single degree -step, so it is solved at d = 1,
-        # where the particular solution is the engine's.  The row transform
-        # of the elimination does not depend on the right side and C has
-        # full row rank, so the n x r right side gives the certificate of
-        # the full one, and the particular solution times C.
+        # mu(x) == 0 exactly when chi(x) == 0: a resonant step, classified
+        # once by elimination.  The step matrix is graded, of d-degree 0, so
+        # that the kernel and the certificate keep the entry types that
+        # reports encode; the right side has the single degree -step, so it
+        # is solved at d = 1, where the particular solution is the engine's.
+        # The row transform of the elimination does not depend on the right
+        # side and C has full row rank, so the n x r right side gives the
+        # certificate of the full one, and the particular solution times C.
         basis_rhs = FMatrix.from_basis(rhs, rhs_den, ColumnRelations.trivial(r))
         res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), basis_rhs)
         if res.kind is SolveKind.INCONSISTENT:

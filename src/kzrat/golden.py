@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .frobenius import SeriesSolution
 from .kzmodel import DERIVED_TAYLOR, LocalExpansion
-from .matrix import FMatrix, dense_product, flat, int_form
+from .matrix import FMatrix, flat, int_form, nonzero_product, nonzero_terms
 
 
 class GoldenTable(NamedTuple):
@@ -94,7 +94,8 @@ def _level2_normalized_rhs(levels: dict, exp: LocalExpansion) -> tuple[list[int]
     den = lcm(*(d for _, d in terms))
     total = [sum(xs) for xs in zip(*([x * (den // d) for x in ints] for ints, d in terms))]
     r, r_den = flat(residue)
-    return [-x for x in dense_product(r, total, exp.n)], den * r_den, powers.pop()
+    product = nonzero_product(nonzero_terms(r, exp.n, exp.n), total, len(total))
+    return [-x for x in product], den * r_den, powers.pop()
 
 
 def _require_comparable(series: SeriesSolution, exp: LocalExpansion) -> str | None:

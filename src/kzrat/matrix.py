@@ -12,10 +12,12 @@ again, with the row transform tracked, for its certificate.
 
 The one integer matrix form is flat: an n x c matrix is n c row-major
 ints over one positive denominator, made by ``flat`` (``scaled`` for a
-rational multiple), reduced by ``stripped`` and multiplied by
-``sparse_product`` and ``dense_product``.
-Faddeev-LeVerrier runs on it for ``charpoly`` (``flat_charpoly``) and
-for the Frobenius engine's resolvent.
+rational multiple) and reduced by ``stripped``.  Every integer product
+is ``nonzero_product`` over the (out, in, a_ik) terms that
+``nonzero_terms`` lists for the left factor's nonzeros, one loop however
+many matrices are stacked.  Faddeev-LeVerrier runs on it for
+``charpoly`` (``flat_charpoly``), and ``minimal_polynomial`` (Krylov,
+fraction-free) for the Frobenius engine's resolvent.
 
 A matrix M of column rank r can also be held on a column basis: its r
 pivot columns B = M[:, pivots] and the constant relations C, the nonzero
@@ -46,7 +48,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice, zip_longest
 from math import gcd, lcm
 from operator import mul, neg
 from typing import NamedTuple, Sequence
@@ -618,53 +620,85 @@ def stripped(ints: list[int], den: int) -> tuple[list[int], int]:
     return [e // g for e in ints], den // g
 
 
-def sparse_rows(a: list[int], n: int) -> list[list[tuple[int, int]]]:
-    """A flat n x n int matrix given per row by its nonzero entries as
-    (k, a_ik), the left factor of sparse_product."""
-    return [[(k, x) for k, x in enumerate(a[i : i + n]) if x] for i in range(0, n * n, n)]
+def nonzero_terms(a: list[int], n: int, cols: int, offset: int = 0) -> list[tuple[int, int, int]]:
+    """The left factor of nonzero_product for a flat n x n int matrix a and
+    a flat n x cols right factor: (out, in, a_ik) for each nonzero a_ik and
+    each column j, out = offset + i cols + j and in = k cols + j.  Terms of
+    several matrices, at distinct offsets, stack into one list."""
+    return [
+        (offset + i * cols + j, k * cols + j, x)
+        for i in range(n)
+        for k, x in enumerate(a[i * n : i * n + n])
+        if x
+        for j in range(cols)
+    ]
 
 
-def sparse_product(rows: list[list[tuple[int, int]]], b: list[int], cols: int) -> list[int]:
-    """a * b for a flat n x cols int matrix b and a given by sparse_rows(a, n),
-    or by several such lists stacked: KZ residues have one nonzero per row."""
-    out = []
-    for row in rows:
-        acc = [0] * cols
-        for k, x in row:
-            lo = k * cols
-            acc = [s + x * y for s, y in zip(acc, b[lo : lo + cols])]
-        out += acc
+def nonzero_product(terms: list[tuple[int, int, int]], b: list[int], size: int) -> list[int]:
+    """The flat product of size ints that nonzero_terms describes, for a
+    flat right factor b: one multiply-add per term, so a sparse matrix (a
+    KZ residue has one nonzero per row) costs only its nonzeros."""
+    out = [0] * size
+    for o, k, x in terms:
+        out[o] += x * b[k]
     return out
 
 
-def dense_product(a: list[int], b: list[int], cols: int) -> list[int]:
-    """a * b for a flat n x n int matrix a and a flat n x cols int matrix b,
-    by rows of a against columns of b."""
-    n = len(b) // cols
-    columns = [b[j::cols] for j in range(cols)]
-    return [sum(map(mul, a[i : i + n], c)) for i in range(0, n * n, n) for c in columns]
-
-
-def faddeev_leverrier(a: list[int], n: int) -> tuple[list[int], list[list[int]]]:
-    """Characteristic data of a flat n x n int matrix A, all in int.
-
-    Returns c_0 .. c_n with det(xI - A) = sum_k c_k x^(n-k), and flat
-    N_0 .. N_(n-1) with adj(xI - A) = sum_k x^(n-1-k) N_k: N_0 = I,
-    c_k = -tr(A N_(k-1)) / k and N_k = A N_(k-1) + c_k I.  Every c_k is an
-    integer, so each division by k is exact.
-    """
-    rows = sparse_rows(a, n)
+def faddeev_leverrier(a: list[int], n: int) -> list[int]:
+    """c_0 .. c_n with det(xI - A) = sum_k c_k x^(n-k), for a flat n x n
+    int matrix A, all in int: N_0 = I, c_k = -tr(A N_(k-1)) / k and
+    N_k = A N_(k-1) + c_k I.  Every c_k is an integer, so each division by
+    k is exact."""
+    terms = nonzero_terms(a, n, n)
     diagonal = range(0, n * n, n + 1)
     coeffs = [1]
-    adj = [[int(i in diagonal) for i in range(n * n)]]
+    adj = [int(i in diagonal) for i in range(n * n)]
     for k in range(1, n + 1):
-        prod = sparse_product(rows, adj[-1], n)
-        coeffs.append(-sum(prod[i] for i in diagonal) // k)
-        if k < n:
-            for i in diagonal:
-                prod[i] += coeffs[-1]
-            adj.append(prod)
-    return coeffs, adj
+        adj = nonzero_product(terms, adj, n * n)
+        coeffs.append(-sum(adj[i] for i in diagonal) // k)
+        for i in diagonal:
+            adj[i] += coeffs[-1]
+    return coeffs
+
+
+def minimal_polynomial(a: list[int], n: int) -> list[int]:
+    """c_0 .. c_d, low to high with c_d = 1, of the minimal polynomial of a
+    flat n x n int matrix A: an integer, monic divisor of det(xI - A).
+
+    Krylov on integers: each power A^k, formed from the last, is reduced
+    against the echelon rows of I .. A^(k-1) by fraction-free (Bareiss)
+    elimination, which tracks its combination of the powers and divides
+    exactly by the previous pivot, so every value stays a minor.  The
+    elimination reads the pivot columns only; the reduced row is then
+    sum_t comb_t A^t, read column by column up to its first nonzero, the
+    next pivot.  The first power that reduces to zero gives the relation
+    sum_j c_j A^j = 0.  The cost is O(d^2 n^2) for degree d, plus d
+    products with A's nonzeros."""
+    terms = nonzero_terms(a, n, n)
+    size = n * n
+    powers = [[int(i % (n + 1) == 0) for i in range(size)]]
+    pivots: list[int] = []
+    # per echelon row: its values at the pivot columns, and its combination
+    echelon: list[tuple[list[int], list[int]]] = []
+    for k in count():
+        if k:
+            powers.append(nonzero_product(terms, powers[-1], size))
+        row, comb = [powers[k][i] for i in pivots], [0] * k + [1]
+        previous = 1
+        for j, (top, top_comb) in enumerate(echelon):
+            p, f = top[j], row[j]
+            row = [(p * x - f * y) // previous for x, y in zip(row, top)]
+            comb = [(p * x - f * y) // previous for x, y in zip_longest(comb, top_comb, fillvalue=0)]
+            previous = p
+        columns = enumerate(zip(*powers))
+        pivot = next((i for i, column in columns if sum(map(mul, comb, column))), None)
+        if pivot is None:
+            return [c // comb[-1] for c in comb]
+        column = [power[pivot] for power in powers]
+        for top, top_comb in echelon:
+            top.append(sum(map(mul, top_comb, column)))
+        echelon.append((row + [sum(map(mul, comb, column))], comb))
+        pivots.append(pivot)
 
 
 def charpoly(a: FMatrix, scale: Fraction = Fraction(1)) -> Poly:
@@ -682,7 +716,7 @@ def flat_charpoly(ints: list[int], den: int, n: int, scale: Fraction = Fraction(
     Faddeev-LeVerrier runs on A; then det(xI - scale A / den) =
     sum_k c_k (scale / den)^k x^(n-k), the only non-integer step.
     """
-    coeffs, _ = faddeev_leverrier(ints, n)
+    coeffs = faddeev_leverrier(ints, n)
     scale = Fraction(scale)
     p, q = scale.numerator, scale.denominator * den
     return Poly([Fraction(c * p**k, q**k) for k, c in enumerate(coeffs)][::-1])

@@ -26,7 +26,7 @@ from kzrat import (
 )
 from kzrat import frobenius
 from kzrat.cli import load_config
-from kzrat.matrix import column_relations
+from kzrat.matrix import column_relations, minimal_polynomial, scaled
 from support import (
     I3,
     OBSTRUCTED_RESIDUE2,
@@ -319,6 +319,14 @@ def assert_matches_direct_convolution(exp, coupling, order):
 
 
 TRANSPOSITIONS = [transposition_matrix(3, i, j) for i, j in ((1, 2), (1, 3), (2, 3))]
+CENTER_RESIDUES = TRANSPOSITIONS + [
+    I3,
+    -I3,
+    FMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]),
+    FMatrix([[1, 1, 0], [0, 1, 0], [0, 0, -1]]),
+    # P diag(1, 2, -1) P^-1 for the unimodular P = [[1, 1, 0], [1, 2, 1], [0, 1, 2]]
+    FMatrix([[-1, 2, -1], [-6, 7, -4], [-6, 6, -4]]),
+]
 
 
 @st.composite
@@ -327,7 +335,10 @@ def numeric_systems(draw):
     factors; a rational coupling scales the center's residue by its
     denominator, so the center stays resonant.  So -coupling * R_i may clear
     to integers over a denominator > 1, and the poles' u_i = 1 / (z_c - z_i)
-    to a common denominator in the hundreds or thousands."""
+    to a common denominator in the hundreds or thousands.  The center's
+    residue covers every degree of the resolvent's minimal polynomial:
+    1 (+-I), 2 (a transposition, diag(1, 0, 0)) and 3 (a Jordan block,
+    and a dense conjugate of diag(1, 2, -1))."""
     points = draw(
         st.lists(
             st.fractions(min_value=-4, max_value=4, max_denominator=12),
@@ -340,7 +351,7 @@ def numeric_systems(draw):
     residues = [draw(st.sampled_from(TRANSPOSITIONS)) * draw(factors) for _ in points]
     center = draw(st.integers(1, len(points)))
     coupling = Fraction(draw(st.sampled_from((1, 2, 3, 6, Fraction(1, 2), Fraction(-2, 3)))))
-    residues[center - 1] = draw(st.sampled_from(TRANSPOSITIONS)) * coupling.denominator
+    residues[center - 1] = draw(st.sampled_from(CENTER_RESIDUES)) * coupling.denominator
     return kz_system(points, residues, coupling), center, coupling
 
 
@@ -426,17 +437,20 @@ def test_compute_series_matrix_products_grow_linearly(monkeypatch, points, resid
         return original_stripped(ints, den)
 
     monkeypatch.setattr(FMatrix, "__mul__", counting_mul)
-    # the integer kernel's products: the stacked w_i * b_q and adjugate * rhs
-    # per level
-    for name in ("sparse_product", "dense_product"):
-        monkeypatch.setattr(frobenius, name, counting(getattr(frobenius, name)))
+    # the integer kernel's products: the stacked w_i * b_q, and d - 1
+    # products with m for the resolvent, d the degree of the minimal
+    # polynomial of m (2 for these involutions)
+    monkeypatch.setattr(frobenius, "nonzero_product", counting(frobenius.nonzero_product))
     monkeypatch.setattr(frobenius, "solve_linear", recording_solve)
     monkeypatch.setattr(frobenius, "stripped", counting_stripped)
     compute_series(exp, coupling, order)
     # m singular points leave a recurrence of length m; the direct
     # convolution would need order^2 / 2 products here
     assert calls <= (len(points) + 3) * order
-    assert 0 < int_calls <= (len(points) + 3) * order
+    m, _ = scaled(exp.residue, coupling)
+    degree = len(minimal_polynomial(m, exp.n)) - 1
+    assert degree == 2
+    assert order < int_calls <= degree * order + 3
     # the poles' state shares one denominator and is never stripped: b_q's
     # strip is the one content gcd per level, however many poles
     assert strips <= order + 3

@@ -1,9 +1,10 @@
 import json
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kzrat import (
@@ -20,16 +21,18 @@ from kzrat.cli import _entry_json, _matrix_json
 from kzrat.matrix import (
     ColumnRelations,
     column_relations,
-    dense_product,
     faddeev_leverrier,
     flat,
     graded,
     int_form,
+    int_relations,
+    minimal_polynomial,
+    nonzero_product,
+    nonzero_terms,
     scaled,
-    sparse_product,
-    sparse_rows,
     stripped,
 )
+from kzrat.poly import exact_quotient, rational_roots
 from support import (
     I3,
     P1,
@@ -409,6 +412,15 @@ def _rows(ints, n):
     return FMatrix.from_basis(ints, 1, ColumnRelations.trivial(n))
 
 
+def _step_sum(mu, x):
+    """p_0(x) .. p_(d-1)(x) of the level step, for mu = c_0 .. c_d:
+    p_(d-1) = 1 and p_i = x p_(i+1) + c_(i+1)."""
+    ps = [1]
+    for c in mu[-2:0:-1]:
+        ps.append(ps[-1] * x + c)
+    return ps[::-1]
+
+
 @given(
     na=st.integers(1, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.lists(small_ints, min_size=n * n, max_size=n * n))
@@ -416,20 +428,132 @@ def _rows(ints, n):
     x=st.integers(-10**12, 10**12),
 )
 @settings(max_examples=150, deadline=None)
-def test_faddeev_leverrier_gives_determinant_and_adjugate(na, x):
+def test_faddeev_leverrier_gives_determinant_and_the_level_step(na, x):
     n, a = na
-    coeffs, adj = faddeev_leverrier(a, n)
+    coeffs = faddeev_leverrier(a, n)
     step = FMatrix.identity(n) * x - _rows(a, n)
     chi = sum(c * x ** (n - k) for k, c in enumerate(coeffs))
     assert chi == det(step)
-    adj_x = _rows([sum(e * x ** (n - 1 - k) for k, e in enumerate(es)) for es in zip(*adj)], n)
-    assert step * adj_x == FMatrix.identity(n) * chi
-    assert adj_x * step == FMatrix.identity(n) * chi
-    # the flat products on the same draws, both ways round
-    for left, right in ((a, adj[-1]), (adj[-1], a)):
+    # the level step of compute_series: (xI - A) sum_i p_i(x) A^i = mu(x) I
+    mu = minimal_polynomial(a, n)
+    ps = _step_sum(mu, x)
+    mu_x = sum(c * x**j for j, c in enumerate(mu))
+    assert ps[0] * x + mu[0] == mu_x
+    total, power = FMatrix.zeros(n, n), FMatrix.identity(n)
+    for p in ps:
+        total, power = total + power * p, power * _rows(a, n)
+    assert step * total == FMatrix.identity(n) * mu_x
+    # the flat products on the same draws, both ways round, on one column,
+    # and stacked: the terms of a second factor at an offset after the first
+    a2 = nonzero_product(nonzero_terms(a, n, n), a, n * n)
+    assert _rows(a2, n) == _rows(a, n) * _rows(a, n)
+    for left, right in ((a, a2), (a2, a)):
         expected = _rows(left, n) * _rows(right, n)
-        assert _rows(sparse_product(sparse_rows(left, n), right, n), n) == expected
-        assert _rows(dense_product(left, right, n), n) == expected
+        assert _rows(nonzero_product(nonzero_terms(left, n, n), right, n * n), n) == expected
+        column = nonzero_product(nonzero_terms(left, n, 1), right[::n], n)
+        assert column == list(expected.column(0))
+        terms = nonzero_terms(left, n, n) + nonzero_terms(right, n, n, n * n)
+        stacked = nonzero_product(terms, right, 2 * n * n)
+        assert _rows(stacked[n * n :], n) == _rows(right, n) * _rows(right, n)
+        assert _rows(stacked[: n * n], n) == expected
+
+
+def _int_mul(a, b):
+    """The product of two int matrices given as lists of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _square(rows):
+    return [x for row in rows for x in row]
+
+
+def _adjugate(p, n):
+    """adj(P) for an invertible int matrix P, as rows of ints."""
+    inverse = solve_linear(_rows(p, n), FMatrix.identity(n)).particular
+    d = det(_rows(p, n))
+    return [[int(e * d) for e in row] for row in inverse.entries]
+
+
+mp_entries = st.integers(-4, 4)
+
+
+@st.composite
+def minimal_polynomial_cases(draw):
+    """(a, n): flat int matrices of the kinds whose minimal polynomial is
+    not their characteristic one, and dense ones whose is."""
+    n = draw(st.integers(1, 6))
+    kind = draw(
+        st.sampled_from(("dense", "diagonal", "jordan", "permutation", "scalar", "conjugate"))
+    )
+    if kind == "dense":
+        return draw(st.lists(mp_entries, min_size=n * n, max_size=n * n)), n
+    if kind == "permutation":
+        perm = draw(st.permutations(range(n)))
+        return [int(perm[i] == k) for i in range(n) for k in range(n)], n
+    if kind == "scalar":
+        c = draw(st.integers(-3, 3))
+        return [c * (i % (n + 1) == 0) for i in range(n * n)], n
+    # a Jordan block for one eigenvalue, then a diagonal part, its
+    # entries drawn from few values so that they repeat
+    size = draw(st.integers(1, n)) if kind != "diagonal" else 0
+    lam = draw(st.integers(-2, 2))
+    diagonal = [lam] * size + draw(st.lists(st.integers(-2, 2), min_size=n - size, max_size=n - size))
+    d = [[diagonal[i] * (i == k) + (k == i + 1 < size) for k in range(n)] for i in range(n)]
+    if kind != "conjugate":
+        return _square(d), n
+    p = draw(st.lists(mp_entries, min_size=n * n, max_size=n * n))
+    assume(det(_rows(p, n)))
+    rows = [p[i : i + n] for i in range(0, n * n, n)]
+    return _square(_int_mul(_int_mul(rows, d), _adjugate(p, n))), n
+
+
+def assert_minimal_polynomial(a, n, mu):
+    d = len(mu) - 1
+    assert mu[-1] == 1 and all(type(c) is int for c in mu)
+    rows = [a[i : i + n] for i in range(0, n * n, n)]
+    # zero at A, by Horner on integer matrices
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(mu):
+        acc = _int_mul(acc, rows)
+        for i in range(n):
+            acc[i][i] += c
+    assert acc == [[0] * n for _ in range(n)]
+    chi = faddeev_leverrier(a, n)[::-1]
+    assert exact_quotient(chi, mu) is not None
+    roots, _ = rational_roots(Poly([Fraction(c) for c in chi]))
+    assert all(Poly([Fraction(c) for c in mu])(r) == 0 for r, _ in roots)
+    # minimal: I .. A^(d-1) are independent
+    powers, power = [], [int(i % (n + 1) == 0) for i in range(n * n)]
+    for _ in range(d):
+        powers.append(power)
+        power = _square(_int_mul([power[i : i + n] for i in range(0, n * n, n)], rows))
+    assert len(int_relations([list(col) for col in zip(*powers)]).pivots) == d
+
+
+@given(minimal_polynomial_cases())
+@example(([1, 1, 0, 0, 1, 0, 0, 0, -1], 3))  # mu = (x - 1)^2 (x + 1)
+@example(([0, 1, 0, 0, 0, 1, 0, 0, 0], 3))  # nilpotent, mu = x^3
+@example(([0] * 4, 2))
+@settings(max_examples=200, deadline=None)
+def test_minimal_polynomial(case):
+    a, n = case
+    assert_minimal_polynomial(a, n, minimal_polynomial(a, n))
+
+
+def test_minimal_polynomial_costs_no_more_than_faddeev_leverrier():
+    # a dense 16 x 16, whose minimal polynomial is its characteristic one:
+    # the Krylov search takes every power, and stays O(d^2 n^2) in its
+    # elimination
+    rnd = random.Random(16)
+    n = 16
+    a = [rnd.randint(-9, 9) for _ in range(n * n)]
+    mu = minimal_polynomial(a, n)
+    assert mu == faddeev_leverrier(a, n)[::-1]
+
+    def best(fn):
+        return min(timeit.repeat(lambda: fn(a, n), number=1, repeat=5))
+
+    assert best(minimal_polynomial) <= 3 * best(faddeev_leverrier)
 
 
 def test_solver_over_rational_function_field():
