@@ -1,12 +1,13 @@
 """Command-line front end: exact expansion, series, and verification runs.
 
 Every command goes through one pipeline, `run`: build the system, local
-expansion, indicial data, then the expansion printout (`expand`) or the
-Frobenius series, then the golden comparison (`series`) or reconstruction
-and the exact ODE check (`verify`).  `run` prints as each stage finishes,
-stops at the command's last stage or the first stage that fails, and
-returns the exit code with the report; `main` parses the arguments and is
-the one place that writes the `--json` report.
+expansion, the center's spectral record (indicial data), then the
+expansion printout (`expand`) or the Frobenius series, then the golden
+comparison (`series`) or reconstruction from the records of every point
+and of infinity and the exact ODE check (`verify`).  `run` prints as
+each stage finishes, stops at the command's last stage or the first
+stage that fails, and returns the exit code with the report; `main`
+parses the arguments and is the one place that writes the `--json` report.
 
 Configs are single JSON documents whose numbers are exact strings ("p/q");
 reports echo every value exactly, so serialize -> parse -> serialize is
@@ -28,6 +29,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
+from .frobenius import infinity_record, point_records
 from .golden import compare_series
 from .kzmodel import (
     CONVENTIONS,
@@ -513,8 +515,7 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
         return EXIT_USAGE, None
     system = cfg.build_system()
     exp = local_expansion(system, cfg.center, cfg.convention, cfg.order)
-    spectra: dict = {}  # characteristic polynomials factored in this run
-    ind = indicial_data(exp, cfg.coupling, spectra)
+    ind = indicial_data(exp, cfg.coupling)
     report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
     if command == "expand":
         regular = [exp.regular(r) for r in range(exp.order + 1)]
@@ -564,12 +565,12 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
         return (EXIT_OK if outcome.matched else EXIT_MISMATCH), report
 
     try:
-        exponents = cfg.denominator_exponents
-        if exponents is None:
-            exponents = denominator_exponents(system, spectra)
-        degree = cfg.numerator_degree
-        if degree is None:
-            degree = sum(exponents) + numerator_growth(system)
+        exponents, degree = cfg.denominator_exponents, cfg.numerator_degree
+        if exponents is None or degree is None:  # read from the records
+            records = point_records(system, (ind,))
+            exponents = exponents or denominator_exponents(system.points, records)
+            if degree is None:
+                degree = sum(exponents) + numerator_growth(infinity_record(records, system.n))
         w = reconstruct(series, zip(system.points, exponents), degree)
     except NoPolynomialDenominator as exc:
         print(f"reconstruction impossible: {exc}", file=out)

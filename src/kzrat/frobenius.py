@@ -53,13 +53,14 @@ certificate.
 
 The seed b_rho at the leading exponent rho is the paper's projector
 I - a_{-1} where that is a kernel of the leading step (a_{-1} an involution
-other than I, rho = -coupling), and the canonical kernel columns of the
-step everywhere else.  The projector is formed on the cleared integers of
-a_{-1}, its column relations come from a fraction-free elimination on
-the seed's integers (kzrat.matrix.int_relations), and b_rho's pivot
-columns are read from those integers: the projector seed makes no
-Fraction.  The series order is not bounded by the expansion order: a_r
-is derived on demand from the poles.
+other than I, rho = -coupling != 0), and the canonical kernel columns of
+the step everywhere else, I at coupling 0.  compute_series clears M once
+for the seed, the resolvent and the resonant steps.  The projector is
+formed on those integers, its column relations come from a fraction-free
+elimination on them (kzrat.matrix.int_relations), and b_rho's pivot
+columns are read from them: the projector seed makes no Fraction.  The
+series order is not bounded by the expansion order: a_r is derived on
+demand from the poles.
 
 In two-point symbolic mode every quantity is a monomial in d: the engine
 solves at d = 1 (u = +-1) for B_p, and the series it returns is graded,
@@ -70,8 +71,11 @@ integers and power, and build no entry.  A resonant step is classified
 once, by one elimination (solve_linear) over the step matrix graded to
 d-degree 0, so that the kernel and the certificate carry the entry types
 that reports encode.  Its right side has a single degree, so it is solved
-at d = 1, where the particular solution is the engine's.  The step
-matrix is formed on the integers of coupling * a_{-1}.
+at d = 1, where the particular solution is the engine's.
+
+The spectrum of M = coupling * R at one point is one record, IndicialData,
+made by spectral_record: for the center (indicial_data), each singular
+point (point_records) and infinity (infinity_record).
 """
 
 from __future__ import annotations
@@ -81,14 +85,14 @@ from math import gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .kzmodel import LocalExpansion
+from .kzmodel import KZSystem, LocalExpansion
 from .matrix import (
     ColumnRelations,
     FMatrix,
     SolveKind,
-    charpoly,
     det,
     flat,
+    flat_charpoly,
     int_form,
     int_relations,
     minimal_polynomial,
@@ -115,17 +119,18 @@ class ResonanceObstruction(Exception):
 
 
 class IndicialData(NamedTuple):
-    """Exact spectrum of coupling * a_{-1} and its integer part.
-
-    ``eigenvalues`` lists the rational eigenvalues with multiplicities;
-    ``unresolved_factor`` is the monic factor of the characteristic
-    polynomial with no rational roots (1 when the spectrum is fully
-    rational), so no resonant integer can hide in it.
-    """
+    """The spectral record of one point: M = coupling * R = m / m_den, R the
+    residue there (at infinity, the sum of the residues); the rational
+    ``eigenvalues`` with multiplicities, the integer ``resonant_levels``,
+    and the monic ``unresolved_factor`` of the characteristic polynomial
+    ``chi`` with no rational roots, so that no resonant integer hides."""
 
     eigenvalues: tuple[tuple[Fraction, int], ...]
     resonant_levels: frozenset[int]
     unresolved_factor: Poly
+    chi: Poly
+    m: list[int]
+    m_den: int
 
 
 class ResonanceRecord(NamedTuple):
@@ -164,36 +169,46 @@ class SeriesSolution(NamedTuple):
         return None
 
 
-def indicial_data(
-    exp: LocalExpansion, coupling: Fraction, spectra: dict | None = None
-) -> IndicialData:
-    """Exact eigenvalues of coupling * a_{-1} via rational root extraction.
-
-    `spectra` maps characteristic polynomials, by coefficient tuple, to
-    their `rational_roots`: a polynomial found there is not factored
-    again, and one factored here is added, so that one run can share it
-    with `denominator_exponents`.
-    """
-    chi = charpoly(exp.residue, coupling)
-    if spectra is None:
-        spectra = {}
-    if chi.coeffs not in spectra:
-        spectra[chi.coeffs] = rational_roots(chi)
-    roots, remainder = spectra[chi.coeffs]
+def spectral_record(m: list[int], m_den: int, n: int, known=()) -> IndicialData:
+    """The record of the n x n matrix M = m / m_den.  A record in `known`
+    of the same M is returned as it is, and one with the same chi lends
+    its roots: rational_roots runs once per distinct chi."""
+    for record in known:
+        if record.m_den == m_den and record.m == m:
+            return record
+    chi = flat_charpoly(m, m_den, n)
+    same = next((record for record in known if record.chi == chi), None)
+    roots, rest = (same.eigenvalues, same.unresolved_factor) if same else rational_roots(chi)
     resonant = frozenset(int(r) for r, _ in roots if r.denominator == 1)
-    return IndicialData(
-        eigenvalues=roots,
-        resonant_levels=resonant,
-        unresolved_factor=remainder,
-    )
+    return IndicialData(roots, resonant, rest, chi, m, m_den)
 
 
-def _step_matrix(exp: LocalExpansion, coupling: Fraction, level) -> FMatrix:
+def indicial_data(exp: LocalExpansion, coupling: Fraction) -> IndicialData:
+    """The center's record: exact eigenvalues of coupling * a_{-1}."""
+    return spectral_record(*scaled(exp.residue, coupling), exp.n)
+
+
+def point_records(sys: KZSystem, known=()) -> tuple[IndicialData, ...]:
+    """The record of each singular point, in order; those in `known` and
+    the earlier points' are reused (spectral_record)."""
+    records: list[IndicialData] = []
+    for residue in sys.residues:
+        records.append(spectral_record(*scaled(residue, sys.coupling), sys.n, (*known, *records)))
+    return tuple(records)
+
+
+def infinity_record(records, n: int) -> IndicialData:
+    """The record at infinity, from the points' records: their integers
+    summed over one denominator."""
+    den = lcm(*(r.m_den for r in records))
+    total = [sum(col) for col in zip(*([x * (den // r.m_den) for x in r.m] for r in records))]
+    return spectral_record(*stripped(total, den), n, records)
+
+
+def _step_matrix(m: list[int], m_den: int, n: int, level) -> FMatrix:
     """level * I - coupling * a_{-1}, held as its cleared integers
     (FMatrix.from_basis): (p m_den I - q m) / (q m_den) for
     coupling * a_{-1} = m / m_den and level = p / q."""
-    n = exp.n
-    m, m_den = scaled(exp.residue, coupling)
     level = Fraction(level)
     p, q = level.numerator, level.denominator
     ints = [p * m_den * (i % (n + 1) == 0) - q * x for i, x in enumerate(m)]
@@ -204,28 +219,29 @@ def leading_coefficient(exp: LocalExpansion, coupling: Fraction, exponent: int) 
     """A nonzero seed b with (exponent * I - coupling * a_{-1}) b = 0.
 
     The paper's projector I - a_{-1} when a_{-1} is an involution other
-    than the identity and the exponent equals -coupling; otherwise the
-    canonical kernel basis of the step matrix packed into leading columns,
-    padded with zero columns.  Raises ValueError when the kernel is trivial.
+    than the identity and the exponent equals -coupling != 0; otherwise
+    the canonical kernel basis of the step matrix packed into leading
+    columns, padded with zero columns: I at coupling 0, where the step
+    matrix is zero.  Raises ValueError when the kernel is trivial.
     """
-    return exp.grade(_seed(exp, coupling, exponent), 0)
+    return exp.grade(_seed(*scaled(exp.residue, coupling), exp.n, coupling, exponent), 0)
 
 
-def _seed(exp: LocalExpansion, coupling: Fraction, exponent: int) -> FMatrix:
-    """leading_coefficient over Fraction, before grading.  The projector is
-    (den I - a) / den from the cleared a_{-1} = a / den, held as those
-    integers (FMatrix.from_basis)."""
-    n = exp.n
-    a, den = flat(exp.residue)
-    diagonal = [den * (i % (n + 1) == 0) for i in range(n * n)]
-    if Fraction(exponent) == -Fraction(coupling) and a != diagonal:
+def _seed(m: list[int], m_den: int, n: int, coupling: Fraction, exponent: int) -> FMatrix:
+    """leading_coefficient over Fraction, before grading, for
+    coupling * a_{-1} = m / m_den.  The projector is (den I - a) / den for
+    a_{-1} = a / den, den > 0, held as those integers (FMatrix.from_basis)."""
+    if exponent == -coupling != 0:
+        sign, q = (1 if coupling > 0 else -1), coupling.denominator
+        a, den = [sign * q * x for x in m], abs(coupling.numerator) * m_den
+        diagonal = [den * (i % (n + 1) == 0) for i in range(n * n)]
         # a_{-1}^2 = I on the cleared integers: a^2 = den^2 I
         square = nonzero_product(nonzero_terms(a, n, n), a, n * n)
-        if square == [den * x for x in diagonal]:
+        if a != diagonal and square == [den * x for x in diagonal]:
             ints = [x - y for x, y in zip(diagonal, a)]
-            return FMatrix.from_basis(ints, den, ColumnRelations.trivial(n))
+            return FMatrix.from_basis(*stripped(ints, den), ColumnRelations.trivial(n))
 
-    res = solve_linear(_step_matrix(exp, Fraction(coupling), exponent), FMatrix.zeros(n, 1))
+    res = solve_linear(_step_matrix(m, m_den, n, exponent), FMatrix.zeros(n, 1))
     if res.kind is SolveKind.UNIQUE:
         raise ValueError(
             f"{exponent} is not an eigenvalue of coupling * a_{{-1}}; the kernel is trivial"
@@ -276,29 +292,28 @@ def compute_series(
     if order < 0:
         raise ValueError("series order must be >= 0")
     coupling = Fraction(coupling)
+    n = exp.n
+    # M = coupling * a_{-1} = m / m_den, for the seed, resolvent and steps
+    m, m_den = scaled(exp.residue, coupling)
     if leading_exponent is None:
-        ind = indicial_data(exp, coupling)
-        if not ind.resonant_levels:
+        resonant = spectral_record(m, m_den, n).resonant_levels
+        if not resonant:
             raise ValueError(
                 "coupling * a_{-1} has no integer eigenvalue, so there is no "
                 "integer leading exponent to seed the Laurent series"
             )
-        leading_exponent = min(ind.resonant_levels)
+        leading_exponent = min(resonant)
 
-    n = exp.n
     # every b_q is L_q b_rho, so the recursion runs on the pivot columns
     # of b_rho, r of them, and each level is b_q[:, pivots] * C
-    seed, seed_den, _, _ = int_form(_seed(exp, coupling, leading_exponent))
+    seed, seed_den, _, _ = int_form(_seed(m, m_den, n, coupling, leading_exponent))
     relations = int_relations(seed)
     r = len(relations.pivots)
     b, b_den = stripped([row[j] for row in seed for j in relations.pivots], seed_den)
     coeffs = [FMatrix.from_basis(b, b_den, relations)]
     span = n * r
-    # Resolvent of M = coupling * a_{-1} = m / m_den from the minimal
-    # polynomial mu = sum_j c_j x^j of m, of degree d: at level L, with
-    # x = L m_den, (L I - M)^-1 = m_den sum_(i<d) p_i(x) m^i / mu(x), where
-    # p_(d-1) = 1 and p_i = x p_(i+1) + c_(i+1)
-    m, m_den = scaled(exp.residue, coupling)
+    # the resolvent from mu, the minimal polynomial of m (module docstring):
+    # at level L, x = L m_den, (L I - M)^-1 = m_den sum_(i<d) p_i(x) m^i / mu(x)
     mu = minimal_polynomial(m, n)
     mu_high = mu[-2:0:-1]  # c_(d-1) .. c_1
     m_terms = nonzero_terms(m, n, r)
@@ -351,7 +366,7 @@ def compute_series(
         # side and C has full row rank, so the n x r right side gives the
         # certificate of the full one, and the particular solution times C.
         basis_rhs = FMatrix.from_basis(rhs, rhs_den, ColumnRelations.trivial(r))
-        res = solve_linear(exp.grade(_step_matrix(exp, coupling, level), 0), basis_rhs)
+        res = solve_linear(exp.grade(_step_matrix(m, m_den, n, level), 0), basis_rhs)
         if res.kind is SolveKind.INCONSISTENT:
             full_rhs = exp.grade(FMatrix.from_basis(rhs, rhs_den, relations), -step)
             raise ResonanceObstruction(level, res.certificate, full_rhs)
@@ -403,9 +418,10 @@ def verify_recursion(
     coupling = Fraction(coupling)
     table = {p: series.coefficient(p) for p in series.levels()}
     a = _regular_table(exp, series.order)
+    m, m_den = scaled(exp.residue, coupling)
     checks = []
     for level in series.levels():
-        step = _step_matrix(exp, coupling, level)
+        step = _step_matrix(m, m_den, exp.n, level)
         if level == series.leading_exponent:
             rhs = exp.grade(FMatrix.zeros(exp.n, exp.n), 0)
         else:

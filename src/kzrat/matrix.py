@@ -15,9 +15,10 @@ ints over one positive denominator, made by ``flat`` (``scaled`` for a
 rational multiple) and reduced by ``stripped``.  Every integer product
 is ``nonzero_product`` over the (out, in, a_ik) terms that
 ``nonzero_terms`` lists for the left factor's nonzeros, one loop however
-many matrices are stacked.  Faddeev-LeVerrier runs on it for
-``charpoly`` (``flat_charpoly``), and ``minimal_polynomial`` (Krylov,
-fraction-free) for the Frobenius engine's resolvent.
+many matrices are stacked.  Faddeev-LeVerrier runs on it for the
+spectral records and ``charpoly`` (``flat_charpoly``), and
+``minimal_polynomial`` (Krylov, fraction-free) for the Frobenius
+engine's resolvent.
 
 A matrix M of column rank r can also be held on a column basis: its r
 pivot columns B = M[:, pivots] and the constant relations C, the nonzero
@@ -706,17 +707,12 @@ def charpoly(a: FMatrix, scale: Fraction = Fraction(1)) -> Poly:
     `flat_charpoly` of its cleared integers."""
     if a.rows != a.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    return flat_charpoly(*flat(a), a.rows, scale)
+    return flat_charpoly(*scaled(a, Fraction(scale)), a.rows)
 
 
-def flat_charpoly(ints: list[int], den: int, n: int, scale: Fraction = Fraction(1)) -> Poly:
-    """Monic characteristic polynomial of scale * A / den, for a flat n x n
-    int matrix A.
-
-    Faddeev-LeVerrier runs on A; then det(xI - scale A / den) =
-    sum_k c_k (scale / den)^k x^(n-k), the only non-integer step.
-    """
+def flat_charpoly(ints: list[int], den: int, n: int) -> Poly:
+    """Monic characteristic polynomial of A / den, for a flat n x n int
+    matrix A: Faddeev-LeVerrier runs on A, and det(xI - A / den) =
+    sum_k c_k den^-k x^(n-k) is the only non-integer step."""
     coeffs = faddeev_leverrier(ints, n)
-    scale = Fraction(scale)
-    p, q = scale.numerator, scale.denominator * den
-    return Poly([Fraction(c * p**k, q**k) for k, c in enumerate(coeffs)][::-1])
+    return Poly([Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])

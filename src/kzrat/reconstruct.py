@@ -5,6 +5,8 @@ Reconstruction is linear matching on the coefficient lattice: all entries
 share one prescribed scalar denominator D, so each numerator is the
 product D W cut to the allowed degrees, and the excess coefficients of the
 same product, those cut off, over-check it against every series level.
+The degrees of D and of the numerators come from the spectral records
+of kzrat.frobenius; `verify_ode` reads none.
 
 Everything after the series runs on integer vectors, and on the pivot
 columns of the series' seed (kzrat.frobenius): every level, and so W, is
@@ -48,14 +50,12 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .frobenius import SeriesSolution
+from .frobenius import IndicialData, SeriesSolution, infinity_record, point_records
 from .kzmodel import KZSystem
 from .matrix import (
     ColumnRelations,
     FMatrix,
-    charpoly,
     flat,
-    flat_charpoly,
     holds_polys,
     int_form,
     stripped,
@@ -255,30 +255,17 @@ def _sub(a: list[int], b: list[int]) -> list[int]:
     return res
 
 
-def denominator_exponents(sys: KZSystem, spectra: dict | None = None) -> tuple[int, ...]:
+def denominator_exponents(points, records) -> tuple[int, ...]:
     """m_i = max(0, -rho_i) per singular point, with rho_i the minimal
-    integer eigenvalue of coupling * residue_i.
-
-    KZ residues often share one characteristic polynomial, which is
-    factored once.  `spectra` maps characteristic polynomials, by
-    coefficient tuple, to their `rational_roots` found before, as
-    `indicial_data` leaves them, and receives those found here.
-    """
-    if sys.is_symbolic:
-        raise ValueError("a denominator proposal needs a numeric-mode system")
+    integer eigenvalue in the point's record (`point_records`)."""
     exponents = []
-    roots_of = {} if spectra is None else spectra
-    for point, residue in zip(sys.points, sys.residues):
-        chi = charpoly(residue, sys.coupling)
-        if chi.coeffs not in roots_of:
-            roots_of[chi.coeffs] = rational_roots(chi)
-        integer_eigs = [r for r, _ in roots_of[chi.coeffs][0] if r.denominator == 1]
-        if not integer_eigs:
+    for point, record in zip(points, records):
+        if not record.resonant_levels:
             raise NoPolynomialDenominator(
                 f"coupling * residue at z = {format_scalar(point)} has no integer eigenvalue; "
                 "no polynomial denominator exists for the Laurent ansatz"
             )
-        exponents.append(max(0, -int(min(integer_eigs))))
+        exponents.append(max(0, -min(record.resonant_levels)))
     return tuple(exponents)
 
 
@@ -301,28 +288,23 @@ def _exponent_mults(pairs) -> dict:
 
 def propose_denominator(sys: KZSystem) -> Poly:
     """prod (z - z_i)^{m_i} with the exponents of denominator_exponents."""
-    return denominator_from_exponents(sys.points, denominator_exponents(sys))
+    if sys.is_symbolic:
+        raise ValueError("a denominator proposal needs a numeric-mode system")
+    exponents = denominator_exponents(sys.points, point_records(sys))
+    return denominator_from_exponents(sys.points, exponents)
 
 
-def numerator_growth(sys: KZSystem) -> int:
-    """The largest nonnegative integer eigenvalue of coupling * (sum of
-    residues).
-
-    A solution column behaves like z**m at infinity with m an eigenvalue of
-    that matrix, so the numerator may exceed the denominator degree by
-    this much.
-    """
-    flats = [flat(residue) for residue in sys.residues]
-    den = lcm(*(d for _, d in flats))
-    total = [sum(col) for col in zip(*([x * (den // d) for x in ints] for ints, d in flats))]
-    roots, _ = rational_roots(flat_charpoly(total, den, sys.n, sys.coupling))
-    return max((int(r) for r, _ in roots if r.denominator == 1 and r > 0), default=0)
+def numerator_growth(at_infinity: IndicialData) -> int:
+    """The largest nonnegative integer eigenvalue in the record at infinity
+    (`infinity_record`): a solution column behaves like z**m there, m an
+    eigenvalue, so the numerator may exceed the denominator degree by it."""
+    return max((r for r in at_infinity.resonant_levels if r > 0), default=0)
 
 
 def suggest_numerator_degree(sys: KZSystem, denominator: Poly) -> int:
     """Degree bound implied by the growth allowance at infinity: the
     denominator degree plus numerator_growth."""
-    return denominator.degree + numerator_growth(sys)
+    return denominator.degree + numerator_growth(infinity_record(point_records(sys), sys.n))
 
 
 def check_series_length(series: SeriesSolution, max_num_degree: int, den_degree: int) -> None:

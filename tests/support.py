@@ -27,17 +27,21 @@ from kzrat import (
     SeriesSolution,
     SolveKind,
     convolution_rhs,
+    infinity_record,
     kz_system,
     leading_coefficient,
+    point_records,
     rational_roots,
     solve_linear,
     transposition_matrix,
 )
 from kzrat.frobenius import _seed
-from kzrat.matrix import ColumnRelations, SolveResult, _canonical_kernel, _rref
+from kzrat.matrix import ColumnRelations, SolveResult, _canonical_kernel, _rref, scaled
 from kzrat.reconstruct import (
     NotRepresentable,
     check_series_length,
+    denominator_exponents,
+    numerator_growth,
     rational_matrix,
 )
 
@@ -164,7 +168,7 @@ def fraction_compute_series(exp, coupling, order: int) -> SeriesSolution:
     leading_exponent = min(int(r) for r, _ in roots if r.denominator == 1)
     n = exp.n
     zero = FMatrix.zeros(n, n)
-    coeffs = [_seed(exp, coupling, leading_exponent)]
+    coeffs = [_seed(*scaled(exp.residue, coupling), n, coupling, leading_exponent)]
     weights = [res * -coupling for _, res in exp.poles]
     sums = [zero] * len(exp.poles)
     records = []
@@ -518,6 +522,18 @@ def power_product_denominator(points, exponents) -> Poly:
         if m:
             den = den * Poly((-Fraction(point), Fraction(1))) ** m
     return den
+
+
+def system_exponents(sys_) -> tuple[int, ...]:
+    """The CLI's denominator exponents of a numeric system, read from the
+    records at its points."""
+    return denominator_exponents(sys_.points, point_records(sys_))
+
+
+def system_growth(sys_) -> int:
+    """The CLI's numerator growth of a numeric system, read from its record
+    at infinity."""
+    return numerator_growth(infinity_record(point_records(sys_), sys_.n))
 
 
 def division_reconstruct(

@@ -27,6 +27,7 @@ from kzrat import (
     indicial_data,
     kz_system,
     local_expansion,
+    point_records,
     propose_denominator,
     reconstruct,
     solve_linear,
@@ -242,7 +243,7 @@ def test_criterion_8_large_coupling(tmp_path, coupling):
     # propose_denominator itself expands z^k (z - 1)^k, of degree 2k; its
     # bit-size-dependent part is the exponent computation
     with criterion(8, f"denominator exponents at coupling {coupling}", 2.0):
-        assert denominator_exponents(sys_) == (coupling, coupling)
+        assert denominator_exponents(sys_.points, point_records(sys_)) == (coupling, coupling)
     with criterion(8, f"numerator degree bound at coupling {coupling}", 2.0):
         assert suggest_numerator_degree(sys_, Poly.monomial(2)) == 2 + 2 * coupling
     cfg_path = tmp_path / "cfg.json"

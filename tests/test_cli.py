@@ -32,7 +32,7 @@ from kzrat import (
     parse_scalar,
 )
 from kzrat import cli
-from kzrat import frobenius as frobenius_module
+from kzrat import matrix as matrix_module
 from kzrat import poly as poly_module
 from kzrat.cli import (
     ConfigError,
@@ -54,8 +54,6 @@ from support import (
 )
 from test_matrix import cleared_forms
 from test_pinned_reports import PINNED
-
-reconstruct_module = sys.modules["kzrat.reconstruct"]  # kzrat.reconstruct is the function
 
 S3_SYMBOLIC = {
     "mode": "symbolic",
@@ -375,6 +373,35 @@ def test_verify_with_denominator_override(tmp_path, capsys):
     assert "ode satisfied: True" in out
 
 
+def test_a_configured_shape_needs_no_other_spectral_record(tmp_path, monkeypatch):
+    # with the denominator exponents and the numerator degree both in the
+    # config, only the center's characteristic polynomial is formed
+    expanded = []
+    leverrier = matrix_module.faddeev_leverrier
+    monkeypatch.setattr(
+        matrix_module, "faddeev_leverrier", lambda a, n: expanded.append(a) or leverrier(a, n)
+    )
+    doc = dict(S3_NUMERIC, denominator_exponents=[2, 2], numerator_degree=8)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--config", write_config(tmp_path, doc)]) == 0
+    assert len(expanded) == 1
+
+
+def test_verify_at_coupling_zero_reconstructs_the_identity(tmp_path, capsys):
+    # W' = 0: the seed is the whole kernel of the zero step matrix, so W = I
+    # and its determinant does not vanish
+    path = write_config(tmp_path, dict(S3_NUMERIC, coupling="0"))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--config", path, "--json", str(report)]) == 0
+    assert "ode satisfied: True; det identically zero: False" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["reconstruction"]["denominator"] == ["1"]
+    assert doc["reconstruction"]["numerator"] == [
+        [["1"] if i == j else [] for j in range(3)] for i in range(3)
+    ]
+    assert doc["ode"] == {"satisfied": True, "det_identically_zero": False, "residual_zero": True}
+
+
 def test_verify_obstructed_system_exits_three(tmp_path, capsys):
     path = write_config(tmp_path, OBSTRUCTED)
     report_path = str(tmp_path / "obstructed.json")
@@ -612,13 +639,15 @@ def test_library_round_trips_long_entries_in_a_fresh_process():
 
 def test_golden_series_takes_one_gcd_from_indicial_data(tmp_path, monkeypatch):
     # Graded values need no gcd: the only one left is the integer gcd of
-    # the characteristic polynomial and its derivative in rational_roots.
+    # the characteristic polynomial and its derivative in rational_roots,
+    # run by the builder of the center's record for indicial_data.
     # poly_gcd would be counted too, as it calls int_gcd.
     callers = Counter()
     original = poly_module.int_gcd
 
     def counting(*args):
-        callers[sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name] += 1
+        frame = sys._getframe(1)
+        callers[tuple(f.f_code.co_name for f in (frame, frame.f_back, frame.f_back.f_back))] += 1
         return original(*args)
 
     for name, module in list(sys.modules.items()):
@@ -627,22 +656,38 @@ def test_golden_series_takes_one_gcd_from_indicial_data(tmp_path, monkeypatch):
     path = write_config(tmp_path, dict(S3_SYMBOLIC, order=20))
     with redirect_stdout(io.StringIO()):
         assert main(["series", "--config", path, "--golden"]) == 0
-    assert callers == {("rational_roots", "indicial_data"): 1}
+    assert callers == {("rational_roots", "spectral_record", "indicial_data"): 1}
 
 
-@pytest.mark.parametrize("config", ["kz-s3-numeric.json", "s5-permutation.json"])
-def test_verify_run_factors_each_characteristic_polynomial_once(tmp_path, monkeypatch, config):
-    # indicial_data and denominator_exponents share the center's spectrum;
-    # numerator_growth factors that of the residue sum
-    factored = []
-    for module in (frobenius_module, reconstruct_module):
-        original = module.rational_roots
-        monkeypatch.setattr(
-            module, "rational_roots", lambda p, f=original: factored.append(p.coeffs) or f(p)
-        )
+@pytest.mark.parametrize(
+    "config, points",
+    [("kz-s3-numeric.json", 2), ("s5-permutation.json", 4)],
+    ids=("kz-s3-numeric.json", "s5-permutation.json"),
+)
+def test_verify_run_factors_each_characteristic_polynomial_once(monkeypatch, config, points):
+    # one spectral record per point, the center's made once, and one at
+    # infinity: one Faddeev-LeVerrier each, and the roots of each distinct
+    # characteristic polynomial found once, wherever the builder lives
+    factored, expanded = [], Counter()
+    roots, leverrier = poly_module.rational_roots, matrix_module.faddeev_leverrier
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "kzrat":
+            continue
+        if getattr(module, "rational_roots", None) is roots:
+            monkeypatch.setattr(
+                module, "rational_roots", lambda p: factored.append(p.coeffs) or roots(p)
+            )
+        if getattr(module, "faddeev_leverrier", None) is leverrier:
+            monkeypatch.setattr(
+                module,
+                "faddeev_leverrier",
+                lambda a, n: expanded.update([tuple(a)]) or leverrier(a, n),
+            )
     with redirect_stdout(io.StringIO()):
         assert main(["verify", "--config", str(REPO / "configs" / config)]) == 0
-    assert len(factored) == len(set(factored))
+    assert factored and len(factored) == len(set(factored))
+    assert sum(expanded.values()) == points + 1
+    assert set(expanded.values()) == {1}
 
 
 def test_cli_overrides(tmp_path, capsys):

@@ -88,6 +88,15 @@ def test_leading_coefficient_policies():
         leading_coefficient(local_expansion(kz_system([0], [I3], TWO), 1), TWO, -2)
 
 
+@pytest.mark.parametrize("residue", [P1, I3 * -1, FMatrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])])
+def test_the_seed_at_coupling_zero_is_the_whole_kernel(residue):
+    # at coupling 0 the exponent 0 equals -coupling, but the step matrix is
+    # zero: its kernel is all of C^3, not the range of the projector I - P1
+    exp = local_expansion(kz_system([0, 1], [residue, P2], 0), 1)
+    assert leading_coefficient(exp, 0, 0) == I3
+    assert compute_series(exp, 0, 4).coeffs == (I3,) + (FMatrix.zeros(3, 3),) * 4
+
+
 def test_series_matches_reference_tables():
     exp = symbolic_expansion(LITERAL_PAPER, 4)
     series = compute_series(exp, TWO, order=3)
@@ -603,7 +612,8 @@ def test_obstruction_on_a_rank_one_seed_reports_the_full_step(pts, convention):
     # obstruction still reports the full 3 x 3 right side, and the
     # certificate of the full step, as computed on all columns
     exp, coupling, order = obstructed_case(pts, convention)
-    assert column_relations(frobenius._seed(exp, coupling, -2)).pivots == (0,)
+    seed = frobenius._seed(*scaled(exp.residue, coupling), exp.n, coupling, -2)
+    assert column_relations(seed).pivots == (0,)
     with pytest.raises(ResonanceObstruction) as ei:
         compute_series(exp, coupling, order)
     rhs = FMatrix([[22, -22, 0], [-4, 4, 0], [14, -14, 0]]) * Fraction(1, 9)

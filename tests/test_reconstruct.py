@@ -25,12 +25,16 @@ from kzrat import (
     ResonanceObstruction,
     build_kz_s3,
     compute_series,
+    format_scalar,
+    infinity_record,
     kz_system,
     local_expansion,
     numerator_growth,
+    point_records,
     poly_gcd,
     propose_denominator,
     rational_matrix,
+    rational_roots,
     reconstruct,
     transposition_matrix,
     verify_ode,
@@ -54,12 +58,15 @@ from support import (
     entries_built,
     euclid_rational_matrix,
     fmatrix_verify_ode,
+    fraction_charpoly,
     fraction_det_is_zero,
     fraction_shifted,
     kz_systems,
     matrix_expansion_matches,
     points,
     power_product_denominator,
+    system_exponents,
+    system_growth,
 )
 
 poly_module = sys.modules["kzrat.poly"]
@@ -126,21 +133,66 @@ def test_negative_exponents_are_rejected():
 
 def test_denominator_exponents_finds_roots_once_per_characteristic_polynomial(monkeypatch):
     calls = []
-    original = reconstruct_module.rational_roots
-    monkeypatch.setattr(
-        reconstruct_module, "rational_roots", lambda p: calls.append(p) or original(p)
-    )
+    original = poly_module.rational_roots
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kzrat" and getattr(module, "rational_roots", None) is original:
+            monkeypatch.setattr(module, "rational_roots", lambda p: calls.append(p) or original(p))
+
+    def exponents(sys_):
+        return denominator_exponents(sys_.points, point_records(sys_))
+
     # every residue of kz-s3 and of the three-point system is a transposition
-    assert denominator_exponents(build_kz_s3(0, 1, TWO)) == (2, 2)
-    assert denominator_exponents(dict(BASES)["three-point"]()) == (6, 6, 6)
+    assert exponents(build_kz_s3(0, 1, TWO)) == (2, 2)
+    assert exponents(dict(BASES)["three-point"]()) == (6, 6, 6)
     assert len(calls) == 2
     calls.clear()
-    assert denominator_exponents(kz_system([0, 1, 2], [P1, P2 * 2, P1], TWO)) == (2, 4, 2)
+    assert exponents(kz_system([0, 1, 2], [P1, P2 * 2, P1], TWO)) == (2, 4, 2)
     assert len(calls) == 2
     # the first point without an integer eigenvalue is the one named
     third = P1 * Fraction(1, 3)
     with pytest.raises(NoPolynomialDenominator, match="z = 5 "):
-        denominator_exponents(kz_system([0, 5, 7], [P1, third, third * 2], TWO))
+        exponents(kz_system([0, 5, 7], [P1, third, third * 2], TWO))
+
+
+@st.composite
+def scaled_systems(draw):
+    """A numeric system of kz_systems, every residue scaled by a small
+    rational: negative and fractional couplings, and residues that are
+    neither permutations nor integer matrices."""
+    sys_ = draw(kz_systems(symbolic=False))[0]
+    scales = st.sampled_from((1, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+    return kz_system(sys_.points, [r * draw(scales) for r in sys_.residues], sys_.coupling)
+
+
+@given(sys_=scaled_systems())
+@example(sys_=build_kz_s3(0, 1, TWO))
+@example(sys_=build_kz_s3(0, 1, Fraction(-3, 2)))
+@settings(max_examples=150, deadline=None)
+def test_records_give_the_exponents_and_growth_of_the_fraction_oracle(sys_):
+    # each point's record against rational_roots of the Faddeev-LeVerrier
+    # oracle over Fractions, and the record at infinity against that of
+    # coupling * (sum of the residues)
+    def oracle(m: FMatrix):
+        roots, _ = rational_roots(fraction_charpoly(m * sys_.coupling))
+        return roots, [int(r) for r, _ in roots if r.denominator == 1]
+
+    records = point_records(sys_)
+    wanted = []
+    for point, residue, record in zip(sys_.points, sys_.residues, records):
+        roots, integers = oracle(residue)
+        assert record.eigenvalues == roots
+        if integers:
+            wanted.append(max(0, -min(integers)))
+            assert denominator_exponents([point], [record]) == (wanted[-1],)
+        else:
+            with pytest.raises(NoPolynomialDenominator, match=f"z = {format_scalar(point)} "):
+                denominator_exponents([point], [record])
+    if len(wanted) == len(records):
+        assert denominator_exponents(sys_.points, records) == tuple(wanted)
+    roots, integers = oracle(sum(sys_.residues[1:], sys_.residues[0]))
+    at_infinity = infinity_record(records, sys_.n)
+    assert at_infinity.eigenvalues == roots
+    assert numerator_growth(at_infinity) == max((r for r in integers if r > 0), default=0)
 
 
 def test_reconstruct_single_pole_terminating():
@@ -390,8 +442,8 @@ def real_reconstruction(name):
 def least_order_reconstruction(sys_):
     """(system, W) at center 1 with the proposed denominator, the CLI's
     numerator degree and the least order that over-checks them."""
-    den = denominator_from_exponents(sys_.points, denominator_exponents(sys_))
-    degree = den.degree + numerator_growth(sys_)
+    den = denominator_from_exponents(sys_.points, system_exponents(sys_))
+    degree = den.degree + system_growth(sys_)
     order = degree + den.degree + 1
     series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, order), sys_.coupling, order)
     return sys_, reconstruct(series, den, degree)
@@ -616,9 +668,9 @@ def test_det_flag_of_cli_verify_runs_needs_no_bareiss(monkeypatch, tmp_path):
 def test_reconstruct_at_a_rational_center_matches_division_oracle():
     # The three-point system expanded at z = 2/3, at the minimum order.
     sys_ = dict(BASES)["three-point"]()
-    exponents = denominator_exponents(sys_)
+    exponents = system_exponents(sys_)
     den = denominator_from_exponents(sys_.points, exponents)
-    degree = den.degree + numerator_growth(sys_)
+    degree = den.degree + system_growth(sys_)
     order = degree + den.degree + 1
     series = compute_series(local_expansion(sys_, 2, DERIVED_TAYLOR, order), sys_.coupling, order)
     assert series.center_point == Fraction(2, 3)
@@ -634,9 +686,9 @@ def test_reconstruct_at_a_rational_center_matches_division_oracle():
 
 def test_reconstruct_builds_one_fraction_per_output_coefficient(monkeypatch):
     sys_ = dict(BASES)["three-point"]()
-    exponents = denominator_exponents(sys_)
+    exponents = system_exponents(sys_)
     den = denominator_from_exponents(sys_.points, exponents)
-    degree = den.degree + numerator_growth(sys_)
+    degree = den.degree + system_growth(sys_)
     series = compute_series(local_expansion(sys_, 2, DERIVED_TAYLOR, 55), sys_.coupling, 55)
     built = Counter()
     original_new = Fraction.__new__
@@ -663,9 +715,9 @@ def test_reconstruct_builds_one_fraction_per_output_coefficient(monkeypatch):
 def test_verify_path_runs_no_matrix_products_and_no_gcd(monkeypatch):
     # The three-point system at 0, 2/3, -5/7, coupling 6, order 55.
     sys_, _ = real_reconstruction("three-point")
-    exponents = denominator_exponents(sys_)
+    exponents = system_exponents(sys_)
     den = denominator_from_exponents(sys_.points, exponents)
-    degree = den.degree + numerator_growth(sys_)
+    degree = den.degree + system_growth(sys_)
     series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, 55), sys_.coupling, 55)
     calls = Counter()
 
@@ -711,7 +763,7 @@ def perturbed_reconstructions(draw):
         sys_ = build_kz_s3(pts[0], pts[1], TWO)
     else:
         sys_ = kz_system(pts, [P1, P2, transposition_matrix(3, 2, 3)], Fraction(6))
-    exponents = [max(0, e + draw(st.integers(-1, 1))) for e in denominator_exponents(sys_)]
+    exponents = [max(0, e + draw(st.integers(-1, 1))) for e in system_exponents(sys_)]
     den = denominator_from_exponents(sys_.points, exponents)
     degree = draw(st.integers(0, 14))
     order = degree + den.degree + draw(st.integers(0, 12))
@@ -782,11 +834,11 @@ def test_reconstruct_is_independent_of_the_coefficient_form(path):
     the top level, which is over-checked, is changed."""
     cfg = load_config(str(path), {})
     sys_ = cfg.build_system()
-    exponents = cfg.denominator_exponents or denominator_exponents(sys_)
+    exponents = cfg.denominator_exponents or system_exponents(sys_)
     den = denominator_from_exponents(sys_.points, exponents)
     degree = cfg.numerator_degree
     if degree is None:
-        degree = den.degree + numerator_growth(sys_)
+        degree = den.degree + system_growth(sys_)
     exp = local_expansion(sys_, cfg.center, cfg.convention, cfg.order)
     series = compute_series(exp, cfg.coupling, cfg.order)
     changed = _with_entry_changed(series, cfg.order, 0, 0, Fraction(1, 3))
@@ -839,12 +891,12 @@ def test_column_basis_path_matches_the_all_columns_path(case, choice):
     sys_, center, convention, _ = case
     perturb, level, row, column, delta, pick = choice
     try:
-        exponents = denominator_exponents(sys_)
+        exponents = system_exponents(sys_)
     except NoPolynomialDenominator:
         exponents = (0,) * len(sys_.points)
     den = denominator_from_exponents(sys_.points, exponents)
     # at most the CLI's numerator degree
-    degree = min(pick, den.degree + numerator_growth(sys_))
+    degree = min(pick, den.degree + system_growth(sys_))
     order = degree + den.degree + 1 + pick % 3
     try:
         exp = local_expansion(sys_, center, convention, order)
@@ -1074,9 +1126,9 @@ def test_the_normalized_denominator_carries_what_is_left_after_cancelling():
     # each exponent proposed one too high: normalization cancels one power
     # of every root, and W carries the factors of its own denominator
     sys_, want = real_reconstruction("three-point")
-    exponents = denominator_exponents(sys_)
+    exponents = system_exponents(sys_)
     pairs = [(z, e + 1) for z, e in zip(sys_.points, exponents)]
-    degree = sum(e for _, e in pairs) + numerator_growth(sys_)
+    degree = sum(e for _, e in pairs) + system_growth(sys_)
     order = degree + sum(e for _, e in pairs) + 1
     series = compute_series(local_expansion(sys_, 1, DERIVED_TAYLOR, order), sys_.coupling, order)
     w = reconstruct(series, pairs, degree)
