@@ -14,6 +14,14 @@ reports echo every value exactly, so serialize -> parse -> serialize is
 byte-identical.  Exit codes: 0 success/verified, 1 golden mismatch or
 unverified rationality, 2 usage or config error or a closed stdout,
 3 resonance obstruction.
+
+A sequence of matrices, a series' levels or the expansion's a[r], is
+written as one block (`_Block`) from its integers: every pivot entry is
+formatted once, in one pass, and the relations among the columns are
+applied a column at a time over each run of matrices that share them.
+The report's list is laid out from those cells at its final indent in
+one join, and the printout from the same cells is written with one
+print.
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
+from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .frobenius import ResonanceObstruction, SeriesSolution, compute_series, indicial_data
@@ -41,7 +51,7 @@ from .kzmodel import (
     kz_system,
     local_expansion,
 )
-from .matrix import FMatrix, combination, int_form, scalar_combination, stripped
+from .matrix import FMatrix, combination, int_form, scalar_combination
 from .poly import Poly, poly_str
 from .ratfunc import RatFunc
 from .reconstruct import (
@@ -104,7 +114,7 @@ class SystemConfig(NamedTuple):
         if self.preset is not None:
             out["residues"] = self.preset
         else:
-            out["residues"] = [_matrix_json(m) for m in self.residues]
+            out["residues"] = [_Block([m]) for m in self.residues]
         if self.numerator_degree is not None:
             out["numerator_degree"] = self.numerator_degree
         if self.denominator_exponents is not None:
@@ -285,70 +295,159 @@ def _ratio_json(x: int, den: int) -> str:
     return format_ratio(x // g, den // g)
 
 
-def _negated_json(cell):
-    """The report cell of -x, from that of x: a string, or a polynomial's
-    list of them."""
-    if type(cell) is list:
-        return [_negated_json(t) for t in cell]
-    return cell[1:] if cell[0] == "-" else cell if cell == "0" else "-" + cell
+def _negated_cells(cells: list[str]) -> list[str]:
+    """The report cells of -x, from those of x."""
+    return [c[1:] if c[0] == "-" else c if c == "0" else "-" + c for c in cells]
 
 
 def _poly_cells(f: list[int], den: int) -> list[str]:
     return [_ratio_json(x, den) for x in f]
 
 
-class _Text:
-    """A report value laid out ahead of the writer: its indented JSON text,
-    in which "\n" breaks a line at the value's own indent.  A matrix's
-    node also keeps its cells, the formatted scalars c of its entries
-    c * d^power, which the printout reads, and power (None for
-    Fractions).  Not a tuple, so that json.dumps refuses it rather than
-    writing it as a list."""
+def _block_cells(forms: list) -> list[list[tuple[str, ...]]]:
+    """Each matrix's rows of cells, the formatted scalars c of its entries
+    c * d^power, from the int_form (rows, den, relations, power) of each.
 
-    __slots__ = ("text", "cells", "power")
-
-    def __init__(self, text: str, cells: list | None = None, power: int | None = None):
-        self.text, self.cells, self.power = text, cells, power
-
-
-def _matrix_json(m: FMatrix) -> _Text:
-    # from its integers: each pivot entry is formatted once, and no entry built
-    rows, den, relations, power = int_form(m)
-    cells = relations.derived(rows, den, _ratio_json, scalar_combination, _negated_json, "0")
-    # a cell is digits, "-" and "/", with nothing to escape
-    if power is None:
-        lines = ['"' + '",\n    "'.join(row) + '"' for row in cells]
-    else:
-        prefix, suffix = _monomial_text(power)
-        lines = [
-            ",\n    ".join(_ZERO_CELL if c == "0" else prefix + c + suffix for c in row)
-            for row in cells
-        ]
-    return _Text("[\n  [\n    " + "\n  ],\n  [\n    ".join(lines) + "\n  ]\n]", cells, power)
-
-
-# the text of _monomial_json at a matrix cell's indent, as the writer lays it out
-_ZERO_CELL = '{\n      "den": [\n        "1"\n      ],\n      "num": []\n    }'
-
-
-def _monomial_text(power: int) -> tuple[str, str]:
-    """The text of a nonzero cell c * d^power of a matrix, as prefix + c + suffix."""
-    zeros = '"0",\n        ' * abs(power)
-    den, num = (zeros, "") if power < 0 else ("", zeros)
-    head = '{\n      "den": [\n        ' + den + '"1"\n      ],\n      "num": [\n        '
-    return head + num + '"', '"\n      ]\n    }'
-
-
-def _indexed_json(key: str, pairs) -> _Text:
-    """[{key: k, "matrix": node}, ...] for the (k, node) pairs, k an int,
-    as one node; key sorts before "matrix"."""
-    items = [
-        f'{{\n    "{key}": {format_scalar(k)},\n    "matrix": '
-        + node.text.replace("\n", "\n    ")
-        + "\n  }"
-        for k, node in pairs
+    Every pivot entry x / den of every matrix is formatted in one pass.
+    Each run of consecutive matrices with equal relations then gets its
+    columns one at a time, from its flat pivot cells, r per row: a pivot
+    column is a stride-r slice of them, a negated one that slice negated,
+    a zero column a constant, and only a combined column is formatted
+    from its integers."""
+    pivots = [
+        format_ratio(x // (g := gcd(x, den)), den // g)
+        for rows, den, _, _ in forms
+        for row in rows
+        for x in row
     ]
-    return _Text("[\n  " + ",\n  ".join(items) + "\n]" if items else "[]")
+    out: list[list[tuple[str, ...]]] = []
+    start = 0
+    for relations, run in groupby(forms, key=itemgetter(2)):
+        run = list(run)
+        r = len(relations.pivots)
+        height = sum(len(rows) for rows, _, _, _ in run)
+        cells = pivots[start : start + height * r]
+        start += height * r
+        columns = []
+        for p in relations.plan:
+            if type(p) is int:
+                columns.append(cells[p::r] if p >= 0 else _negated_cells(cells[~p::r]))
+            elif p:
+                over = relations.den
+                columns.append(
+                    [
+                        _ratio_json(scalar_combination(row, p), den * over)
+                        for rows, den, _, _ in run
+                        for row in rows
+                    ]
+                )
+            else:
+                columns.append(["0"] * height)
+        table = iter(zip(*columns))
+        out += [list(islice(table, len(rows))) for rows, _, _, _ in run]
+    return out
+
+
+def _lcd(rows: list, den: int, relations) -> int:
+    """The least common denominator of the entries of (rows / den) C / c,
+    C / c the relations: that of the pivot entries, and that of the
+    combined columns over den * c."""
+    lcd = den // gcd(den, *(x for row in rows for x in row))
+    combined = [p for p in relations.plan if type(p) is list]
+    if combined:
+        common = den * relations.den
+        ys = (scalar_combination(row, p) for row in rows for p in combined)
+        lcd = lcm(lcd, common // gcd(common, *ys))
+    return lcd
+
+
+class _Block:
+    """Matrices laid out ahead of the writer, from their integers
+    (`int_form`): `cells` holds each matrix's rows of cells
+    (`_block_cells`), which both its report text and its printout read.
+    With a key and labels the block is the report's list
+    [{key: label, "matrix": ...}, ...], otherwise its one matrix.  Not a
+    tuple, so that json.dumps refuses it rather than writing it as a
+    list."""
+
+    __slots__ = ("forms", "cells", "key", "labels")
+
+    def __init__(self, matrices, key: str | None = None, labels=()):
+        self.forms = [int_form(m) for m in matrices]
+        self.cells = _block_cells(self.forms)
+        self.key, self.labels = key, labels
+
+    def text(self, newline: str) -> str:
+        """The block's JSON text, in which `newline` breaks a line to the
+        block's own indent."""
+        if self.key is None:
+            return _matrix_texts(self.cells, self.forms, newline)[0]
+        item = newline + "  "
+        inner = item + "  "
+        head, tail = "{" + inner + _quote(self.key) + ": ", item + "}"
+        texts = _matrix_texts(self.cells, self.forms, inner)
+        labels = map(format_scalar, self.labels)
+        # each item is head + label + middle + text + tail
+        items = map(("," + inner + '"matrix": ').join, zip(labels, texts))
+        return "[" + item + head + (tail + "," + item + head).join(items) + tail + newline + "]"
+
+    def printout(self, names) -> str:
+        """The printed lines of the block's matrices, each under "name =":
+        its cells, each column right-aligned, or for a matrix of monomials
+        c * d^k of one power k != 0, 1/L * d^k * [integers] with L the
+        least common denominator of its entries; those integers are the
+        cells of the pivot integers scaled by L / den, over 1."""
+        lines = []
+        for name, cells, (rows, den, relations, power) in zip(names, self.cells, self.forms):
+            lines.append(name + " =")
+            if power:
+                lcd = _lcd(rows, den, relations)
+                scale = "" if lcd == 1 else f"1/{format_ratio(lcd, 1)} * "
+                integers = [[x * lcd // den for x in row] for row in rows]
+                (cells,) = _block_cells([(integers, 1, relations, power)])
+                lines += [f"  {scale}d^{power} *", *_cell_lines(cells, indent="    ")]
+            else:
+                lines += _cell_lines(cells)
+        return "\n".join(lines)
+
+
+def _matrix_texts(tables: list, forms: list, newline: str) -> list[str]:
+    """The JSON text of each matrix's rows of cells, at the indent that
+    `newline` breaks a line to: strings for Fractions (power None),
+    monomials num / den otherwise (`_monomial_json`)."""
+    row = newline + "  "
+    at = row + "  "
+    start, end = "[" + row + "[" + at, row + "]" + newline + "]"
+    row_sep = row + "]," + row + "[" + at
+    quoted_sep, quoted_row_sep = '",' + at + '"', '"' + row_sep + '"'
+    texts = []
+    for cells, (_, _, _, power) in zip(tables, forms):
+        if power is None:
+            # a numeric cell is digits, "-" and "/", with nothing to escape
+            body = '"' + quoted_row_sep.join(map(quoted_sep.join, cells)) + '"'
+        else:
+            prefix, suffix, zero = _monomial_text(power, at)
+            body = row_sep.join(
+                ("," + at).join(zero if c == "0" else prefix + c + suffix for c in line)
+                for line in cells
+            )
+        texts.append(start + body + end)
+    return texts
+
+
+def _monomial_text(power: int, at: str) -> tuple[str, str, str]:
+    """The text of a cell c * d^power of a matrix whose cells `at` breaks a
+    line to: a nonzero one as prefix + c + suffix, and the zero cell."""
+    key, value = at + "  ", at + "    "
+    zeros = ('"0",' + value) * abs(power)
+    den, num = (zeros, "") if power < 0 else ("", zeros)
+    head = "{" + key + '"den": [' + value
+    middle = '"1"' + key + "]," + key + '"num": '
+    return (
+        head + den + middle + "[" + value + num + '"',
+        '"' + key + "]" + at + "}",
+        head + middle + "[]" + at + "}",
+    )
 
 
 def _vector_json(v):
@@ -361,7 +460,7 @@ def _poly_json(p: Poly):
 
 def _numerator_json(m: FMatrix):
     rows, den, relations, _ = int_form(m)  # a reconstructed numerator builds no Poly
-    return relations.derived(rows, den, _poly_cells, combination, _negated_json, [])
+    return relations.derived(rows, den, _poly_cells, combination, _negated_cells, [])
 
 
 def report_to_json(report: dict) -> str:
@@ -370,7 +469,7 @@ def report_to_json(report: dict) -> str:
     One pass appends the text piece by piece to a list, joined once at the
     end.  Strings are quoted by json's C helper, and ints go through
     format_scalar, so an int past CPython's int -> str cap is written too.
-    A node laid out ahead (_Text) is copied in at its indent."""
+    A block of matrices laid out ahead (_Block) is written at its indent."""
     return _json_text(report, "\n") + "\n"
 
 
@@ -387,9 +486,8 @@ def _write_json(obj, newline: str, write) -> None:
         write(_quote(obj))
     elif kind is int:
         write(format_scalar(obj))
-    elif kind is _Text:
-        # JSON text holds no raw newline inside a string
-        write(obj.text.replace("\n", newline))
+    elif kind is _Block:
+        write(obj.text(newline))
     elif (kind is dict or kind is list or kind is tuple) and not obj:
         write("{}" if kind is dict else "[]")
     elif kind is dict:
@@ -427,24 +525,6 @@ def _cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
     return [indent + "[" + "  ".join(map(str.rjust, row, widths)) + "]" for row in cells]
 
 
-def _symbolic_lines(m: FMatrix) -> list[str]:
-    """The lines of a matrix of monomials c * d^k of one power k != 0, from
-    its integers (int_form): 1/L * d^k * [integers] with L the least
-    common denominator."""
-    rows, den, relations, power = int_form(m)
-    ints, den = stripped(*relations.flat(rows, den))
-    head = f"  d^{power} *" if den == 1 else f"  1/{den} * d^{power} *"
-    n = relations.cols
-    cells = [[format_ratio(x, 1) for x in ints[i : i + n]] for i in range(0, len(ints), n)]
-    return [head] + _cell_lines(cells, indent="    ")
-
-
-def _print_coefficient(label: str, m: FMatrix, node: _Text, out) -> None:
-    """Print m; node is its report form, whose cells print its Fractions."""
-    lines = _symbolic_lines(m) if node.power else _cell_lines(node.cells)
-    print(f"{label} =", *lines, sep="\n", file=out)
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -457,11 +537,11 @@ def _indicial_json(ind) -> dict:
     }
 
 
-def _series_json(series: SeriesSolution, levels: list[_Text]) -> dict:
+def _series_json(series: SeriesSolution, levels: _Block) -> dict:
     return {
         "leading_exponent": series.leading_exponent,
         "convention": series.convention,
-        "coefficients": _indexed_json("level", zip(series.levels(), levels)),
+        "coefficients": levels,
         "resonances": [
             {
                 "level": rec.level,
@@ -473,12 +553,12 @@ def _series_json(series: SeriesSolution, levels: list[_Text]) -> dict:
     }
 
 
-def _expansion_json(exp: LocalExpansion, a_minus1: _Text, regular: list[_Text]) -> dict:
+def _expansion_json(exp: LocalExpansion, a_minus1: _Block, regular: _Block) -> dict:
     return {
         "center": exp.center_index,
         "convention": exp.convention,
         "a_minus1": a_minus1,
-        "regular": _indexed_json("index", enumerate(regular)),
+        "regular": regular,
     }
 
 
@@ -518,13 +598,17 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
     ind = indicial_data(exp, cfg.coupling)
     report: dict = {"config": cfg.echo(), "indicial": _indicial_json(ind)}
     if command == "expand":
-        regular = [exp.regular(r) for r in range(exp.order + 1)]
-        nodes = [_matrix_json(m) for m in (exp.a_minus1, *regular)]
-        report["expansion"] = _expansion_json(exp, nodes[0], nodes[1:])
-        print(f"local expansion at point {cfg.center} ({cfg.convention})", file=out)
-        _print_coefficient("a[-1]", exp.a_minus1, nodes[0], out)
-        for r, (m, node) in enumerate(zip(regular, nodes[1:])):
-            _print_coefficient(f"a[{r}]", m, node, out)
+        indices = range(exp.order + 1)
+        a_minus1 = _Block([exp.a_minus1])
+        regular = _Block([exp.regular(r) for r in indices], "index", indices)
+        report["expansion"] = _expansion_json(exp, a_minus1, regular)
+        print(
+            f"local expansion at point {cfg.center} ({cfg.convention})",
+            a_minus1.printout(["a[-1]"]),
+            regular.printout([f"a[{format_scalar(r)}]" for r in indices]),
+            sep="\n",
+            file=out,
+        )
         return EXIT_OK, report
 
     print(_indicial_summary(report["indicial"]), file=out)
@@ -540,16 +624,19 @@ def run(cfg: SystemConfig, command: str, golden: bool, out, err) -> tuple[int, d
         report["obstruction"] = {
             "level": exc.level,
             "certificate": certificate,
-            "rhs": _matrix_json(exc.rhs),
+            "rhs": _Block([exc.rhs]),
         }
         return EXIT_OBSTRUCTION, report
-    levels = [_matrix_json(m) for m in series.coeffs]
+    levels = _Block(series.coeffs, "level", series.levels())
     report["series"] = _series_json(series, levels)
     if command == "series":
         exponent = format_scalar(series.leading_exponent)
-        print(f"leading exponent: {exponent} ({series.convention})", file=out)
-        for p, m, node in zip(series.levels(), series.coeffs, levels):
-            _print_coefficient(f"b[{format_scalar(p)}]", m, node, out)
+        print(
+            f"leading exponent: {exponent} ({series.convention})",
+            levels.printout([f"b[{format_scalar(p)}]" for p in series.levels()]),
+            sep="\n",
+            file=out,
+        )
         for rec in series.resonances:
             print(
                 f"resonant level {format_scalar(rec.level)}: {rec.kind.value}, "

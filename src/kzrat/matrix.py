@@ -30,11 +30,12 @@ over one denominator, and ``FMatrix.from_poly_basis`` as rows of r
 integer coefficient vectors; each builds its Fraction or Poly entries on
 their first read, and reads its shape without them.  ``graded`` grades a
 matrix by d^k as a view of the same kind, whose RatFunc entries are
-built on their first read.  C is applied in one place,
-``ColumnRelations.derived``: it makes each pivot entry once, in the kind
-its caller asks for, copies or negates it for a column that is a pivot
-column or its negation, and combines the pivot entries for any other
-column.
+built on their first read.  C is applied through its ``plan``, one
+entry per column: ``ColumnRelations.derived`` makes each pivot entry
+once, in the kind its caller asks for, copies or negates it for a
+column that is a pivot column or its negation, and combines the pivot
+entries for any other column.  The CLI's report block reads the same
+plan to apply C a column at a time over a run of levels.
 
 ``int_form`` is the one reader of a matrix's integers, (B, den, C, k)
 with M = (B / den) C d^k, k None for Fractions or Polys: it hands out

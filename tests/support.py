@@ -27,6 +27,7 @@ from kzrat import (
     SeriesSolution,
     SolveKind,
     convolution_rhs,
+    format_scalar,
     infinity_record,
     kz_system,
     leading_coefficient,
@@ -36,7 +37,15 @@ from kzrat import (
     transposition_matrix,
 )
 from kzrat.frobenius import _seed
-from kzrat.matrix import ColumnRelations, SolveResult, _canonical_kernel, _rref, scaled
+from kzrat.matrix import (
+    ColumnRelations,
+    SolveResult,
+    _canonical_kernel,
+    _rref,
+    int_form,
+    scaled,
+    stripped,
+)
 from kzrat.reconstruct import (
     NotRepresentable,
     check_series_length,
@@ -44,6 +53,7 @@ from kzrat.reconstruct import (
     numerator_growth,
     rational_matrix,
 )
+from kzrat.scalars import format_ratio
 
 P1 = transposition_matrix(3, 1, 2)
 P2 = transposition_matrix(3, 1, 3)
@@ -771,3 +781,36 @@ class FieldRatFunc:
 
     def __repr__(self) -> str:
         return f"FieldRatFunc(({self.num.to_str('d')})/({self.den.to_str('d')}))"
+
+
+# ---------------------------------------------------------------------------
+# the CLI printout one matrix at a time, as it was written before the
+# levels were laid out as one block: the reference for cli._Block.printout
+
+
+def cell_lines(cells: list[list[str]], indent: str = "  ") -> list[str]:
+    """Rows of cells in brackets, each column right-aligned to its widest cell."""
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return [indent + "[" + "  ".join(map(str.rjust, row, widths)) + "]" for row in cells]
+
+
+def symbolic_lines(m: FMatrix) -> list[str]:
+    """The lines of a matrix of monomials c * d^k of one power k != 0, from
+    its integers (int_form): 1/L * d^k * [integers] with L the least
+    common denominator."""
+    rows, den, relations, power = int_form(m)
+    ints, den = stripped(*relations.flat(rows, den))
+    head = f"  d^{power} *" if den == 1 else f"  1/{den} * d^{power} *"
+    n = relations.cols
+    cells = [[format_ratio(x, 1) for x in ints[i : i + n]] for i in range(0, len(ints), n)]
+    return [head] + cell_lines(cells, indent="    ")
+
+
+def printed_lines(name: str, m: FMatrix) -> list[str]:
+    """The printout of m under "name =": its entries' scalars, or
+    symbolic_lines for monomials of one power k != 0."""
+    power = int_form(m)[3]
+    if power:
+        return [f"{name} ="] + symbolic_lines(m)
+    scalars = [[e if power is None else e.coeff for e in row] for row in m.entries]
+    return [f"{name} ="] + cell_lines([list(map(format_scalar, row)) for row in scalars])

@@ -51,6 +51,7 @@ from support import (
     fraction_compute_series,
     graded_entries,
     kz_systems,
+    printed_lines,
 )
 from test_matrix import cleared_forms
 from test_pinned_reports import PINNED
@@ -491,12 +492,12 @@ def test_a_matrix_node_writes_the_bytes_of_its_entries_encoded_one_by_one(form, 
     ints, den, relations = form
     m = FMatrix.from_basis(ints, den, relations)
     view = m if power is None else graded(m, power)
-    node = cli._matrix_json(view)
-    decoded = json.loads(node.text)
+    node = cli._Block([view])
+    decoded = json.loads(node.text("\n"))
     assert decoded == [[cli._entry_json(e) for e in row] for row in view.entries]
-    indexed = cli._indexed_json("level", [(-2, node), (3, node)])
+    indexed = cli._Block([view, view], "level", [-2, 3])
     plain_indexed = [{"level": -2, "matrix": decoded}, {"level": 3, "matrix": decoded}]
-    assert json.loads(indexed.text) == plain_indexed
+    assert json.loads(indexed.text("\n")) == plain_indexed
     # at a drawn depth in a document, beside drawn values
     doc, plain = [node, indexed], [decoded, plain_indexed]
     for key, sibling, in_list in path:
@@ -505,6 +506,102 @@ def test_a_matrix_node_writes_the_bytes_of_its_entries_encoded_one_by_one(form, 
         else:
             doc, plain = {key: doc, key + "'": sibling}, {key: plain, key + "'": sibling}
     assert report_to_json(doc) == json.dumps(plain, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def matrix_blocks(draw):
+    """A sequence of matrices as a series may hold them: lazy from_basis
+    levels sharing one relations object (rank 1 to n), all-zero levels,
+    eager matrices and levels with other relations among them, each
+    Fractions or graded at a power -4 .. 4, with entries past CPython's
+    int -> str digit cap at times."""
+    ints, _, relations = draw(cleared_forms())
+    entries = st.integers(-60, 60) | st.just(-(10**4400) - 7)
+    matrices = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("lazy", "lazy", "zero", "eager", "other")))
+        if kind == "other":
+            m = FMatrix.from_basis(*draw(cleared_forms()))
+        else:
+            level = [0] * len(ints)
+            if kind != "zero":
+                level = draw(st.lists(entries, min_size=len(ints), max_size=len(ints)))
+            m = FMatrix.from_basis(level, draw(st.sampled_from((1, 6, 35, 10**30))), relations)
+        power = draw(st.none() | st.integers(-4, 4))
+        if kind == "eager":
+            entry = (lambda e: e) if power is None else (lambda e: RatFunc(e, power))
+            m = FMatrix([[entry(e) for e in row] for row in m.entries])
+        elif power is not None:
+            m = graded(m, power)
+        matrices.append(m)
+    return matrices
+
+
+@given(matrices=matrix_blocks(), start=st.integers(-50, 50))
+@settings(max_examples=150, deadline=None)
+def test_a_block_writes_the_bytes_of_its_matrices_written_one_by_one(matrices, start):
+    labels = range(start, start + len(matrices))
+    block = cli._Block(matrices, "level", labels)
+    names = [f"b[{p}]" for p in labels]
+    # the printout against the per-matrix printout, read from the integers
+    expected_lines = [line for name, m in zip(names, matrices) for line in printed_lines(name, m)]
+    assert block.printout(names).splitlines() == expected_lines
+    # the report text against each entry encoded on its own, at an indent
+    plain = [
+        {"level": p, "matrix": [[cli._entry_json(e) for e in row] for row in m.entries]}
+        for p, m in zip(labels, matrices)
+    ]
+    doc = {"series": {"coefficients": block, "matrix": cli._Block(matrices[:1])}}
+    plain_doc = {"series": {"coefficients": plain, "matrix": plain[0]["matrix"]}}
+    assert report_to_json(doc) == json.dumps(plain_doc, indent=2, sort_keys=True) + "\n"
+    for cells, m in zip(block.cells, matrices):
+        scalars = [[e if type(e) is Fraction else e.coeff for e in row] for row in m.entries]
+        assert cells == [tuple(map(format_scalar, row)) for row in scalars]
+
+
+@pytest.mark.parametrize("scale", (1, 2), ids=("same-values", "other-values"))
+def test_a_series_with_one_eager_level_writes_the_bytes_of_per_level_writing(monkeypatch, scale):
+    # the eager level has every column a pivot, the lazy ones the seed's
+    # relations: the block splits into three runs
+    cfg = parse_config(json.dumps(S3_NUMERIC))
+    compute = cli.compute_series
+    solved = []
+
+    def tampered(*args):
+        series = compute(*args)
+        coeffs = list(series.coeffs)
+        coeffs[5] = FMatrix(coeffs[5].entries) * Fraction(scale)
+        solved.append(series._replace(coeffs=tuple(coeffs)))
+        return solved[-1]
+
+    untampered = io.StringIO()
+    _, plain_report = cli.run(cfg, "series", False, untampered, io.StringIO())
+    monkeypatch.setattr(cli, "compute_series", tampered)
+    out = io.StringIO()
+    code, report = cli.run(cfg, "series", False, out, io.StringIO())
+    assert code == 0
+    (series,) = solved
+    relations = [int_form(m)[2] for m in series.coeffs[4:7]]
+    assert relations[0] == relations[2] != relations[1] == ColumnRelations.trivial(3)
+    # the printout, level by level
+    lines = out.getvalue().splitlines()
+    start = lines.index("leading exponent: -2 (derived-taylor)") + 1
+    names = [f"b[{p}]" for p in series.levels()]
+    expected = [line for name, m in zip(names, series.coeffs) for line in printed_lines(name, m)]
+    assert lines[start : start + len(expected)] == expected
+    # the report, each level's entries encoded on their own
+    doc = json.loads(report_to_json(report))
+    doc["series"]["coefficients"] = [
+        {"level": p, "matrix": [[cli._entry_json(e) for e in row] for row in m.entries]}
+        for p, m in zip(series.levels(), series.coeffs)
+    ]
+    assert report_to_json(report) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # an eager level of the same values writes the bytes of the lazy one
+    if scale == 1:
+        assert out.getvalue() == untampered.getvalue()
+        assert report_to_json(report) == report_to_json(plain_report)
+    else:
+        assert report_to_json(report) != report_to_json(plain_report)
 
 
 def _graded_entries(node):
@@ -597,14 +694,14 @@ def test_derived_report_cells_at_the_edges():
         [["3/2", "0", "-2", "0", "5/2"], ["-3/4", "0", "1", "0", "-5/4"], []]
     ]
     level = FMatrix.from_basis([3, -4], 2, ColumnRelations((0,), ((2, -1, 0, -2),), 2))
-    assert cli._matrix_json(level).cells == [["3/2", "-3/4", "0", "-3/2"], ["-2", "1", "0", "2"]]
+    assert cli._Block([level]).cells == [[("3/2", "-3/4", "0", "-3/2"), ("-2", "1", "0", "2")]]
     # a negation past CPython's int -> str digit cap, in a level and in a
     # numerator, with the cap as it was
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     x = 10**4400 + 7
     negation = ColumnRelations((0,), ((1, -1),), 1)
     level = FMatrix.from_basis([x, 1], 1, negation)
-    assert cli._matrix_json(level).cells == [[format_ratio(x, 1), format_ratio(-x, 1)], ["1", "-1"]]
+    assert cli._Block([level]).cells == [[(format_ratio(x, 1), format_ratio(-x, 1)), ("1", "-1")]]
     m = FMatrix.from_poly_basis([[[0, x]]], 3, negation)
     assert cli._numerator_json(m) == [[["0", format_ratio(x, 3)], ["0", format_ratio(-x, 3)]]]
     assert cli._numerator_json(m) == [[cli._poly_json(p) for p in row] for row in m.entries]
@@ -1172,11 +1269,10 @@ def _assert_reads_as_eager(m: FMatrix, exp, power: int) -> None:
     rows, den, relations, _ = int_form(m)
     fractions = FMatrix.from_basis([x for row in rows for x in row], den, relations)
     eager = graded_entries(exp, fractions, power)
-    node = cli._matrix_json(m)
-    assert json.loads(node.text) == [[cli._entry_json(e) for e in row] for row in eager.entries]
-    out = io.StringIO()
-    cli._print_coefficient("b", m, node, out)
-    assert out.getvalue().splitlines() == ["b ="] + _eager_printed_lines(eager)
+    block = cli._Block([m])
+    decoded = json.loads(block.text("\n"))
+    assert decoded == [[cli._entry_json(e) for e in row] for row in eager.entries]
+    assert block.printout(["b"]).splitlines() == ["b ="] + _eager_printed_lines(eager)
     assert not entries_built(m)
     assert m.entries == eager.entries
 

@@ -17,7 +17,7 @@ from kzrat import (
     det,
     solve_linear,
 )
-from kzrat.cli import _entry_json, _matrix_json
+from kzrat.cli import _Block, _entry_json
 from kzrat.matrix import (
     ColumnRelations,
     column_relations,
@@ -323,7 +323,7 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     # the shape and the integer readers first, while no entry has been built
     lazy = FMatrix.from_basis(ints, den, relations)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
-    assert _matrix_json(lazy).cells == [[format_scalar(e) for e in row] for row in eager.entries]
+    assert _Block([lazy]).cells == [[tuple(map(format_scalar, row)) for row in eager.entries]]
     assert int_form(lazy) == (rows, den, relations, None)
     assert not entries_built(lazy)
     assert flat(lazy) == flat(eager)
@@ -346,7 +346,7 @@ def test_from_basis_cannot_be_told_from_its_fractions(form):
     assert lazy.entries == eager.entries
     assert all(type(e) is Fraction for row in lazy.entries for e in row)
     assert (lazy.rows, lazy.cols) == (eager.rows, eager.cols)
-    assert _matrix_json(lazy).text == _matrix_json(eager).text and flat(lazy) == flat(eager)
+    assert _Block([lazy]).text("\n") == _Block([eager]).text("\n") and flat(lazy) == flat(eager)
 
 
 @given(cleared_forms(), st.integers(-4, 4))
@@ -366,9 +366,10 @@ def test_a_graded_view_cannot_be_told_from_its_monomials(form, power):
     # the integer reader first, while no entry has been built
     power_read = power if any(ints) else 0
     assert int_form(view) == (rows, den, relations, power_read)
-    decoded = json.loads(_matrix_json(view).text)
+    decoded = json.loads(_Block([view]).text("\n"))
     assert decoded == [[_entry_json(e) for e in row] for row in eager.entries]
-    assert _matrix_json(cleared_view).text == _matrix_json(view).text == _matrix_json(eager).text
+    texts = [_Block([m]).text("\n") for m in (cleared_view, view, eager)]
+    assert texts[0] == texts[1] == texts[2]
     assert not entries_built(view) and not entries_built(cleared_view)
     # all three read as the same integers, and the same power
     for m in (view, cleared_view, eager):
